@@ -31,7 +31,6 @@ class BloomParams:
     n: int
     k: int
     m: int
-    size_multiplier: float | None = None
 
     def __post_init__(self):
         if self.m < 1:

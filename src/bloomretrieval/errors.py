@@ -33,5 +33,9 @@ class InconsistentDimsError(DataFormatError):
     """Per-layer dimensions disagree across records."""
 
 
+class InvalidVectorError(DataFormatError):
+    """A record vector is non-finite or has zero norm, so it has no direction."""
+
+
 class ConfigMismatchError(RetrievalError):
     """Stored artifacts disagree with the active configuration."""

@@ -175,9 +175,6 @@ def read_features(path) -> list[RawRecord]:
     return records
 
 
-ingest_features = read_features
-
-
 # ---------------------------------------------------------------------------
 # Training and the trained bundle
 
@@ -197,8 +194,8 @@ class TrainedBundle:
 def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
     """PCA-compress and binary-sequence one raw record.
 
-    Compressed values are rounded to float32 at this point so in-memory
-    state matches what the record store persists.
+    Compressed vectors are held as float32, so in-memory state matches what
+    the record store persists.
     """
     compressed = {}
     signatures = {}
@@ -206,7 +203,7 @@ def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
         if layer not in raw.features:
             raise ConfigMismatchError(f"record {raw.id!r} missing layer {layer}")
         vec = pca.project(bundle.pca_models[layer], raw.features[layer])
-        vec = vec.astype(np.float32).astype(np.float64)
+        vec = vec.astype(np.float32)
         compressed[layer] = vec
         signatures[layer] = binseq.encode_signature(bundle.dictionaries[layer], vec)
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
@@ -262,12 +259,12 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress, sign, insert into the filter, and append to the index."""
-    if raw.id in index.ids():
+    """Compress, sign, append to the index, and insert into the filter."""
+    if raw.id in index:
         raise DuplicateIdError(f"duplicate record id {raw.id!r}")
     rec = compress_record(bundle, raw)
+    index.add(rec)  # first: a record the index rejects must not reach the filter
     bundle.filter.insert(rec.signatures)
-    index.add(rec)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +352,6 @@ def evaluate(
         raise ValueError("evaluation requires at least one query")
     index.freeze()
     indexed_labels = index.labels()
-    indexed_ids = index.ids()
     relevant_by_label: dict[str, list[str]] = {}
     for rec in index.records:
         relevant_by_label.setdefault(rec.label, []).append(rec.id)
@@ -376,7 +372,7 @@ def evaluate(
             else:
                 aps.append(0.0)
             continue
-        if q.id not in indexed_ids:
+        if q.id not in index:
             false_positives += 1
         if distractor:
             aps.append(None)

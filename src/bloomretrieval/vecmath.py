@@ -37,17 +37,26 @@ def l2_distance(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def l2_norm(a) -> float:
-    return float(np.linalg.norm(as_vector(a)))
+def unit_rows(rows) -> np.ndarray:
+    """Each row of a 2-D array (or a sequence of equal-length vectors) scaled
+    to unit L2 norm, as a new contiguous float64 matrix.
+
+    Row norms come from the same per-row einsum as `unit_cosine_distances`,
+    so a vector normalized alone or inside a matrix gets the same bits.
+    """
+    m = np.array(rows, dtype=np.float64, order="C")
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {m.shape}")
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    if not np.all(norms > 0.0):
+        raise ZeroVectorError("cannot normalize a zero vector")
+    m /= norms[:, None]
+    return m
 
 
 def l2_normalize(a) -> np.ndarray:
     """Scale to unit L2 norm, preserving direction."""
-    a = as_vector(a)
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        raise ZeroVectorError("cannot normalize a zero vector")
-    return a / n
+    return unit_rows(as_vector(a)[None, :])[0]
 
 
 def cosine_distance(a, b) -> float:
@@ -62,10 +71,16 @@ def cosine_distance(a, b) -> float:
     return 1.0 - float(np.dot(a, b)) / (na * nb)
 
 
-def unit_cosine_distance(qn: np.ndarray, rn: np.ndarray) -> float:
-    """Cosine distance between two pre-normalized vectors.
+def unit_cosine_distances(rows: np.ndarray, qn: np.ndarray) -> np.ndarray:
+    """Cosine distance from a unit query to each unit row, clamped to [0, 2].
 
-    Both retrieval paths (staged and brute force) go through this one
-    function so their distances agree bit-for-bit.
+    The staged and brute-force retrieval paths both score through this one
+    kernel, often over different blocks of the same rows. einsum computes
+    each row's dot product on its own, so a row gets bit-identical distances
+    whichever block it sits in; a BLAS matrix-vector product does not (its
+    blocking changes the summation order). The clamp absorbs the rounding
+    that would otherwise push a self-match a few ulps below zero.
     """
-    return 1.0 - float(np.dot(qn, rn))
+    d = 1.0 - np.einsum("ij,j->i", rows, qn)
+    np.clip(d, 0.0, 2.0, out=d)
+    return d

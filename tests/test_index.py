@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from bloomretrieval.binseq import BinarySignature
-from bloomretrieval.errors import ConfigMismatchError, DuplicateIdError
+from bloomretrieval.errors import (
+    ConfigMismatchError,
+    DuplicateIdError,
+    InconsistentDimsError,
+    InvalidVectorError,
+)
 from bloomretrieval.index import (
     FINE_TO_COARSE,
     FeatureRecord,
@@ -108,6 +113,9 @@ class TestQueries:
         idx = HierarchicalIndex(LAYERS3, ts)
         q = {l: np.ones(6) for l in LAYERS3}
         assert brute_force_scan(idx, q, top_k=3) == []
+        idx.freeze()
+        for fn in (query_hierarchical, brute_force_scan):
+            assert fn(idx, q, top_k=3) == []
 
     def test_single_record_iff_passes_thresholds(self):
         rng = np.random.default_rng(1)
@@ -116,11 +124,11 @@ class TestQueries:
             ts = ThresholdSet(thresholds={l: thr for l in LAYERS3})
             idx = build_index([rec], ts)
             q = {l: rng.normal(size=6) for l in LAYERS3}
-            got = brute_force_scan(idx, q, top_k=1)
             passes = all(
                 cosine_distance(q[l], rec.compressed[l]) <= thr for l in LAYERS3
             )
-            assert bool(got) == passes
+            for fn in (brute_force_scan, query_hierarchical):
+                assert bool(fn(idx, q, top_k=1)) == passes
 
     def test_layer_mismatch(self):
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
@@ -132,8 +140,49 @@ class TestQueries:
         rng = np.random.default_rng(2)
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
         idx = build_index([random_record(rng, "x", "c")], ts)
+        assert "x" in idx and "y" not in idx
         with pytest.raises(DuplicateIdError):
             idx.add(random_record(rng, "x", "c"))
+
+    @pytest.mark.parametrize(
+        "vector, error",
+        [
+            ([1.0, np.nan, 0.0, 1.0, 1.0, 1.0], InvalidVectorError),
+            ([1.0, -np.inf, 0.0, 1.0, 1.0, 1.0], InvalidVectorError),
+            ([0.0] * 6, InvalidVectorError),
+            pytest.param(  # its squared norm overflows
+                [1e200] * 6,
+                InvalidVectorError,
+                marks=pytest.mark.filterwarnings("ignore:overflow"),
+            ),
+            ([1.0] * 5, InconsistentDimsError),
+            ([[1.0] * 6], InconsistentDimsError),
+        ],
+    )
+    def test_poisoned_vector_rejected(self, vector, error):
+        rng = np.random.default_rng(2)
+        ts = ThresholdSet(thresholds={l: 2.0 for l in LAYERS3})
+        good = random_record(rng, "good", "c")
+        idx = build_index([good], ts)
+        bad = random_record(rng, "bad", "c")
+        bad.compressed["L2"] = np.array(vector)
+        with pytest.raises(error):
+            idx.add(bad)
+        assert len(idx) == 1 and "bad" not in idx
+        assert query_hierarchical(idx, good.compressed, 5) == [("good", 0.0)]
+
+    def test_query_after_add_to_frozen_index(self):
+        rng = np.random.default_rng(9)
+        ts = ThresholdSet(thresholds={l: 2.0 for l in LAYERS3})
+        idx = build_index([random_record(rng, "a", "c")], ts)
+        idx.freeze()
+        rows = idx._rows
+        idx.freeze()
+        assert idx._rows is rows  # nothing added, nothing rebuilt
+        new = random_record(rng, "b", "c")
+        idx.add(new)
+        for fn in (query_hierarchical, brute_force_scan):
+            assert fn(idx, new.compressed, 1) == [("b", 0.0)]
 
 
 class TestEquivalence:
@@ -175,10 +224,25 @@ class TestEquivalence:
         vecs = {l: [1.0, 0.0] for l in LAYERS3}
         ts = ThresholdSet(thresholds={l: 0.5 for l in LAYERS3})
         idx = build_index(
-            [make_record("b", "c", vecs), make_record("a", "c", vecs)], ts
+            [make_record(rid, "c", vecs) for rid in ("b", "c", "a")], ts
         )
         out = query_hierarchical(idx, {l: np.array([2.0, 0.0]) for l in LAYERS3}, 2)
         assert [rid for rid, _ in out] == ["a", "b"]
+
+    def test_ranking_matches_sorted_oracle(self):
+        rng = np.random.default_rng(10)
+        recs = [random_record(rng, f"r{i:03d}", "c") for i in range(60)]
+        # exact duplicates under other ids tie on every layer
+        recs += [make_record(f"d{i:03d}", "c", recs[i].compressed) for i in range(0, 60, 3)]
+        ts = ThresholdSet(thresholds={l: 2.0 for l in LAYERS3})
+        idx = build_index(recs, ts)
+        for _ in range(20):
+            q = {l: rng.normal(size=6) for l in LAYERS3}
+            q["L1"] = recs[int(rng.integers(60))].compressed["L1"] * 3.0
+            k = int(rng.integers(1, 90))
+            oracle = sorted((cosine_distance(q["L1"], r.compressed["L1"]), r.id) for r in recs)
+            got = query_hierarchical(idx, q, k)
+            assert [rid for rid, _ in got] == [rid for _, rid in oracle[:k]]
 
     def test_raising_scale_keeps_results(self):
         rng = np.random.default_rng(5)
@@ -231,6 +295,20 @@ class TestRecordsFile:
             for l in LAYERS3:
                 np.testing.assert_array_equal(a.compressed[l], b.compressed[l])
                 assert a.signatures[l] == b.signatures[l]
+
+    def test_zero_vector_in_file_rejected(self, tmp_path):
+        ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
+        sig = BinarySignature(width=16, data=b"\x00\x00")
+        vecs = {l: np.ones(4, dtype=np.float32) for l in LAYERS3}
+        idx = build_index([FeatureRecord("a", "c", vecs, {l: sig for l in LAYERS3})], ts)
+        path = tmp_path / "records.bin"
+        save_records(path, idx)
+        blob = bytearray(path.read_bytes())
+        # magic, count, id "a", label "c", L1 dim: the L1 vector starts at 22
+        blob[22:22 + 16] = bytes(16)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidVectorError):
+            load_records(path, LAYERS3, {l: 16 for l in LAYERS3}, ts)
 
     def test_bad_magic(self, tmp_path):
         from bloomretrieval.errors import BadMagicError

@@ -10,6 +10,7 @@ from bloomretrieval.errors import (
     BadMagicError,
     ConfigMismatchError,
     DuplicateIdError,
+    InvalidVectorError,
     TruncatedFileError,
 )
 
@@ -178,6 +179,19 @@ class TestAddAndQuery:
         bundle, index, records = system
         with pytest.raises(DuplicateIdError):
             pl.add_record(bundle, index, records[0])
+
+    def test_poisoned_record_rejected(self, system):
+        bundle, index, records = system
+        nan = {l: v.copy() for l, v in records[0].features.items()}
+        nan["L2"][3] = np.nan
+        # a raw vector equal to the PCA mean compresses to the zero vector
+        mean = {l: bundle.pca_models[l].mean for l in records[0].features}
+        for i, features in enumerate((nan, mean)):
+            with pytest.raises(InvalidVectorError):
+                pl.add_record(bundle, index, pl.RawRecord(f"bad{i}", "c", features))
+        assert len(index) == bundle.filter.inserted_count == len(records)
+        res = pl.gated_query(bundle, index, records[0].features, top_k=1)
+        assert res.results[0][0] == records[0].id
 
     def test_query_on_empty_system_rejected(self, tmp_path):
         records, _ = synth_records(tmp_path)

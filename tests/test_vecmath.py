@@ -9,6 +9,8 @@ from bloomretrieval.vecmath import (
     cosine_distance,
     l2_distance,
     l2_normalize,
+    unit_cosine_distances,
+    unit_rows,
 )
 
 finite_vectors = st.lists(
@@ -112,3 +114,30 @@ def test_cosine_invariant_under_normalization():
         d = cosine_distance(a, b)
         assert abs(cosine_distance(l2_normalize(a), b) - d) < 1e-9
         assert abs(cosine_distance(a, l2_normalize(b)) - d) < 1e-9
+
+
+def test_unit_cosine_distances_block_independent():
+    # the staged path scores a row inside a gathered subset, the brute-force
+    # oracle inside the whole matrix: both must get the same bits
+    rng = np.random.default_rng(2)
+    for n, dim in ((3001, 128), (1001, 37), (77, 128), (1003, 6), (5, 3)):
+        rows = unit_rows(rng.normal(size=(n, dim)))
+        q = l2_normalize(rng.normal(size=dim))
+        full = unit_cosine_distances(rows, q)
+        assert np.all((full >= 0.0) & (full <= 2.0))
+        sizes = [1, 2, 3, 5, 7, 9, n // 3, n - 1, n]
+        sizes += rng.integers(1, n + 1, size=20).tolist()
+        for size in (s for s in sizes if s <= n):
+            pick = np.sort(rng.choice(n, size=size, replace=False))
+            np.testing.assert_array_equal(unit_cosine_distances(rows[pick], q), full[pick])
+        np.testing.assert_array_equal(unit_cosine_distances(rows[1:], q), full[1:])
+
+
+def test_unit_rows_matches_l2_normalize():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(50, 7))
+    units = unit_rows(m)
+    for row, unit in zip(m, units):
+        np.testing.assert_array_equal(l2_normalize(row), unit)
+    with pytest.raises(ZeroVectorError):
+        unit_rows([[1.0, 0.0], [0.0, 0.0]])
