@@ -14,6 +14,13 @@ test oracle and timing baseline. Both paths score through one distance
 kernel, `vecmath.unit_cosine_distances`, which gives a row the same bits in
 any block; a BLAS product would not, and the two paths would disagree in
 the last bit at a threshold.
+
+Each layer's threshold is calibrated as the mean cosine distance over all
+same-class pairs of training vectors. It is computed in closed form from
+each class's sum of unit rows (`vecmath.unit_rows`, the normalisation the
+index uses), so no pair is visited. The record store gives ids and labels
+u16 length prefixes; a longer one raises `DataFormatError` before the file
+is opened.
 """
 
 from __future__ import annotations
@@ -28,17 +35,13 @@ from .binseq import BinarySignature
 from .errors import (
     BadMagicError,
     ConfigMismatchError,
+    DataFormatError,
     DuplicateIdError,
     InconsistentDimsError,
     InvalidVectorError,
     TruncatedFileError,
 )
-from .vecmath import (
-    cosine_distance,
-    l2_normalize,
-    unit_cosine_distances,
-    unit_rows,
-)
+from .vecmath import l2_normalize, unit_cosine_distances, unit_rows
 
 _MAGIC = b"MHIX"
 
@@ -67,27 +70,30 @@ class ThresholdSet:
         return self.thresholds[layer] * self.scales.get(layer, 1.0)
 
 
-def calibrate_thresholds(records, layers) -> ThresholdSet:
-    """Per-layer mean cosine distance over all unordered same-class pairs."""
-    by_label: dict[str, list[FeatureRecord]] = {}
-    for rec in records:
-        by_label.setdefault(rec.label, []).append(rec)
-    groups = [g for g in by_label.values() if len(g) >= 2]
-    if not groups:
+def calibrate_thresholds(labels, vectors) -> ThresholdSet:
+    """Per-layer mean cosine distance over all unordered same-class pairs.
+
+    `vectors` maps each layer to a matrix with one row per label. A class of
+    c unit rows u (`unit_rows`, the index's normalisation) with sum s has
+    pairwise distances summing to c(c-1)/2 - (s.s - sum |u|^2)/2, so no pair
+    is visited; a zero-norm row raises `ZeroVectorError`.
+    """
+    _, members, counts = np.unique(
+        list(labels), return_inverse=True, return_counts=True
+    )
+    pairs = float(np.sum(counts * (counts - 1) // 2))
+    if not pairs:
         raise ValueError("threshold calibration needs a class with >= 2 records")
 
     thresholds = {}
-    for layer in layers:
-        total = 0.0
-        pairs = 0
-        for group in groups:
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    total += cosine_distance(
-                        group[i].compressed[layer], group[j].compressed[layer]
-                    )
-                    pairs += 1
-        thresholds[layer] = max(float(total / pairs), THRESHOLD_FLOOR)
+    for layer, rows in vectors.items():
+        if len(rows) != len(members):
+            raise ValueError(f"layer {layer}: {len(rows)} rows, {len(members)} labels")
+        u = unit_rows(rows)
+        sums = np.zeros((len(counts), u.shape[1]))
+        np.add.at(sums, members, u)
+        cross = np.einsum("ij,ij->", sums, sums) - np.einsum("ij,ij->", u, u)
+        thresholds[layer] = max(float((pairs - cross / 2.0) / pairs), THRESHOLD_FLOOR)
     return ThresholdSet(thresholds=thresholds)
 
 
@@ -217,15 +223,31 @@ def brute_force_scan(
     return _ranked(index, hits, dists[-1][hits], top_k)
 
 
+def pack_id_label(record) -> bytes:
+    """A record's id and label, each as u16-length-prefixed UTF-8: the layout
+    the feature file and the record store share. Raises `DataFormatError`,
+    naming the record, when either is too long for its prefix."""
+    packed = b""
+    for name, text in (("id", record.id), ("label", record.label)):
+        data = text.encode("utf-8")
+        if len(data) > 0xFFFF:
+            raise DataFormatError(
+                f"record {record.id[:40]!r}: {name} is {len(data)} UTF-8 bytes, "
+                "more than a u16 length prefix can count"
+            )
+        packed += struct.pack("<H", len(data)) + data
+    return packed
+
+
 def save_records(path, index: HierarchicalIndex) -> None:
+    """Write the record store; an over-long id or label raises before the
+    file is opened."""
+    heads = [pack_id_label(rec) for rec in index.records]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(index.records)))
-        for rec in index.records:
-            rid = rec.id.encode("utf-8")
-            lab = rec.label.encode("utf-8")
-            fh.write(struct.pack("<H", len(rid)) + rid)
-            fh.write(struct.pack("<H", len(lab)) + lab)
+        for rec, head in zip(index.records, heads):
+            fh.write(head)
             for layer in index.layers:
                 vec = np.asarray(rec.compressed[layer], dtype="<f4")
                 sig = rec.signatures[layer]

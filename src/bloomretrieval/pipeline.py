@@ -9,8 +9,10 @@ sequenced, and checked against the filter before any index work happens.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -30,11 +32,13 @@ from .errors import (
 )
 from .index import (
     COARSE_TO_FINE,
+    FINE_TO_COARSE,
     FeatureRecord,
     HierarchicalIndex,
     ThresholdSet,
     calibrate_thresholds,
     load_records,
+    pack_id_label,
     query_hierarchical,
     save_records,
 )
@@ -71,6 +75,17 @@ class PipelineConfig:
             raise ValueError("pca_dim, centroid_count and top_k must be positive")
         if self.binseq_threshold <= 0:
             raise ValueError("binseq_threshold must be positive")
+        if not isinstance(self.threshold_scales, dict):
+            raise ValueError("threshold_scales must map layers to scales")
+        for layer, scale in self.threshold_scales.items():
+            if layer not in layers:
+                raise ValueError(f"threshold_scales names inactive layer {layer!r}")
+            if not (isinstance(scale, (int, float)) and 0 < scale < math.inf):
+                raise ValueError(
+                    f"threshold_scales[{layer!r}] must be finite and > 0, got {scale!r}"
+                )
+        if self.stage_order not in (COARSE_TO_FINE, FINE_TO_COARSE):
+            raise ValueError(f"unknown stage order {self.stage_order!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -88,9 +103,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        cfg = cls(**known)
-        return cfg
+        """Config from a dict; an unknown key is an error. The
+        `calibrated_thresholds` key that config.json carries is skipped."""
+        unknown = set(d) - set(cls.__dataclass_fields__) - {"calibrated_thresholds"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{k: v for k, v in d.items() if k != "calibrated_thresholds"})
 
 
 @dataclass(frozen=True)
@@ -111,20 +129,18 @@ def write_features(path, records: list[RawRecord]) -> None:
     else:
         layers = LAYERS[: len(records[0].features)]
         dims = [records[0].features[l].shape[0] for l in layers]
+    heads = [pack_id_label(rec) for rec in records]  # before any byte is written
     with open(path, "wb") as fh:
         fh.write(_MLHC_MAGIC)
         fh.write(struct.pack("<HQB", _MLHC_VERSION, len(records), len(layers)))
         for d in dims:
             fh.write(struct.pack("<I", d))
-        for rec in records:
+        for rec, head in zip(records, heads):
             if set(rec.features) != set(layers):
                 raise InconsistentDimsError(
                     f"record {rec.id!r} layer set differs from header"
                 )
-            rid = rec.id.encode("utf-8")
-            lab = rec.label.encode("utf-8")
-            fh.write(struct.pack("<H", len(rid)) + rid)
-            fh.write(struct.pack("<H", len(lab)) + lab)
+            fh.write(head)
             for layer, d in zip(layers, dims):
                 vec = np.asarray(rec.features[layer], dtype="<f4")
                 if vec.shape != (d,):
@@ -210,7 +226,11 @@ def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
 
 
 def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
-    """Fit per-layer PCA + dictionaries, calibrate thresholds, size the filter."""
+    """Fit per-layer PCA + dictionaries, calibrate thresholds, size the filter.
+
+    Each layer's training vectors are projected once, as one matrix. Nothing
+    is signed: only indexed records and queries need signatures.
+    """
     if not records:
         raise ValueError("training requires at least one record")
     n = len(records)
@@ -218,44 +238,37 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
     pca_models = {}
     dictionaries = {}
+    compressed = {}
     for ordinal, layer in enumerate(layers, start=1):
         raws = [r.features.get(layer) for r in records]
         if any(v is None for v in raws):
             raise ConfigMismatchError(f"training records missing layer {layer}")
-        model = pca.fit_pca(np.vstack(raws), config.pca_dim)
+        raw = np.vstack(raws)
+        model = pca.fit_pca(raw, config.pca_dim)
         pca_models[layer] = model
-        compressed = (
-            pca.project_many(model, np.vstack(raws))
-            .astype(np.float32)
-            .astype(np.float64)
-        )
+        # float32: the precision records hold and records.bin persists
+        compressed[layer] = pca.project_many(model, raw).astype(np.float32)
         dictionaries[layer] = binseq.init_dictionary(
-            compressed,
+            compressed[layer],
             count=config.centroid_count,
             threshold=config.binseq_threshold,
             rng_seed=config.rng_seed + ordinal,
         )
-
-    bundle = TrainedBundle(
-        config=config,
-        pca_models=pca_models,
-        dictionaries=dictionaries,
-        thresholds=ThresholdSet(thresholds={}, scales=dict(config.threshold_scales)),
-        filter=None,  # type: ignore[arg-type]
-    )
-    feature_records = [compress_record(bundle, r) for r in records]
-    calibrated = calibrate_thresholds(feature_records, layers)
-    bundle.thresholds = ThresholdSet(
-        thresholds=calibrated.thresholds,
-        scales=dict(config.threshold_scales),
-    )
+    calibrated = calibrate_thresholds([r.label for r in records], compressed)
 
     if config.filter_optimal:
         m = optimal_bits(n, len(layers))
     else:
         m = math.ceil(config.filter_multiplier * n)
-    bundle.filter = LayeredBloomFilter(m=m, layers=layers)
-    return bundle
+    return TrainedBundle(
+        config=config,
+        pca_models=pca_models,
+        dictionaries=dictionaries,
+        thresholds=ThresholdSet(
+            thresholds=calibrated.thresholds, scales=dict(config.threshold_scales)
+        ),
+        filter=LayeredBloomFilter(m=m, layers=layers),
+    )
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
@@ -455,29 +468,39 @@ def synth_generate(
 
 
 def save_index_dir(path, bundle: TrainedBundle, index: HierarchicalIndex) -> None:
-    import os
+    """Write the index directory; a save that fails leaves it as it was.
 
+    Every part is first written under a temporary name in `path` (the small
+    parts from memory, the record store by `save_records`), and only then
+    renamed over the old files. No temporary file is left behind.
+    """
     os.makedirs(path, exist_ok=True)
     doc = bundle.config.to_dict()
     doc["calibrated_thresholds"] = {
         l: bundle.thresholds.thresholds[l] for l in bundle.config.active_layers
     }
-    with open(os.path.join(path, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    parts = {"config.json": text.encode("utf-8")}
     for layer in bundle.config.active_layers:
-        with open(os.path.join(path, f"pca-{layer}.bin"), "wb") as fh:
-            fh.write(bundle.pca_models[layer].to_bytes())
-        with open(os.path.join(path, f"dict-{layer}.bin"), "wb") as fh:
-            fh.write(bundle.dictionaries[layer].to_bytes())
-    with open(os.path.join(path, "filter.bin"), "wb") as fh:
-        fh.write(bundle.filter.to_bytes())
-    save_records(os.path.join(path, "records.bin"), index)
+        parts[f"pca-{layer}.bin"] = bundle.pca_models[layer].to_bytes()
+        parts[f"dict-{layer}.bin"] = bundle.dictionaries[layer].to_bytes()
+    parts["filter.bin"] = bundle.filter.to_bytes()
+
+    staged = {n: os.path.join(path, n + ".tmp") for n in [*parts, "records.bin"]}
+    try:
+        save_records(staged["records.bin"], index)
+        for name, data in parts.items():
+            with open(staged[name], "wb") as fh:
+                fh.write(data)
+        for name, tmp in staged.items():
+            os.replace(tmp, os.path.join(path, name))
+    finally:
+        for tmp in staged.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
-    import os
-
     with open(os.path.join(path, "config.json"), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     config = PipelineConfig.from_dict(doc)
@@ -523,4 +546,9 @@ def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
         sig_widths,
         thresholds,
     )
+    if filt.inserted_count != len(index):
+        raise ConfigMismatchError(
+            f"filter counts {filt.inserted_count} inserted records, "
+            f"records.bin holds {len(index)}"
+        )
     return bundle, index

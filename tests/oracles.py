@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the eigensolver is a
-hand-rolled cyclic Jacobi sweep (not numpy.linalg), and average precision
-is recomputed directly from its textbook definition.
+hand-rolled cyclic Jacobi sweep (not numpy.linalg), average precision is
+recomputed directly from its textbook definition, and the calibrated
+threshold is a mean over explicitly enumerated pairs.
 """
 
 import numpy as np
@@ -55,3 +56,20 @@ def average_precision_oracle(ranked_ids, relevant_ids):
     missing = len(relevant) - seen_relevant
     precisions.extend([0.0] * missing)
     return sum(precisions) / len(relevant)
+
+
+def mean_same_class_cosine_distance(labels, rows):
+    """Mean cosine distance over every unordered pair of rows sharing a
+    label, each pair computed on its own from the raw vectors."""
+    by_label = {}
+    for label, row in zip(labels, rows):
+        by_label.setdefault(label, []).append(np.asarray(row, dtype=np.float64))
+    total = 0.0
+    pairs = 0
+    for group in by_label.values():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                a, b = group[i], group[j]
+                total += 1.0 - np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+                pairs += 1
+    return total / pairs

@@ -74,6 +74,17 @@ def test_usage_error_exit_1():
     assert cli.main(["not-a-command"]) == 1
 
 
+def test_unknown_config_key_exit_1(workspace):
+    tmp_path, feats, _, cfg_path = workspace
+    doc = json.loads(cfg_path.read_text())
+    doc["treshold_scales"] = doc.pop("threshold_scales")
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "typo-idx"
+    rc = cli.main(["train", "--config", str(cfg_path), "--features", str(feats), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+
+
 def test_data_error_exit_2(workspace, tmp_path):
     _, feats, _, cfg_path = workspace
     bad = tmp_path / "bad.mlhc"

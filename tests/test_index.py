@@ -21,6 +21,8 @@ from bloomretrieval.index import (
 )
 from bloomretrieval.vecmath import cosine_distance
 
+from oracles import mean_same_class_cosine_distance
+
 LAYERS3 = ("L1", "L2", "L3")
 
 
@@ -38,6 +40,13 @@ def random_record(rng, rid, label, layers=LAYERS3, dim=6):
     return make_record(rid, label, {l: rng.normal(size=dim) for l in layers})
 
 
+def calibrate(records, layers=LAYERS3):
+    return calibrate_thresholds(
+        [r.label for r in records],
+        {l: [r.compressed[l] for r in records] for l in layers},
+    )
+
+
 def build_index(records, thresholds, layers=LAYERS3):
     idx = HierarchicalIndex(layers, thresholds)
     for r in records:
@@ -51,7 +60,7 @@ class TestCalibration:
             make_record("a", "c", {l: [1.0, 2.0] for l in LAYERS3}),
             make_record("b", "c", {l: [1.0, 2.0] for l in LAYERS3}),
         ]
-        ts = calibrate_thresholds(recs, LAYERS3)
+        ts = calibrate(recs)
         for l in LAYERS3:
             assert ts.thresholds[l] == 1e-6
 
@@ -60,36 +69,42 @@ class TestCalibration:
             make_record("a", "c", {"L1": [1.0, 0.0], "L2": [1.0, 0.0], "L3": [1.0, 0.0]}),
             make_record("b", "c", {"L1": [1.0, 0.0], "L2": [1.0, 0.0], "L3": [0.0, 1.0]}),
         ]
-        ts = calibrate_thresholds(recs, LAYERS3)
+        ts = calibrate(recs)
         assert ts.thresholds["L3"] == pytest.approx(1.0)
 
     def test_matches_pair_enumeration(self):
         rng = np.random.default_rng(42)
-        recs = []
-        for c in range(3):
-            for i in range(4):
-                recs.append(random_record(rng, f"{c}-{i}", f"cls{c}"))
-        ts = calibrate_thresholds(recs, LAYERS3)
-        for layer in LAYERS3:
-            dists = []
-            for c in range(3):
-                group = [r for r in recs if r.label == f"cls{c}"]
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        dists.append(
-                            cosine_distance(
-                                group[i].compressed[layer],
-                                group[j].compressed[layer],
-                            )
-                        )
-            assert ts.thresholds[layer] == pytest.approx(
-                sum(dists) / len(dists), abs=1e-9
-            )
+        small = [random_record(rng, f"{c}-{i}", f"cls{c}") for c in range(3) for i in range(4)]
+        # one class of 200 rows beside a pair
+        large = [random_record(rng, f"big-{i}", "big") for i in range(200)]
+        large += [random_record(rng, f"pair-{i}", "pair") for i in range(2)]
+        # near-duplicate rows: mean distance ~1e-5, where c(c-1)/2 and
+        # (s.s - sum |u|^2)/2 almost cancel
+        base = rng.normal(size=6)
+        near = [
+            make_record(f"near-{i}", "near", {l: base + 3e-3 * rng.normal(size=6) for l in LAYERS3})
+            for i in range(50)
+        ]
+        for recs in (small, large, near):
+            ts = calibrate(recs)
+            for layer in LAYERS3:
+                expected = mean_same_class_cosine_distance(
+                    [r.label for r in recs], [r.compressed[layer] for r in recs]
+                )
+                # The closed form's rounding error scales with the pair
+                # count, not with the distances, so its mean is off by a few
+                # ulps of 1 (under 1e-14 on these inputs) however small the
+                # distances are; 1e-9 leaves a wide margin.
+                assert ts.thresholds[layer] == pytest.approx(expected, abs=1e-9)
+
+    def test_row_count_must_match_labels(self):
+        with pytest.raises(ValueError):
+            calibrate_thresholds(["c", "c", "c"], {"L1": [[1.0, 0.0], [0.0, 1.0]]})
 
     def test_no_multi_record_class(self):
         recs = [make_record(str(i), f"cls{i}", {l: [1.0, float(i)] for l in LAYERS3}) for i in range(3)]
         with pytest.raises(ValueError):
-            calibrate_thresholds(recs, LAYERS3)
+            calibrate(recs)
 
 
 class TestQueries:

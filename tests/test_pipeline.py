@@ -9,10 +9,12 @@ from bloomretrieval.bloom import BloomParams, fp_probability
 from bloomretrieval.errors import (
     BadMagicError,
     ConfigMismatchError,
+    DataFormatError,
     DuplicateIdError,
     InvalidVectorError,
     TruncatedFileError,
 )
+from bloomretrieval.index import save_records
 
 from oracles import average_precision_oracle
 
@@ -43,6 +45,33 @@ def synth_records(tmp_path, classes=5, per_class=20, dims=(24, 24, 24), noise=0.
     records = pl.read_features(feats)
     queries = pl.read_features(qrys) if queries_per_class else []
     return records, queries
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"treshold_scales": {"L1": 2.0}},
+            {"threshold_scales": {"L3": 2.0}},
+            {"threshold_scales": {"L9": -3.0}},
+            {"threshold_scales": {"L1": float("nan")}},
+            {"threshold_scales": {"L1": float("inf")}},
+            {"threshold_scales": {"L1": -1.0}},
+            {"threshold_scales": {"L1": 0.0}},
+            {"threshold_scales": {"L1": "2"}},
+            {"threshold_scales": None},
+            {"stage_order": "sideways"},
+        ],
+    )
+    def test_bad_config_rejected(self, bad):
+        doc = {**small_config(layers=("L1", "L2")).to_dict(), **bad}
+        with pytest.raises(ValueError):
+            pl.PipelineConfig.from_dict(doc)
+
+    def test_config_json_keys_accepted(self):
+        cfg = small_config(threshold_scales={"L2": 0.5}, stage_order="fine_to_coarse")
+        doc = {**cfg.to_dict(), "calibrated_thresholds": {"L1": 0.1}}
+        assert pl.PipelineConfig.from_dict(doc) == cfg
 
 
 class TestFeatureFiles:
@@ -107,6 +136,15 @@ class TestFeatureFiles:
         with pytest.raises(TruncatedFileError):
             pl.read_features(p)
 
+    @pytest.mark.parametrize("field", ["id", "label"])
+    def test_over_long_text_rejected_before_writing(self, tmp_path, field):
+        text = {"id": "r", "label": "c", field: "\u00e9" * 40_000}  # 80,000 bytes
+        rec = pl.RawRecord(text["id"], text["label"], {"L1": np.ones(2)})
+        p = tmp_path / "long.mlhc"
+        with pytest.raises(DataFormatError, match=field):
+            pl.write_features(p, [rec])
+        assert not p.exists()
+
     def test_duplicate_ids(self, tmp_path):
         blob = b"MLHC" + struct.pack("<HQB", 1, 2, 1) + struct.pack("<I", 1)
         rec = struct.pack("<H", 1) + b"a" + struct.pack("<H", 1) + b"x"
@@ -125,6 +163,11 @@ class TestTrain:
         assert set(bundle.dictionaries) == {"L1"}
         assert set(bundle.thresholds.thresholds) == {"L1"}
         assert bundle.filter.k == 1
+
+    def test_missing_layer_rejected(self, tmp_path):
+        records, _ = synth_records(tmp_path, dims=(24, 24))
+        with pytest.raises(ConfigMismatchError):
+            pl.train(small_config(), records)
 
     def test_filter_sizing_arithmetic(self, tmp_path):
         records, _ = synth_records(tmp_path, classes=10, per_class=50)
@@ -391,5 +434,33 @@ class TestIndexDir:
         doc = json.loads((out / "config.json").read_text())
         doc["centroid_count"] = 32
         (out / "config.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigMismatchError):
+            pl.load_index_dir(out)
+
+    def test_failed_save_keeps_previous_dir(self, tmp_path):
+        records, _ = synth_records(tmp_path)
+        bundle = pl.train(small_config(), records)
+        index = bundle.new_index()
+        for r in records[:10]:
+            pl.add_record(bundle, index, r)
+        out = tmp_path / "idx"
+        pl.save_index_dir(out, bundle, index)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        long_id = pl.RawRecord("x" * 70_000, "c", records[10].features)
+        pl.add_record(bundle, index, long_id)
+        with pytest.raises(DataFormatError):
+            pl.save_index_dir(out, bundle, index)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        _, loaded = pl.load_index_dir(out)
+        assert len(loaded) == 10
+
+    def test_filter_count_must_match_records(self, tmp_path):
+        records, _ = synth_records(tmp_path)
+        bundle = pl.train(small_config(), records)
+        index = bundle.new_index()
+        pl.add_record(bundle, index, records[0])
+        out = tmp_path / "idx"
+        pl.save_index_dir(out, bundle, index)
+        save_records(out / "records.bin", bundle.new_index())
         with pytest.raises(ConfigMismatchError):
             pl.load_index_dir(out)
