@@ -167,7 +167,7 @@ def _cmd_bench(args) -> int:
         for q in queries:
             rec = pipeline.compress_record(bundle, q)
             t0 = time.perf_counter()
-            fn(index, rec.compressed, top_k, stage_order=bundle.config.stage_order)
+            fn(index, rec.compressed, top_k)
             times.append(time.perf_counter() - t0)
         times.sort()
         print(

@@ -3,10 +3,11 @@
 Records hold one compressed vector (float32, the precision the record store
 persists) and one binary signature per active layer. Freezing the index
 builds one contiguous float64 matrix of unit rows per layer. Retrieval
-filters candidates layer by layer (coarse L3 first, by default) against
-calibrated cosine thresholds: each stage scores, in one kernel call, the
-whole L3 matrix or only the rows that survived the stage before. The
-survivors are ranked by the final stage's distance.
+filters candidates layer by layer, coarse to fine as the paper orders the
+hierarchy (L3 first, L1 last), against calibrated cosine thresholds: each
+stage scores, in one kernel call, the whole matrix of the first stage or
+only the rows that survived the stage before. The survivors are ranked by
+the finest (L1) distance.
 
 The staged path is a pruning strategy only: its output is exactly equal to
 a full brute-force scan applying the same thresholds, which doubles as its
@@ -45,9 +46,6 @@ from .vecmath import l2_normalize, unit_cosine_distances, unit_rows
 
 _MAGIC = b"MHIX"
 
-COARSE_TO_FINE = "coarse_to_fine"
-FINE_TO_COARSE = "fine_to_coarse"
-
 # floor applied to degenerate (identical-image) calibrated thresholds so
 # exact duplicates still match
 THRESHOLD_FLOOR = 1e-6
@@ -76,7 +74,8 @@ def calibrate_thresholds(labels, vectors) -> ThresholdSet:
     `vectors` maps each layer to a matrix with one row per label. A class of
     c unit rows u (`unit_rows`, the index's normalisation) with sum s has
     pairwise distances summing to c(c-1)/2 - (s.s - sum |u|^2)/2, so no pair
-    is visited; a zero-norm row raises `ZeroVectorError`.
+    is visited; a zero-norm row raises `ZeroVectorError`, a non-finite one
+    `ValueError`.
     """
     _, members, counts = np.unique(
         list(labels), return_inverse=True, return_counts=True
@@ -151,16 +150,12 @@ class HierarchicalIndex:
                 for layer in self.layers
             }
 
-    def stage_layers(self, stage_order: str = COARSE_TO_FINE) -> tuple[str, ...]:
-        ordered = [l for l in ("L3", "L2", "L1") if l in self.layers]
-        if stage_order == FINE_TO_COARSE:
-            ordered.reverse()
-        elif stage_order != COARSE_TO_FINE:
-            raise ValueError(f"unknown stage order {stage_order!r}")
-        return tuple(ordered)
+    def stage_layers(self) -> tuple[str, ...]:
+        """The active layers in retrieval order: coarse to fine."""
+        return tuple(l for l in ("L3", "L2", "L1") if l in self.layers)
 
 
-def _prepare(index: HierarchicalIndex, q: dict, stage_order: str):
+def _prepare(index: HierarchicalIndex, q: dict):
     """Check a query against the index: (stages, unit matrices, unit query
     vector per stage)."""
     if set(q) != set(index.layers):
@@ -171,7 +166,7 @@ def _prepare(index: HierarchicalIndex, q: dict, stage_order: str):
     # spans in the benchmark's trace a real build, not a per-query no-op
     if index._rows is None:
         index.freeze()
-    stages = index.stage_layers(stage_order)
+    stages = index.stage_layers()
     return stages, index._rows, {layer: l2_normalize(q[layer]) for layer in stages}
 
 
@@ -189,10 +184,9 @@ def query_hierarchical(
     index: HierarchicalIndex,
     q: dict[str, np.ndarray],
     top_k: int,
-    stage_order: str = COARSE_TO_FINE,
 ) -> list[tuple[str, float]]:
     """Staged filter-then-rank retrieval; at most top_k (id, distance) pairs."""
-    stages, rows, qn = _prepare(index, q, stage_order)
+    stages, rows, qn = _prepare(index, q)
     if not index.records:
         return []
     kept = None  # row numbers of the survivors; None while every row survives
@@ -209,10 +203,9 @@ def brute_force_scan(
     index: HierarchicalIndex,
     q: dict[str, np.ndarray],
     top_k: int,
-    stage_order: str = COARSE_TO_FINE,
 ) -> list[tuple[str, float]]:
     """Unpruned oracle: every record scored on every layer, same thresholds."""
-    stages, rows, qn = _prepare(index, q, stage_order)
+    stages, rows, qn = _prepare(index, q)
     if not index.records:
         return []
     dists = [unit_cosine_distances(rows[layer], qn[layer]) for layer in stages]
@@ -299,4 +292,6 @@ def load_records(
             compressed[layer] = vec
             signatures[layer] = BinarySignature(width=width, data=data)
         idx.add(FeatureRecord(rid, lab, compressed, signatures))
+    if off != len(blob):
+        raise DataFormatError("trailing bytes after last record")
     return idx

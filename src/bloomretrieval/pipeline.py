@@ -31,8 +31,6 @@ from .errors import (
     TruncatedFileError,
 )
 from .index import (
-    COARSE_TO_FINE,
-    FINE_TO_COARSE,
     FeatureRecord,
     HierarchicalIndex,
     ThresholdSet,
@@ -47,45 +45,65 @@ _MLHC_MAGIC = b"MLHC"
 _MLHC_VERSION = 1
 
 
+def _is_int(value, low: int) -> bool:
+    """An int >= low; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_positive(value) -> bool:
+    """A finite real number > 0; a bool or a string is not one."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0 < value < math.inf
+    )
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     active_layers: tuple[str, ...] = ("L1", "L2", "L3")
     pca_dim: int = 128
     centroid_count: int = 64
     binseq_threshold: float = 10.0
-    filter_multiplier: float | None = 2.0
-    filter_optimal: bool = False
+    filter_multiplier: float | None = 2.0  # x training-set size; None: Eq. 2
     rng_seed: int = 0
     top_k: int = 10
     threshold_scales: dict = field(default_factory=dict)
-    stage_order: str = COARSE_TO_FINE
 
     def __post_init__(self):
-        layers = tuple(self.active_layers)
+        """Check each value's type and range, so a bad config.json fails here
+        with `ValueError` (CLI exit 1), not later in training or querying."""
+        layers = self.active_layers
+        layers = tuple(layers) if isinstance(layers, (list, tuple)) else ()
         object.__setattr__(self, "active_layers", layers)
         if not layers or layers != LAYERS[: len(layers)]:
             raise ValueError(
                 "active_layers must be a non-empty prefix of (L1, L2, L3)"
             )
-        if self.filter_optimal == (self.filter_multiplier is not None):
+        for name in ("pca_dim", "centroid_count", "top_k"):
+            value = getattr(self, name)
+            if not _is_int(value, 1):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if not _is_int(self.rng_seed, 0):
+            raise ValueError(f"rng_seed must be an int >= 0, got {self.rng_seed!r}")
+        if not _is_positive(self.binseq_threshold):
             raise ValueError(
-                "configure exactly one of filter_multiplier / filter_optimal"
+                f"binseq_threshold must be finite and > 0, got {self.binseq_threshold!r}"
             )
-        if self.pca_dim < 1 or self.centroid_count < 1 or self.top_k < 1:
-            raise ValueError("pca_dim, centroid_count and top_k must be positive")
-        if self.binseq_threshold <= 0:
-            raise ValueError("binseq_threshold must be positive")
+        if not (self.filter_multiplier is None or _is_positive(self.filter_multiplier)):
+            raise ValueError(
+                "filter_multiplier must be null or finite and > 0, "
+                f"got {self.filter_multiplier!r}"
+            )
         if not isinstance(self.threshold_scales, dict):
             raise ValueError("threshold_scales must map layers to scales")
         for layer, scale in self.threshold_scales.items():
             if layer not in layers:
                 raise ValueError(f"threshold_scales names inactive layer {layer!r}")
-            if not (isinstance(scale, (int, float)) and 0 < scale < math.inf):
+            if not _is_positive(scale):
                 raise ValueError(
                     f"threshold_scales[{layer!r}] must be finite and > 0, got {scale!r}"
                 )
-        if self.stage_order not in (COARSE_TO_FINE, FINE_TO_COARSE):
-            raise ValueError(f"unknown stage order {self.stage_order!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -94,21 +112,35 @@ class PipelineConfig:
             "centroid_count": self.centroid_count,
             "binseq_threshold": self.binseq_threshold,
             "filter_multiplier": self.filter_multiplier,
-            "filter_optimal": self.filter_optimal,
             "rng_seed": self.rng_seed,
             "top_k": self.top_k,
             "threshold_scales": dict(self.threshold_scales),
-            "stage_order": self.stage_order,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Config from a dict; an unknown key is an error. The
-        `calibrated_thresholds` key that config.json carries is skipped."""
-        unknown = set(d) - set(cls.__dataclass_fields__) - {"calibrated_thresholds"}
+        `calibrated_thresholds` key that config.json carries is skipped, and
+        so are the retired keys older files carry, when they hold the one
+        behaviour left: `stage_order: "coarse_to_fine"`, and `filter_optimal`
+        equal to `filter_multiplier is None`. Another value of them is an error."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
+        d = {k: v for k, v in d.items() if k != "calibrated_thresholds"}
+        stage_order = d.pop("stage_order", "coarse_to_fine")
+        if stage_order != "coarse_to_fine":
+            raise ValueError(f"retired stage_order {stage_order!r}: only coarse_to_fine")
+        optimal = d.pop("filter_optimal", None)
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: v for k, v in d.items() if k != "calibrated_thresholds"})
+        config = cls(**d)
+        if optimal not in (None, config.filter_multiplier is None):
+            raise ValueError(
+                f"retired filter_optimal {optimal!r}: filter_multiplier sizes the "
+                "filter, and null sizes it by Eq. 2"
+            )
+        return config
 
 
 @dataclass(frozen=True)
@@ -123,31 +155,34 @@ class RawRecord:
 
 
 def write_features(path, records: list[RawRecord]) -> None:
-    if not records:
-        layers: tuple[str, ...] = ()
-        dims: list[int] = []
-    else:
-        layers = LAYERS[: len(records[0].features)]
-        dims = [records[0].features[l].shape[0] for l in layers]
-    heads = [pack_id_label(rec) for rec in records]  # before any byte is written
+    """Write an MLHC feature file. Every record is checked first (its layer
+    set and 1-D shapes against the first record's, its id and label lengths),
+    so a bad record raises before the file is opened."""
+    layers = LAYERS[: len(records[0].features)] if records else ()
+    shapes = [np.shape(records[0].features.get(layer)) for layer in layers]
+    layer_set = set(layers)
+    for rec in records:
+        if rec.features.keys() != layer_set:
+            raise InconsistentDimsError(
+                f"record {rec.id!r} layer set differs from header"
+            )
+        for layer, shape in zip(layers, shapes):
+            # not np.shape: its per-call dispatch triples this loop's cost
+            got = np.asarray(rec.features[layer]).shape
+            if got != shape or len(got) != 1:
+                raise InconsistentDimsError(
+                    f"record {rec.id!r} layer {layer} shape {got} != {shape}"
+                )
+    heads = [pack_id_label(rec) for rec in records]
     with open(path, "wb") as fh:
         fh.write(_MLHC_MAGIC)
         fh.write(struct.pack("<HQB", _MLHC_VERSION, len(records), len(layers)))
-        for d in dims:
+        for (d,) in shapes:
             fh.write(struct.pack("<I", d))
         for rec, head in zip(records, heads):
-            if set(rec.features) != set(layers):
-                raise InconsistentDimsError(
-                    f"record {rec.id!r} layer set differs from header"
-                )
             fh.write(head)
-            for layer, d in zip(layers, dims):
-                vec = np.asarray(rec.features[layer], dtype="<f4")
-                if vec.shape != (d,):
-                    raise InconsistentDimsError(
-                        f"record {rec.id!r} layer {layer} dim {vec.shape} != {d}"
-                    )
-                fh.write(vec.tobytes())
+            for layer in layers:
+                fh.write(np.asarray(rec.features[layer], dtype="<f4").tobytes())
 
 
 def read_features(path) -> list[RawRecord]:
@@ -256,7 +291,7 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
         )
     calibrated = calibrate_thresholds([r.label for r in records], compressed)
 
-    if config.filter_optimal:
+    if config.filter_multiplier is None:
         m = optimal_bits(n, len(layers))
     else:
         m = math.ceil(config.filter_multiplier * n)
@@ -302,9 +337,7 @@ def gated_query(
     if not bundle.filter.query(rec.signatures):
         return QueryResult(rejected=True, results=[])
     k = bundle.config.top_k if top_k is None else top_k
-    ranked = query_hierarchical(
-        index, rec.compressed, k, stage_order=bundle.config.stage_order
-    )
+    ranked = query_hierarchical(index, rec.compressed, k)
     return QueryResult(rejected=False, results=ranked)
 
 

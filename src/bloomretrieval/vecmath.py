@@ -42,12 +42,18 @@ def unit_rows(rows) -> np.ndarray:
     to unit L2 norm, as a new contiguous float64 matrix.
 
     Row norms come from the same per-row einsum as `unit_cosine_distances`,
-    so a vector normalized alone or inside a matrix gets the same bits.
+    so a vector normalized alone or inside a matrix gets the same bits. A
+    row with a NaN or Inf (or a norm that overflows) raises `ValueError`; a
+    zero row raises `ZeroVectorError`.
     """
     m = np.array(rows, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {m.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    finite = np.isfinite(norms)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"row {bad} is non-finite or its norm overflows")
     if not np.all(norms > 0.0):
         raise ZeroVectorError("cannot normalize a zero vector")
     m /= norms[:, None]

@@ -85,6 +85,27 @@ def test_unknown_config_key_exit_1(workspace):
     assert not out.exists()
 
 
+def test_bad_config_value_exit_1(workspace, capsys):
+    tmp_path, feats, _, cfg_path = workspace
+    good = json.loads(cfg_path.read_text())
+    for doc in (
+        {**good, "filter_multiplier": float("inf")},  # written as Infinity
+        {**good, "filter_multiplier": "2"},
+        {**good, "pca_dim": "8"},
+        {**good, "top_k": 2.5},
+        {**good, "binseq_threshold": float("nan")},
+        {**good, "stage_order": "fine_to_coarse"},
+        [],  # not a JSON object
+    ):
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "bad-idx"
+        rc = cli.main(["train", "--config", str(cfg_path), "--features", str(feats), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, doc
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_data_error_exit_2(workspace, tmp_path):
     _, feats, _, cfg_path = workspace
     bad = tmp_path / "bad.mlhc"

@@ -4,12 +4,12 @@ import pytest
 from bloomretrieval.binseq import BinarySignature
 from bloomretrieval.errors import (
     ConfigMismatchError,
+    DataFormatError,
     DuplicateIdError,
     InconsistentDimsError,
     InvalidVectorError,
 )
 from bloomretrieval.index import (
-    FINE_TO_COARSE,
     FeatureRecord,
     HierarchicalIndex,
     ThresholdSet,
@@ -273,20 +273,6 @@ class TestEquivalence:
         got_big = {rid for rid, _ in query_hierarchical(big, q, 100)}
         assert got_small <= got_big
 
-    def test_fine_to_coarse_switch(self):
-        rng = np.random.default_rng(6)
-        recs = [random_record(rng, f"r{i}", "c") for i in range(50)]
-        ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
-        idx = build_index(recs, ts)
-        idx.freeze()
-        q = {l: rng.normal(size=6) for l in LAYERS3}
-        alt = query_hierarchical(idx, q, 10, stage_order=FINE_TO_COARSE)
-        assert alt == brute_force_scan(idx, q, 10, stage_order=FINE_TO_COARSE)
-        # same survivor set, ranked by the other end of the hierarchy
-        default_ids = {r for r, _ in query_hierarchical(idx, q, 100)}
-        alt_ids = {r for r, _ in query_hierarchical(idx, q, 100, stage_order=FINE_TO_COARSE)}
-        assert default_ids == alt_ids
-
 
 class TestRecordsFile:
     def test_round_trip(self, tmp_path):
@@ -323,6 +309,17 @@ class TestRecordsFile:
         blob[22:22 + 16] = bytes(16)
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidVectorError):
+            load_records(path, LAYERS3, {l: 16 for l in LAYERS3}, ts)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
+        sig = BinarySignature(width=16, data=b"\x00\x00")
+        vecs = {l: np.ones(4, dtype=np.float32) for l in LAYERS3}
+        idx = build_index([FeatureRecord("a", "c", vecs, {l: sig for l in LAYERS3})], ts)
+        path = tmp_path / "records.bin"
+        save_records(path, idx)
+        path.write_bytes(path.read_bytes() + bytes(25))
+        with pytest.raises(DataFormatError, match="trailing bytes"):
             load_records(path, LAYERS3, {l: 16 for l in LAYERS3}, ts)
 
     def test_bad_magic(self, tmp_path):

@@ -11,6 +11,7 @@ from bloomretrieval.errors import (
     ConfigMismatchError,
     DataFormatError,
     DuplicateIdError,
+    InconsistentDimsError,
     InvalidVectorError,
     TruncatedFileError,
 )
@@ -61,6 +62,19 @@ class TestConfig:
             {"threshold_scales": {"L1": "2"}},
             {"threshold_scales": None},
             {"stage_order": "sideways"},
+            {"stage_order": "fine_to_coarse"},
+            {"filter_multiplier": float("inf")},
+            {"filter_multiplier": "2"},
+            {"filter_multiplier": 0.0},
+            {"filter_multiplier": True},
+            {"pca_dim": "8"},
+            {"pca_dim": True},
+            {"centroid_count": 16.0},
+            {"top_k": 2.5},
+            {"binseq_threshold": float("nan")},
+            {"binseq_threshold": "10"},
+            {"rng_seed": "0"},
+            {"active_layers": 5},
         ],
     )
     def test_bad_config_rejected(self, bad):
@@ -69,9 +83,22 @@ class TestConfig:
             pl.PipelineConfig.from_dict(doc)
 
     def test_config_json_keys_accepted(self):
-        cfg = small_config(threshold_scales={"L2": 0.5}, stage_order="fine_to_coarse")
+        cfg = small_config(threshold_scales={"L2": 0.5})
         doc = {**cfg.to_dict(), "calibrated_thresholds": {"L1": 0.1}}
         assert pl.PipelineConfig.from_dict(doc) == cfg
+
+    @pytest.mark.parametrize("multiplier", [2.0, None])
+    def test_older_config_json_loads(self, multiplier):
+        # as written before stage_order and filter_optimal were retired
+        cfg = small_config(filter_multiplier=multiplier)
+        old = {
+            **cfg.to_dict(),
+            "stage_order": "coarse_to_fine",
+            "filter_optimal": multiplier is None,
+        }
+        assert pl.PipelineConfig.from_dict(old) == cfg
+        with pytest.raises(ValueError, match="retired filter_optimal"):
+            pl.PipelineConfig.from_dict({**old, "filter_optimal": multiplier is not None})
 
 
 class TestFeatureFiles:
@@ -145,6 +172,19 @@ class TestFeatureFiles:
             pl.write_features(p, [rec])
         assert not p.exists()
 
+    @pytest.mark.parametrize(
+        "second",
+        [{"L1": np.ones(3)}, {"L1": np.ones((2, 1))}, {"L1": np.ones(2), "L2": np.ones(2)}],
+    )
+    def test_bad_record_leaves_old_file(self, tmp_path, second):
+        p = tmp_path / "feats.mlhc"
+        pl.write_features(p, [pl.RawRecord("old", "c", {"L1": np.zeros(5)})])
+        before = p.read_bytes()
+        records = [pl.RawRecord("a", "c", {"L1": np.ones(2)}), pl.RawRecord("b", "c", second)]
+        with pytest.raises(InconsistentDimsError):
+            pl.write_features(p, records)
+        assert p.read_bytes() == before
+
     def test_duplicate_ids(self, tmp_path):
         blob = b"MLHC" + struct.pack("<HQB", 1, 2, 1) + struct.pack("<I", 1)
         rec = struct.pack("<H", 1) + b"a" + struct.pack("<H", 1) + b"x"
@@ -177,7 +217,7 @@ class TestTrain:
 
     def test_optimal_sizing(self, tmp_path):
         records, _ = synth_records(tmp_path, classes=10, per_class=50)
-        cfg = small_config(filter_multiplier=None, filter_optimal=True)
+        cfg = small_config(filter_multiplier=None)
         bundle = pl.train(cfg, records)
         assert bundle.filter.m == 1040  # ceil(3 * 500 * ln 2)
 

@@ -141,3 +141,10 @@ def test_unit_rows_matches_l2_normalize():
         np.testing.assert_array_equal(l2_normalize(row), unit)
     with pytest.raises(ZeroVectorError):
         unit_rows([[1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.inf], [1e200, 1e200]])
+def test_unit_rows_names_non_finite_row(bad):
+    # the last input is finite, but its squared norm overflows
+    with pytest.raises(ValueError, match="row 1 is non-finite"):
+        unit_rows([[1.0, 0.0], bad])
