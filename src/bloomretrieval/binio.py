@@ -1,0 +1,74 @@
+"""Little-endian binary layout shared by every persisted file.
+
+`Reader` holds every loader to one set of rules: a read past the end raises
+`TruncatedFileError`; bytes left over at `end()`, and text that is not
+UTF-8, raise `DataFormatError`.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+
+from .errors import BadMagicError, DataFormatError, TruncatedFileError
+
+
+class Reader:
+    """Reads `blob` front to back, after its leading `magic` bytes; `what`
+    names the file in error messages."""
+
+    def __init__(self, blob: bytes, what: str, magic: bytes = b""):
+        self.blob = blob
+        self.off = 0
+        self.what = what
+        if self.take(len(magic)) != magic:
+            raise BadMagicError(f"bad {what} magic {blob[:len(magic)]!r}")
+
+    def _skip(self, n: int) -> int:
+        """Claim the next n bytes; returns their offset."""
+        start = self.off
+        self.off = start + n
+        if self.off > len(self.blob):
+            raise TruncatedFileError(f"{self.what} truncated")
+        return start
+
+    def take(self, n: int) -> bytes:
+        return self.blob[self._skip(n):self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack_from(fmt, self.blob, self._skip(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        """A u16 byte count, then that many bytes of UTF-8."""
+        n = int.from_bytes(self.take(2), "little")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{self.what}: text is not UTF-8 ({exc.reason})") from None
+
+    def floats(self, count: int, dtype=np.float64) -> np.ndarray:
+        """The next `count` float32 values, as a new array of `dtype`."""
+        return np.frombuffer(self.blob, "<f4", count, self._skip(4 * count)).astype(dtype)
+
+    def end(self) -> None:
+        if self.off != len(self.blob):
+            raise DataFormatError(f"{self.what}: trailing bytes after the last field")
+
+
+def pack_id_label(record) -> bytes:
+    """A record's id and label, each as u16-length-prefixed UTF-8 (the layout
+    `Reader.text` reads), shared by the feature file and the record store.
+    Raises `DataFormatError`, naming the record, when either is too long for
+    its prefix."""
+    packed = b""
+    for name, text in (("id", record.id), ("label", record.label)):
+        data = text.encode("utf-8")
+        if len(data) > 0xFFFF:
+            raise DataFormatError(
+                f"record {record.id[:40]!r}: {name} is {len(data)} UTF-8 bytes, "
+                "more than a u16 length prefix can count"
+            )
+        packed += struct.pack("<H", len(data)) + data
+    return packed

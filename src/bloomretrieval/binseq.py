@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TruncatedFileError
+from .binio import Reader
+from .errors import DataFormatError, DimensionMismatchError
 
 DEFAULT_CENTROID_COUNT = 64
 DEFAULT_THRESHOLD = 10.0
@@ -74,17 +75,12 @@ class CentroidDictionary:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CentroidDictionary":
-        if len(blob) < 20:
-            raise TruncatedFileError("dictionary section too short")
-        count, dim, threshold, seed = struct.unpack_from("<IIfQ", blob, 0)
-        need = 20 + 4 * count * dim
-        if len(blob) < need:
-            raise TruncatedFileError("dictionary section truncated")
-        cents = (
-            np.frombuffer(blob, "<f4", count * dim, 20)
-            .astype(np.float64)
-            .reshape(count, dim)
-        )
+        r = Reader(blob, "centroid dictionary")
+        count, dim, threshold, seed = r.unpack("IIfQ")
+        if not threshold > 0:
+            raise DataFormatError(f"centroid dictionary threshold {threshold} is not > 0")
+        cents = r.floats(count * dim).reshape(count, dim)
+        r.end()
         return cls(centroids=cents, threshold=float(threshold), rng_seed=seed)
 
 

@@ -17,13 +17,15 @@ import struct
 from dataclasses import dataclass, field
 
 from .binseq import BinarySignature
-from .errors import ConfigMismatchError, TruncatedFileError, BadMagicError
+from .binio import Reader
+from .errors import ConfigMismatchError, DataFormatError
 from .murmur3 import murmur3_x64_128
 
 LAYERS = ("L1", "L2", "L3")
 LAYER_SEEDS = {"L1": 1, "L2": 2, "L3": 3}
 
 _MAGIC = b"MBF1"
+MAX_BITS = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ class LayeredBloomFilter:
     inserted_count: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("filter size must be >= 1")
+        # filter.bin stores m as a u64, and positions are a 64-bit word mod m
+        if not 1 <= self.m <= MAX_BITS:
+            raise ValueError(f"filter size must be 1..2^64-1 bits, got {self.m}")
         bad = [l for l in self.layers if l not in LAYER_SEEDS]
         if bad:
             raise ValueError(f"unknown layers: {bad}")
@@ -121,30 +124,18 @@ class LayeredBloomFilter:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "LayeredBloomFilter":
-        if len(blob) < 13:
-            raise TruncatedFileError("bloom filter file too short")
-        magic, m, k = struct.unpack_from("<4sQB", blob, 0)
-        if magic != _MAGIC:
-            raise BadMagicError(f"bad bloom filter magic {magic!r}")
-        off = 13
-        if len(blob) < off + 4 * k + 8:
-            raise TruncatedFileError("bloom filter header truncated")
+        r = Reader(blob, "bloom filter file", _MAGIC)
+        m, k = r.unpack("QB")
+        if m < 1 or not 1 <= k <= len(LAYERS):
+            raise DataFormatError(f"bloom filter m={m}, k={k}: need m >= 1, k in 1..3")
         seed_to_layer = {v: l for l, v in LAYER_SEEDS.items()}
         layers = []
         for _ in range(k):
-            (seed,) = struct.unpack_from("<I", blob, off)
-            off += 4
+            (seed,) = r.unpack("I")
             if seed not in seed_to_layer:
                 raise ConfigMismatchError(f"unknown layer seed {seed}")
             layers.append(seed_to_layer[seed])
-        (count,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        nbytes = (m + 7) // 8
-        if len(blob) < off + nbytes:
-            raise TruncatedFileError("bloom filter bit array truncated")
-        return cls(
-            m=m,
-            layers=tuple(layers),
-            bits=bytearray(blob[off:off + nbytes]),
-            inserted_count=count,
-        )
+        (count,) = r.unpack("Q")
+        bits = bytearray(r.take((m + 7) // 8))
+        r.end()
+        return cls(m=m, layers=tuple(layers), bits=bits, inserted_count=count)

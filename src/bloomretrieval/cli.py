@@ -160,7 +160,7 @@ def _cmd_bench(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
     queries = pipeline.read_features(args.queries)
-    top_k = args.top_k or bundle.config.top_k
+    top_k = bundle.config.top_k if args.top_k is None else args.top_k
 
     for name, fn in (("hierarchical", query_hierarchical), ("brute-force", brute_force_scan)):
         times = []

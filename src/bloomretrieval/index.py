@@ -29,18 +29,17 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .binio import Reader, pack_id_label
 from .binseq import BinarySignature
 from .errors import (
-    BadMagicError,
     ConfigMismatchError,
-    DataFormatError,
     DuplicateIdError,
     InconsistentDimsError,
     InvalidVectorError,
-    TruncatedFileError,
 )
 from .vecmath import l2_normalize, unit_cosine_distances, unit_rows
 
@@ -155,9 +154,16 @@ class HierarchicalIndex:
         return tuple(l for l in ("L3", "L2", "L1") if l in self.layers)
 
 
-def _prepare(index: HierarchicalIndex, q: dict):
-    """Check a query against the index: (stages, unit matrices, unit query
-    vector per stage)."""
+def check_top_k(top_k) -> None:
+    """Raise `ValueError` unless top_k is an int >= 1; a bool is not one."""
+    if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
+        raise ValueError(f"top_k must be an int >= 1, got {top_k!r}")
+
+
+def _prepare(index: HierarchicalIndex, q: dict, top_k):
+    """Check a query and top_k against the index: (stages, unit matrices,
+    unit query vector per stage)."""
+    check_top_k(top_k)
     if set(q) != set(index.layers):
         raise ConfigMismatchError(
             f"query layers {sorted(q)} != index layers {sorted(index.layers)}"
@@ -172,7 +178,7 @@ def _prepare(index: HierarchicalIndex, q: dict):
 
 def _ranked(index: HierarchicalIndex, hits: np.ndarray, dists: np.ndarray, top_k: int):
     """(id, distance) of the hit rows, nearest first, ties by id; at most top_k."""
-    if 0 < top_k < len(dists):
+    if top_k < len(dists):
         # only hits as near as the top_k-th nearest can rank, ties included
         near = dists <= np.partition(dists, top_k - 1)[top_k - 1]
         hits, dists = hits[near], dists[near]
@@ -186,7 +192,7 @@ def query_hierarchical(
     top_k: int,
 ) -> list[tuple[str, float]]:
     """Staged filter-then-rank retrieval; at most top_k (id, distance) pairs."""
-    stages, rows, qn = _prepare(index, q)
+    stages, rows, qn = _prepare(index, q, top_k)
     if not index.records:
         return []
     kept = None  # row numbers of the survivors; None while every row survives
@@ -205,7 +211,7 @@ def brute_force_scan(
     top_k: int,
 ) -> list[tuple[str, float]]:
     """Unpruned oracle: every record scored on every layer, same thresholds."""
-    stages, rows, qn = _prepare(index, q)
+    stages, rows, qn = _prepare(index, q, top_k)
     if not index.records:
         return []
     dists = [unit_cosine_distances(rows[layer], qn[layer]) for layer in stages]
@@ -214,22 +220,6 @@ def brute_force_scan(
     )
     hits = np.flatnonzero(passed)
     return _ranked(index, hits, dists[-1][hits], top_k)
-
-
-def pack_id_label(record) -> bytes:
-    """A record's id and label, each as u16-length-prefixed UTF-8: the layout
-    the feature file and the record store share. Raises `DataFormatError`,
-    naming the record, when either is too long for its prefix."""
-    packed = b""
-    for name, text in (("id", record.id), ("label", record.label)):
-        data = text.encode("utf-8")
-        if len(data) > 0xFFFF:
-            raise DataFormatError(
-                f"record {record.id[:40]!r}: {name} is {len(data)} UTF-8 bytes, "
-                "more than a u16 length prefix can count"
-            )
-        packed += struct.pack("<H", len(data)) + data
-    return packed
 
 
 def save_records(path, index: HierarchicalIndex) -> None:
@@ -253,45 +243,35 @@ def save_records(path, index: HierarchicalIndex) -> None:
 def load_records(
     path,
     layers,
-    sig_widths: dict[str, int],
+    dim: int,
+    sig_width: int,
     thresholds: ThresholdSet,
 ) -> HierarchicalIndex:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise BadMagicError(f"bad records magic {blob[:4]!r}")
-    off = 4
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise TruncatedFileError("records file truncated")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    (count,) = struct.unpack("<Q", take(8))
+    """Read the record store. Every vector must be `dim` wide and every
+    signature `sig_width` bits, else `ConfigMismatchError`; each record then
+    passes through `HierarchicalIndex.add`, which rejects a poisoned vector."""
+    r = Reader(Path(path).read_bytes(), "records file", _MAGIC)
+    (count,) = r.unpack("Q")
+    sig_bytes = (sig_width + 7) // 8
     idx = HierarchicalIndex(layers, thresholds)
     for _ in range(count):
-        (idlen,) = struct.unpack("<H", take(2))
-        rid = take(idlen).decode("utf-8")
-        (lablen,) = struct.unpack("<H", take(2))
-        lab = take(lablen).decode("utf-8")
+        rid = r.text()
+        lab = r.text()
         compressed = {}
         signatures = {}
         for layer in layers:
-            (dim,) = struct.unpack("<I", take(4))
-            vec = np.frombuffer(take(4 * dim), "<f4").astype(np.float32)
-            (nbytes,) = struct.unpack("<H", take(2))
-            data = take(nbytes)
-            width = sig_widths[layer]
-            if nbytes != (width + 7) // 8:
+            (width,) = r.unpack("I")
+            if width != dim:
                 raise ConfigMismatchError(
-                    f"signature byte width {nbytes} does not fit {width} bits"
+                    f"record {rid!r} layer {layer} vector is {width} wide, not {dim}"
                 )
-            compressed[layer] = vec
-            signatures[layer] = BinarySignature(width=width, data=data)
+            compressed[layer] = r.floats(dim, np.float32)
+            (nbytes,) = r.unpack("H")
+            if nbytes != sig_bytes:
+                raise ConfigMismatchError(
+                    f"signature byte width {nbytes} does not fit {sig_width} bits"
+                )
+            signatures[layer] = BinarySignature(width=sig_width, data=r.take(nbytes))
         idx.add(FeatureRecord(rid, lab, compressed, signatures))
-    if off != len(blob):
-        raise DataFormatError("trailing bytes after last record")
+    r.end()
     return idx

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, TruncatedFileError
+from .binio import Reader
+from .errors import DimensionMismatchError
 
 DEFAULT_TARGET_DIM = 128
 
@@ -42,22 +43,12 @@ class PcaModel:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PcaModel":
-        if len(blob) < 8:
-            raise TruncatedFileError("PCA section too short")
-        d_in, d_out = struct.unpack_from("<II", blob, 0)
-        need = 8 + 4 * (d_in + d_out * d_in + d_out)
-        if len(blob) < need:
-            raise TruncatedFileError("PCA section truncated")
-        off = 8
-        mean = np.frombuffer(blob, "<f4", d_in, off).astype(np.float64)
-        off += 4 * d_in
-        basis = (
-            np.frombuffer(blob, "<f4", d_out * d_in, off)
-            .astype(np.float64)
-            .reshape(d_out, d_in)
-        )
-        off += 4 * d_out * d_in
-        eig = np.frombuffer(blob, "<f4", d_out, off).astype(np.float64)
+        r = Reader(blob, "PCA model")
+        d_in, d_out = r.unpack("II")
+        mean = r.floats(d_in)
+        basis = r.floats(d_out * d_in).reshape(d_out, d_in)
+        eig = r.floats(d_out)
+        r.end()
         return cls(mean=mean, basis=basis, eigenvalues=eig)
 
 

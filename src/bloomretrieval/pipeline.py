@@ -16,27 +16,27 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import binseq, pca
 from .binseq import BinarySignature, CentroidDictionary
-from .bloom import LAYERS, LayeredBloomFilter, optimal_bits
+from .binio import Reader, pack_id_label
+from .bloom import LAYERS, MAX_BITS, LayeredBloomFilter, optimal_bits
 from .errors import (
-    BadMagicError,
     ConfigMismatchError,
     DataFormatError,
     DuplicateIdError,
     InconsistentDimsError,
-    TruncatedFileError,
 )
 from .index import (
     FeatureRecord,
     HierarchicalIndex,
     ThresholdSet,
     calibrate_thresholds,
+    check_top_k,
     load_records,
-    pack_id_label,
     query_hierarchical,
     save_records,
 )
@@ -187,42 +187,27 @@ def write_features(path, records: list[RawRecord]) -> None:
 
 def read_features(path) -> list[RawRecord]:
     """Parse an MLHC feature file into raw records (float64 in memory)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MLHC_MAGIC:
-        raise BadMagicError(f"bad feature file magic {blob[:4]!r}")
-    off = 4
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise TruncatedFileError("feature file truncated")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    version, count, layer_count = struct.unpack("<HQB", take(11))
+    r = Reader(Path(path).read_bytes(), "feature file", _MLHC_MAGIC)
+    version, count, layer_count = r.unpack("HQB")
     if version != _MLHC_VERSION:
         raise DataFormatError(f"unsupported feature file version {version}")
+    # a file of no records, as writing none gives, may name no layer
+    if layer_count > len(LAYERS) or (count and not layer_count):
+        raise DataFormatError(f"feature file layer count {layer_count} is not 1..3")
     layers = LAYERS[:layer_count]
-    dims = [struct.unpack("<I", take(4))[0] for _ in range(layer_count)]
+    dims = [r.unpack("I")[0] for _ in layers]
 
     records = []
     seen = set()
     for _ in range(count):
-        (idlen,) = struct.unpack("<H", take(2))
-        rid = take(idlen).decode("utf-8")
-        (lablen,) = struct.unpack("<H", take(2))
-        lab = take(lablen).decode("utf-8")
+        rid = r.text()
+        lab = r.text()
         if rid in seen:
             raise DuplicateIdError(f"duplicate record id {rid!r}")
         seen.add(rid)
-        features = {}
-        for layer, d in zip(layers, dims):
-            features[layer] = np.frombuffer(take(4 * d), "<f4").astype(np.float64)
+        features = {layer: r.floats(d) for layer, d in zip(layers, dims)}
         records.append(RawRecord(rid, lab, features))
-    if off != len(blob):
-        raise DataFormatError("trailing bytes after last record")
+    r.end()
     return records
 
 
@@ -294,7 +279,9 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
     if config.filter_multiplier is None:
         m = optimal_bits(n, len(layers))
     else:
-        m = math.ceil(config.filter_multiplier * n)
+        # capped so a product that overflows to inf still meets the filter's
+        # range check, not an OverflowError in ceil
+        m = math.ceil(min(config.filter_multiplier * n, MAX_BITS + 1.0))
     return TrainedBundle(
         config=config,
         pca_models=pca_models,
@@ -331,12 +318,14 @@ def gated_query(
     features: dict[str, np.ndarray],
     top_k: int | None = None,
 ) -> QueryResult:
-    """Bloom-gated retrieval: definitely-absent queries never touch the index."""
+    """Bloom-gated retrieval: definitely-absent queries never touch the index.
+    A top_k other than an int >= 1 raises `ValueError`, even on a rejected query."""
+    k = bundle.config.top_k if top_k is None else top_k
+    check_top_k(k)
     raw = RawRecord("__query__", "", dict(features))
     rec = compress_record(bundle, raw)
     if not bundle.filter.query(rec.signatures):
         return QueryResult(rejected=True, results=[])
-    k = bundle.config.top_k if top_k is None else top_k
     ranked = query_hierarchical(index, rec.compressed, k)
     return QueryResult(rejected=False, results=ranked)
 
@@ -548,35 +537,32 @@ def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
     pca_models = {}
     dictionaries = {}
     for layer in config.active_layers:
-        with open(os.path.join(path, f"pca-{layer}.bin"), "rb") as fh:
-            model = pca.PcaModel.from_bytes(fh.read())
+        model = pca.PcaModel.from_bytes(Path(path, f"pca-{layer}.bin").read_bytes())
         if model.target_dim != config.pca_dim:
             raise ConfigMismatchError(
                 f"PCA target dim {model.target_dim} != configured {config.pca_dim}"
             )
         pca_models[layer] = model
-        with open(os.path.join(path, f"dict-{layer}.bin"), "rb") as fh:
-            d = CentroidDictionary.from_bytes(fh.read())
-        if d.signature_width != config.centroid_count:
+        d = CentroidDictionary.from_bytes(Path(path, f"dict-{layer}.bin").read_bytes())
+        if (d.signature_width, d.dim) != (config.centroid_count, config.pca_dim):
             raise ConfigMismatchError(
-                f"dictionary width {d.signature_width} != configured "
-                f"{config.centroid_count}"
+                f"dictionary {layer} is {d.signature_width} centroids of dim {d.dim}, "
+                f"configured {config.centroid_count} of dim {config.pca_dim}"
             )
         dictionaries[layer] = d
 
-    with open(os.path.join(path, "filter.bin"), "rb") as fh:
-        filt = LayeredBloomFilter.from_bytes(fh.read())
+    filt = LayeredBloomFilter.from_bytes(Path(path, "filter.bin").read_bytes())
     if filt.layers != config.active_layers:
         raise ConfigMismatchError(
             f"filter layers {filt.layers} != configured {config.active_layers}"
         )
 
     bundle = TrainedBundle(config, pca_models, dictionaries, thresholds, filt)
-    sig_widths = {l: config.centroid_count for l in config.active_layers}
     index = load_records(
         os.path.join(path, "records.bin"),
         config.active_layers,
-        sig_widths,
+        config.pca_dim,
+        config.centroid_count,
         thresholds,
     )
     if filt.inserted_count != len(index):

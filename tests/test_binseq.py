@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from bloomretrieval.binseq import (
     encode_signature,
     init_dictionary,
 )
-from bloomretrieval.errors import DimensionMismatchError
+from bloomretrieval.errors import DataFormatError, DimensionMismatchError
 
 
 def test_exhaustive_sample():
@@ -120,3 +121,12 @@ def test_dictionary_round_trip():
     np.testing.assert_array_equal(back.centroids, d.centroids)
     assert back.rng_seed == 77
     assert back.to_bytes() == d.to_bytes()
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan")])
+def test_dictionary_bad_threshold_rejected(threshold):
+    d = init_dictionary(np.eye(4), count=2, threshold=1.0, rng_seed=0)
+    blob = bytearray(d.to_bytes())
+    blob[8:12] = struct.pack("<f", threshold)
+    with pytest.raises(DataFormatError, match="threshold"):
+        CentroidDictionary.from_bytes(bytes(blob))

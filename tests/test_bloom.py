@@ -1,4 +1,5 @@
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -174,6 +175,10 @@ class TestFormulas:
             optimal_bits(10, 0)
         with pytest.raises(ValueError):
             BloomParams(n=10, m=0, k=1)
+        # filter.bin counts m in a u64; the check comes before any allocation
+        for m in (0, 2**64, 10**300):
+            with pytest.raises(ValueError, match="filter size"):
+                LayeredBloomFilter(m=m, layers=("L1",))
 
 
 class TestFalsePositiveRate:
@@ -220,6 +225,15 @@ class TestSerialization:
 
         with pytest.raises(BadMagicError):
             LayeredBloomFilter.from_bytes(b"XXXX" + b"\x00" * 40)
+
+    @pytest.mark.parametrize("m, k", [(0, 1), (777, 0), (777, 4)])
+    def test_bad_header_rejected(self, m, k):
+        from bloomretrieval.errors import DataFormatError
+
+        blob = bytearray(LayeredBloomFilter(m=777, layers=("L1",)).to_bytes())
+        blob[4:13] = struct.pack("<QB", m, k)
+        with pytest.raises(DataFormatError, match=f"m={m}, k={k}"):
+            LayeredBloomFilter.from_bytes(bytes(blob))
 
     def test_truncated(self):
         from bloomretrieval.errors import TruncatedFileError

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -7,8 +8,7 @@ from bloomretrieval import cli
 LAYERS = ("L1", "L2", "L3")
 
 
-@pytest.fixture
-def workspace(tmp_path):
+def make_workspace(tmp_path, pca_dim=8):
     feats = tmp_path / "feats.mlhc"
     qrys = tmp_path / "qrys.mlhc"
     rc = cli.main(
@@ -27,7 +27,7 @@ def workspace(tmp_path):
     assert rc == 0
     cfg = {
         "active_layers": ["L1", "L2", "L3"],
-        "pca_dim": 8,
+        "pca_dim": pca_dim,
         "centroid_count": 16,
         "binseq_threshold": 10.0,
         "filter_multiplier": 2.0,
@@ -38,6 +38,34 @@ def workspace(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     return tmp_path, feats, qrys, cfg_path
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+def filled_index(tmp_path, pca_dim=8):
+    """A workspace's index trained on its records and holding all of them."""
+    root, feats, qrys, cfg_path = make_workspace(tmp_path, pca_dim)
+    idx = root / "idx"
+    assert cli.main(["train", "--config", str(cfg_path), "--features", str(feats), "--out", str(idx)]) == 0
+    assert cli.main(["add", "--index", str(idx), "--features", str(feats)]) == 0
+    return idx, feats, qrys
+
+
+@pytest.fixture(scope="module")
+def filled(tmp_path_factory):
+    return filled_index(tmp_path_factory.mktemp("filled"))
+
+
+@pytest.fixture
+def filled_copy(filled, tmp_path):
+    """A private copy of the filled index and its query file, to corrupt."""
+    idx, _, qrys = filled
+    shutil.copytree(idx, tmp_path / "idx")
+    shutil.copy(qrys, tmp_path / "qrys.mlhc")
+    return tmp_path / "idx", tmp_path / "qrys.mlhc"
 
 
 def test_full_cli_flow(workspace, capsys):
@@ -95,6 +123,7 @@ def test_bad_config_value_exit_1(workspace, capsys):
         {**good, "top_k": 2.5},
         {**good, "binseq_threshold": float("nan")},
         {**good, "stage_order": "fine_to_coarse"},
+        {**good, "filter_multiplier": 1e300},  # more bits than a u64 counts
         [],  # not a JSON object
     ):
         cfg_path.write_text(json.dumps(doc))
@@ -139,3 +168,64 @@ def test_duplicate_add_exit_2(workspace):
     assert cli.main(["train", "--config", str(cfg_path), "--features", str(feats), "--out", str(idx)]) == 0
     assert cli.main(["add", "--index", str(idx), "--features", str(feats)]) == 0
     assert cli.main(["add", "--index", str(idx), "--features", str(feats)]) == 2
+
+
+BINARY_PARTS = [
+    *(f"{kind}-{layer}.bin" for kind in ("pca", "dict") for layer in LAYERS),
+    "filter.bin",
+    "records.bin",
+]
+
+
+def run(capsys, *argv):
+    """Exit code and standard error of one CLI call."""
+    rc = cli.main([str(a) for a in argv])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["cut", "append"])
+@pytest.mark.parametrize("part", [*BINARY_PARTS, "queries"])
+def test_corrupt_part_exit_2(filled_copy, capsys, part, edit):
+    idx, qrys = filled_copy
+    target = qrys if part == "queries" else idx / part
+    blob = target.read_bytes()
+    target.write_bytes(blob[:-1] if edit == "cut" else blob + b"\x00")
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 2, err
+    assert err.startswith("data error: ")
+    assert ("truncated" if edit == "cut" else "trailing bytes") in err
+
+
+@pytest.mark.parametrize(
+    "part, first_id", [("records.bin", b"img-000-00000"), ("queries", b"qry-000-00000")]
+)
+def test_non_utf8_id_exit_2(filled_copy, capsys, part, first_id):
+    idx, qrys = filled_copy
+    target = qrys if part == "queries" else idx / part
+    blob = target.read_bytes()
+    assert first_id in blob
+    target.write_bytes(blob.replace(first_id, b"\xff" + first_id[1:], 1))
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("part", ["dict-L2.bin", "records.bin"])
+def test_part_of_other_width_exit_3(filled_copy, tmp_path, capsys, part):
+    idx, qrys = filled_copy
+    (tmp_path / "narrow").mkdir()
+    narrow, feats, _ = filled_index(tmp_path / "narrow", pca_dim=6)
+    shutil.copy(narrow / part, idx / part)
+    for command, inputs in (("query", qrys), ("add", feats)):
+        rc, err = run(capsys, command, "--index", idx, "--features", inputs)
+        assert rc == 3, (command, err)
+        assert err.startswith("config mismatch: ")
+
+
+@pytest.mark.parametrize("top_k", ["-1", "0"])
+def test_bad_top_k_exit_1(filled, capsys, top_k):
+    idx, _, qrys = filled
+    for command, flag in (("query", "--features"), ("bench", "--queries")):
+        rc, err = run(capsys, command, "--index", idx, flag, qrys, "--top-k", top_k)
+        assert rc == 1, (command, err)
+        assert err.startswith("error: top_k")

@@ -132,6 +132,15 @@ class TestQueries:
         for fn in (query_hierarchical, brute_force_scan):
             assert fn(idx, q, top_k=3) == []
 
+    @pytest.mark.parametrize("top_k", [0, -1, 2.5, True])
+    def test_top_k_must_be_positive_int(self, top_k):
+        rng = np.random.default_rng(0)
+        rec = random_record(rng, "only", "c")
+        idx = build_index([rec], ThresholdSet(thresholds={l: 0.5 for l in LAYERS3}))
+        for fn in (query_hierarchical, brute_force_scan):
+            with pytest.raises(ValueError, match="top_k"):
+                fn(idx, rec.compressed, top_k)
+
     def test_single_record_iff_passes_thresholds(self):
         rng = np.random.default_rng(1)
         rec = random_record(rng, "r", "c")
@@ -289,7 +298,7 @@ class TestRecordsFile:
         idx = build_index(recs, ts)
         path = tmp_path / "records.bin"
         save_records(path, idx)
-        back = load_records(path, LAYERS3, {l: 16 for l in LAYERS3}, ts)
+        back = load_records(path, LAYERS3, 4, 16, ts)
         assert len(back) == 10
         for a, b in zip(idx.records, back.records):
             assert a.id == b.id and a.label == b.label
@@ -309,7 +318,7 @@ class TestRecordsFile:
         blob[22:22 + 16] = bytes(16)
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidVectorError):
-            load_records(path, LAYERS3, {l: 16 for l in LAYERS3}, ts)
+            load_records(path, LAYERS3, 4, 16, ts)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
@@ -320,7 +329,7 @@ class TestRecordsFile:
         save_records(path, idx)
         path.write_bytes(path.read_bytes() + bytes(25))
         with pytest.raises(DataFormatError, match="trailing bytes"):
-            load_records(path, LAYERS3, {l: 16 for l in LAYERS3}, ts)
+            load_records(path, LAYERS3, 4, 16, ts)
 
     def test_bad_magic(self, tmp_path):
         from bloomretrieval.errors import BadMagicError
@@ -329,4 +338,4 @@ class TestRecordsFile:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
         with pytest.raises(BadMagicError):
-            load_records(p, LAYERS3, {l: 16 for l in LAYERS3}, ts)
+            load_records(p, LAYERS3, 4, 16, ts)

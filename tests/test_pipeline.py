@@ -185,6 +185,16 @@ class TestFeatureFiles:
             pl.write_features(p, records)
         assert p.read_bytes() == before
 
+    @pytest.mark.parametrize("layer_count", [0, 4])
+    def test_layer_count_out_of_range(self, tmp_path, layer_count):
+        p = tmp_path / "f.mlhc"
+        pl.write_features(p, [pl.RawRecord("a", "x", {l: np.ones(2) for l in ("L1", "L2", "L3")})])
+        blob = bytearray(p.read_bytes())
+        blob[14] = layer_count  # magic, version u16, count u64, then the layer count
+        p.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=f"layer count {layer_count}"):
+            pl.read_features(p)
+
     def test_duplicate_ids(self, tmp_path):
         blob = b"MLHC" + struct.pack("<HQB", 1, 2, 1) + struct.pack("<I", 1)
         rec = struct.pack("<H", 1) + b"a" + struct.pack("<H", 1) + b"x"
@@ -282,6 +292,10 @@ class TestAddAndQuery:
         index = bundle.new_index()
         res = pl.gated_query(bundle, index, records[0].features)
         assert res.rejected
+        # a bad top_k fails even on a query the filter rejects
+        for bad in (0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="top_k"):
+                pl.gated_query(bundle, index, records[0].features, top_k=bad)
 
     def test_fill_fraction_after_adds(self, tmp_path):
         # distinct-signature records so each add sets fresh random positions
