@@ -25,7 +25,10 @@ LAYERS = ("L1", "L2", "L3")
 LAYER_SEEDS = {"L1": 1, "L2": 2, "L3": 3}
 
 _MAGIC = b"MBF1"
-MAX_BITS = 2**64 - 1
+# The largest filter allocated: 2^34 bits, 2 GiB of memory. Eq. 2 sizes a
+# three-layer filter for over 8 billion records below it, and it is far
+# under the u64 that filter.bin stores m in.
+MAX_BITS = 2**34
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,8 @@ class LayeredBloomFilter:
     inserted_count: int = 0
 
     def __post_init__(self):
-        # filter.bin stores m as a u64, and positions are a 64-bit word mod m
         if not 1 <= self.m <= MAX_BITS:
-            raise ValueError(f"filter size must be 1..2^64-1 bits, got {self.m}")
+            raise ValueError(f"filter size must be 1..2^34 bits (2 GiB), got {self.m}")
         bad = [l for l in self.layers if l not in LAYER_SEEDS]
         if bad:
             raise ValueError(f"unknown layers: {bad}")
@@ -126,8 +128,10 @@ class LayeredBloomFilter:
     def from_bytes(cls, blob: bytes) -> "LayeredBloomFilter":
         r = Reader(blob, "bloom filter file", _MAGIC)
         m, k = r.unpack("QB")
-        if m < 1 or not 1 <= k <= len(LAYERS):
-            raise DataFormatError(f"bloom filter m={m}, k={k}: need m >= 1, k in 1..3")
+        if not 1 <= m <= MAX_BITS or not 1 <= k <= len(LAYERS):
+            raise DataFormatError(
+                f"bloom filter m={m}, k={k}: need m in 1..2^34 (2 GiB), k in 1..3"
+            )
         seed_to_layer = {v: l for l, v in LAYER_SEEDS.items()}
         layers = []
         for _ in range(k):

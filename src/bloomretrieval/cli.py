@@ -80,6 +80,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _read_for(bundle, path):
+    """A feature file's records, checked against the index's PCA input widths
+    before any is compressed."""
+    records = pipeline.read_features(path)
+    pipeline.check_feature_widths(bundle, records)
+    return records
+
+
 def _cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = pipeline.PipelineConfig.from_dict(json.load(fh))
@@ -96,7 +104,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_add(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
-    records = pipeline.read_features(args.features)
+    records = _read_for(bundle, args.features)
     for rec in records:
         pipeline.add_record(bundle, index, rec)
     pipeline.save_index_dir(args.index, bundle, index)
@@ -107,7 +115,7 @@ def _cmd_add(args) -> int:
 def _cmd_query(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
-    queries = pipeline.read_features(args.features)
+    queries = _read_for(bundle, args.features)
     out = []
     for q in queries:
         res = pipeline.gated_query(bundle, index, q.features, args.top_k)
@@ -135,7 +143,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
-    queries = pipeline.read_features(args.queries)
+    queries = _read_for(bundle, args.queries)
     report = pipeline.evaluate(bundle, index, queries)
     if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -159,7 +167,7 @@ def _percentile(sorted_vals, q):
 def _cmd_bench(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
-    queries = pipeline.read_features(args.queries)
+    queries = _read_for(bundle, args.queries)
     top_k = bundle.config.top_k if args.top_k is None else args.top_k
 
     for name, fn in (("hierarchical", query_hierarchical), ("brute-force", brute_force_scan)):

@@ -4,10 +4,10 @@ Records hold one compressed vector (float32, the precision the record store
 persists) and one binary signature per active layer. Freezing the index
 builds one contiguous float64 matrix of unit rows per layer. Retrieval
 filters candidates layer by layer, coarse to fine as the paper orders the
-hierarchy (L3 first, L1 last), against calibrated cosine thresholds: each
-stage scores, in one kernel call, the whole matrix of the first stage or
-only the rows that survived the stage before. The survivors are ranked by
-the finest (L1) distance.
+hierarchy (L3 first, L1 last), against calibrated cosine thresholds: the
+first stage scores the rows of the buckets it cannot skip (below), each
+later stage only the rows that survived the stage before. The survivors are
+ranked by the finest (L1) distance.
 
 The staged path is a pruning strategy only: its output is exactly equal to
 a full brute-force scan applying the same thresholds, which doubles as its
@@ -15,6 +15,38 @@ test oracle and timing baseline. Both paths score through one distance
 kernel, `vecmath.unit_cosine_distances`, which gives a row the same bits in
 any block; a BLAS product would not, and the two paths would disagree in
 the last bit at a threshold.
+
+Buckets. `freeze()` groups the rows by their signature on the first stage's
+layer (the paper's neural hash of L3) and lays out every layer's matrix in
+bucket order: buckets in order of first insertion, rows within a bucket in
+insertion order, so each bucket is a contiguous slice. A bucket holds a
+centre c, the mean of its unit rows on that layer, and a radius
+r >= max |u - c|. For unit rows the kernel's distance 1 - u.q equals
+|u - q|^2 / 2, and |u - q| >= |q - c| - r for every row u of the bucket.
+So a bucket with
+
+    |q - c| - r > sqrt(2 (t + eps))
+
+holds no row within the stage's effective threshold t, and the query skips
+it. t is read at query time, so a threshold scale changed after `freeze()`
+is obeyed. With more than sqrt(n) distinct signatures the per-bucket bounds
+would cost about as much as the scan they save, so the rows form one bucket
+in insertion order; that is the same code path. When no bucket is skipped
+the stage scores the whole matrix as one view. `records` and the record
+store keep insertion order; only the matrices and the row-to-id list are in
+bucket order, and ranking ties break by id, so the order changes no answer.
+
+eps bounds the rounding of the kernel and of c and r. Let u = 2^-53 and d
+the rows' width. `unit_rows` leaves |u.u - 1| <= (d + 5)u, so the exact
+1 - u.q is at least |u - q|^2 / 2 - (d + 5)u, and the kernel's dot product
+and subtraction lose at most (2d + 3)u more. The skip test's own terms
+(|q - c|, r and the square root, each at most about 2) carry at most
+(d + 17)u of error, which costs at most 2(d + 17)u in |u - q|^2 / 2. The
+sum, (5d + 42)u, is below eps = 8(d + 8)u, about 1.2e-13 at d = 128. The
+radius is taken as sqrt(1 + c.c - 2 min u.c + eps); its expansion errs by
+at most (4d + 20)u, so the added eps makes r an upper bound. For t >= 2 the
+bound exceeds 2 by more than |q - c| - r can, so no bucket is skipped where
+the kernel's clip at 2 would pass every row.
 
 Each layer's threshold is calibrated as the mean cosine distance over all
 same-class pairs of training vectors. It is computed in closed form from
@@ -95,6 +127,40 @@ def calibrate_thresholds(labels, vectors) -> ThresholdSet:
     return ThresholdSet(thresholds=thresholds)
 
 
+@dataclass(frozen=True)
+class Buckets:
+    """The first stage's buckets: row `bounds[b]` up to `bounds[b + 1]` of
+    each layer matrix, their `centres` and `radii`, and the skip test's
+    rounding bound `eps` (see the module docstring)."""
+
+    bounds: np.ndarray
+    centres: np.ndarray
+    radii: np.ndarray
+    eps: float
+
+    @classmethod
+    def build(cls, rows: np.ndarray, counts: np.ndarray) -> "Buckets":
+        """Buckets of unit `rows` laid out in runs of `counts` rows; each
+        radius comes from one dot product per row, with no n x d temporary."""
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        blocks = [rows[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+        centres = np.array([block.mean(axis=0) for block in blocks])
+        nearest = np.array([np.einsum("ij,j->i", b, c).min() for b, c in zip(blocks, centres)])
+        eps = 8 * (rows.shape[1] + 8) * 2.0**-53
+        reach = 1.0 + np.einsum("ij,ij->i", centres, centres) - 2.0 * nearest
+        return cls(bounds, centres, np.sqrt(np.maximum(reach, 0.0) + eps), eps)
+
+    def spans(self, qn: np.ndarray, t: float):
+        """(starts, stops) of the row ranges a unit query must score at
+        threshold t: the runs of buckets the bound cannot skip."""
+        diff = self.centres - qn
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii
+        # a t below -eps keeps no row; the kernel's distances are >= 0
+        live = gap <= math.sqrt(max(2.0 * (t + self.eps), 0.0))
+        edges = self.bounds[np.flatnonzero(np.diff(live, prepend=False, append=False))]
+        return edges[0::2], edges[1::2]
+
+
 class HierarchicalIndex:
     """Append-then-freeze store; frozen indices serve concurrent queries."""
 
@@ -104,6 +170,8 @@ class HierarchicalIndex:
         self.records: list[FeatureRecord] = []
         self._ids: set[str] = set()
         self._rows: dict[str, np.ndarray] | None = None
+        self._row_ids: list[str] = []
+        self._buckets: Buckets | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -115,10 +183,11 @@ class HierarchicalIndex:
         """Append a record; rejects one that would poison a layer matrix."""
         if record.id in self._ids:
             raise DuplicateIdError(f"duplicate record id {record.id!r}")
-        if set(record.compressed) != set(self.layers):
+        layers = set(self.layers)
+        if set(record.compressed) != layers or set(record.signatures) != layers:
             raise ConfigMismatchError(
-                f"record layers {sorted(record.compressed)} != index layers "
-                f"{sorted(self.layers)}"
+                f"record vector layers {sorted(record.compressed)} and signature "
+                f"layers {sorted(record.signatures)} != index layers {sorted(self.layers)}"
             )
         for layer in self.layers:
             vec = np.asarray(record.compressed[layer], dtype=np.float64)
@@ -141,13 +210,28 @@ class HierarchicalIndex:
         return {r.label for r in self.records}
 
     def freeze(self) -> None:
-        """Build each layer's unit-row matrix, once until the next add;
-        queries afterwards are read-only."""
-        if self._rows is None and self.records:
-            self._rows = {
-                layer: unit_rows([r.compressed[layer] for r in self.records])
-                for layer in self.layers
-            }
+        """Build each layer's unit-row matrix in bucket order, the row-to-id
+        list and the first stage's buckets, once until the next add; queries
+        afterwards are read-only."""
+        if self._rows is not None or not self.records:
+            return
+        first = self.stage_layers()[0]
+        bucket_of: dict[bytes, int] = {}
+        bucket = np.array(
+            [bucket_of.setdefault(r.signatures[first].data, len(bucket_of)) for r in self.records]
+        )
+        if len(bucket_of) ** 2 > len(self.records):
+            bucket[:] = 0
+        order = np.argsort(bucket, kind="stable").tolist()
+        rows = {}
+        for layer in self.layers:
+            # gathered in record order, then permuted as a list: faster than
+            # visiting the records out of order, and no matrix is built twice
+            vectors = [r.compressed[layer] for r in self.records]
+            rows[layer] = unit_rows([vectors[i] for i in order])
+        self._row_ids = [self.records[i].id for i in order]
+        self._buckets = Buckets.build(rows[first], np.bincount(bucket))
+        self._rows = rows  # last: a query that sees it sees the ids and buckets
 
     def stage_layers(self) -> tuple[str, ...]:
         """The active layers in retrieval order: coarse to fine."""
@@ -182,7 +266,7 @@ def _ranked(index: HierarchicalIndex, hits: np.ndarray, dists: np.ndarray, top_k
         # only hits as near as the top_k-th nearest can rank, ties included
         near = dists <= np.partition(dists, top_k - 1)[top_k - 1]
         hits, dists = hits[near], dists[near]
-    ranked = sorted(zip(dists.tolist(), (index.records[i].id for i in hits.tolist())))
+    ranked = sorted(zip(dists.tolist(), (index._row_ids[i] for i in hits.tolist())))
     return [(rid, d) for d, rid in ranked[:top_k]]
 
 
@@ -195,12 +279,21 @@ def query_hierarchical(
     stages, rows, qn = _prepare(index, q, top_k)
     if not index.records:
         return []
-    kept = None  # row numbers of the survivors; None while every row survives
-    for layer in stages:
-        block = rows[layer] if kept is None else rows[layer][kept]
-        d = unit_cosine_distances(block, qn[layer])
+    first = stages[0]
+    t = index.thresholds.effective(first)
+    kept, dists = [], []
+    for start, stop in zip(*index._buckets.spans(qn[first], t)):
+        d = unit_cosine_distances(rows[first][start:stop], qn[first])
+        passed = np.flatnonzero(d <= t)
+        kept.append(passed + start)
+        dists.append(d[passed])
+    if not kept:
+        return []
+    kept, d = np.concatenate(kept), np.concatenate(dists)
+    for layer in stages[1:]:
+        d = unit_cosine_distances(rows[layer][kept], qn[layer])
         passed = np.flatnonzero(d <= index.thresholds.effective(layer))
-        kept = passed if kept is None else kept[passed]
+        kept = kept[passed]
         d = d[passed]
     return _ranked(index, kept, d, top_k)
 

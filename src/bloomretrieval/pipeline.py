@@ -59,6 +59,15 @@ def _is_positive(value) -> bool:
     )
 
 
+def _as_f32(value: float) -> float:
+    """value rounded to float32, the precision a dictionary stores its
+    threshold at; inf when it is too large for one."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     active_layers: tuple[str, ...] = ("L1", "L2", "L3")
@@ -86,9 +95,13 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if not _is_int(self.rng_seed, 0):
             raise ValueError(f"rng_seed must be an int >= 0, got {self.rng_seed!r}")
-        if not _is_positive(self.binseq_threshold):
+        if not (
+            _is_positive(self.binseq_threshold)
+            and _is_positive(_as_f32(self.binseq_threshold))
+        ):
             raise ValueError(
-                f"binseq_threshold must be finite and > 0, got {self.binseq_threshold!r}"
+                "binseq_threshold must be finite and > 0 as a float32, "
+                f"got {self.binseq_threshold!r}"
             )
         if not (self.filter_multiplier is None or _is_positive(self.filter_multiplier)):
             raise ValueError(
@@ -243,6 +256,22 @@ def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
         compressed[layer] = vec
         signatures[layer] = binseq.encode_signature(bundle.dictionaries[layer], vec)
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
+
+
+def check_feature_widths(bundle: TrainedBundle, records: list[RawRecord]) -> None:
+    """Raise `ConfigMismatchError` unless every active layer of the records is
+    as wide as the input its PCA model was fitted on. The first record is
+    checked: a feature file gives every record its header's widths."""
+    if not records:
+        return
+    features = records[0].features
+    for layer in bundle.config.active_layers:
+        want = bundle.pca_models[layer].input_dim
+        got = np.shape(features.get(layer))
+        if got != (want,):
+            raise ConfigMismatchError(
+                f"feature layer {layer} has shape {got}; its PCA model takes {want} values"
+            )
 
 
 def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
@@ -548,6 +577,11 @@ def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
             raise ConfigMismatchError(
                 f"dictionary {layer} is {d.signature_width} centroids of dim {d.dim}, "
                 f"configured {config.centroid_count} of dim {config.pca_dim}"
+            )
+        if d.threshold != _as_f32(config.binseq_threshold):
+            raise ConfigMismatchError(
+                f"dictionary {layer} threshold {d.threshold} != configured "
+                f"binseq_threshold {config.binseq_threshold}"
             )
         dictionaries[layer] = d
 

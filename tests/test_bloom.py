@@ -8,12 +8,13 @@ from scipy import stats
 
 from bloomretrieval.binseq import BinarySignature
 from bloomretrieval.bloom import (
+    MAX_BITS,
     BloomParams,
     LayeredBloomFilter,
     fp_probability,
     optimal_bits,
 )
-from bloomretrieval.errors import ConfigMismatchError
+from bloomretrieval.errors import ConfigMismatchError, DataFormatError
 
 
 def rand_sig(rng) -> BinarySignature:
@@ -179,6 +180,17 @@ class TestFormulas:
         for m in (0, 2**64, 10**300):
             with pytest.raises(ValueError, match="filter size"):
                 LayeredBloomFilter(m=m, layers=("L1",))
+
+
+    def test_memory_ceiling(self):
+        # MAX_BITS is 2 GiB of bits; one more is refused before allocating
+        with pytest.raises(ValueError, match="2 GiB"):
+            LayeredBloomFilter(m=MAX_BITS + 1, layers=("L1",))
+        blob = bytearray(LayeredBloomFilter(m=777, layers=("L1",)).to_bytes())
+        blob[4:12] = struct.pack("<Q", MAX_BITS + 1)
+        # refused on the header, before the bit array is taken
+        with pytest.raises(DataFormatError, match="2 GiB"):
+            LayeredBloomFilter.from_bytes(bytes(blob))
 
 
 class TestFalsePositiveRate:

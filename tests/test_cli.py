@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import pytest
 
@@ -8,7 +9,7 @@ from bloomretrieval import cli
 LAYERS = ("L1", "L2", "L3")
 
 
-def make_workspace(tmp_path, pca_dim=8):
+def make_workspace(tmp_path, pca_dim=8, dims="24,24,24"):
     feats = tmp_path / "feats.mlhc"
     qrys = tmp_path / "qrys.mlhc"
     rc = cli.main(
@@ -16,7 +17,7 @@ def make_workspace(tmp_path, pca_dim=8):
             "synth",
             "--classes", "4",
             "--per-class", "15",
-            "--dims", "24,24,24",
+            "--dims", dims,
             "--noise", "0.1",
             "--seed", "5",
             "--out", str(feats),
@@ -229,3 +230,53 @@ def test_bad_top_k_exit_1(filled, capsys, top_k):
         rc, err = run(capsys, command, "--index", idx, flag, qrys, "--top-k", top_k)
         assert rc == 1, (command, err)
         assert err.startswith("error: top_k")
+
+
+def trained_index(tmp_path, dims="24,24,24", **config):
+    """A fresh workspace's trained (empty) index, with config values changed."""
+    tmp_path.mkdir()
+    root, feats, _, cfg_path = make_workspace(tmp_path, dims=dims)
+    cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), **config}))
+    idx = root / "idx"
+    assert cli.main(["train", "--config", str(cfg_path), "--features", str(feats), "--out", str(idx)]) == 0
+    return idx
+
+
+def test_dictionary_of_other_threshold_exit_3(filled_copy, tmp_path, capsys):
+    # same features, seed and shape: the centroids match, the threshold not
+    idx, qrys = filled_copy
+    other = trained_index(tmp_path / "other", binseq_threshold=5.0)
+    shutil.copy(other / "dict-L1.bin", idx / "dict-L1.bin")
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 3, err
+    assert err.startswith("config mismatch: ") and "threshold" in err
+
+
+def test_pca_of_other_input_width_exit_3(filled_copy, tmp_path, capsys):
+    idx, qrys = filled_copy
+    wide = trained_index(tmp_path / "wide", dims="32,32,32")
+    shutil.copy(wide / "pca-L1.bin", idx / "pca-L1.bin")
+    before = (idx / "records.bin").read_bytes()
+    for command, flag in (
+        ("query", "--features"), ("evaluate", "--queries"), ("bench", "--queries"), ("add", "--features"),
+    ):
+        rc, err = run(capsys, command, "--index", idx, flag, qrys)
+        assert rc == 3, (command, err)
+        assert err.startswith("config mismatch: ") and "PCA" in err
+    assert (idx / "records.bin").read_bytes() == before
+
+
+def test_filter_memory_ceiling(filled_copy, workspace, capsys):
+    # 60 records x 1e9 is above the 2^34-bit ceiling but fits a u64; the
+    # check comes before the bit array is allocated
+    tmp_path, feats, _, cfg_path = workspace
+    cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), "filter_multiplier": 1e9}))
+    rc, err = run(capsys, "train", "--config", cfg_path, "--features", feats, "--out", tmp_path / "big")
+    assert rc == 1 and err.startswith("error: ") and "2 GiB" in err
+    assert not (tmp_path / "big").exists()
+    idx, qrys = filled_copy
+    blob = bytearray((idx / "filter.bin").read_bytes())
+    blob[4:12] = struct.pack("<Q", 2**34 + 1)
+    (idx / "filter.bin").write_bytes(bytes(blob))
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 2 and err.startswith("data error: ") and "2 GiB" in err

@@ -10,6 +10,7 @@ from bloomretrieval.errors import (
     InvalidVectorError,
 )
 from bloomretrieval.index import (
+    THRESHOLD_FLOOR,
     FeatureRecord,
     HierarchicalIndex,
     ThresholdSet,
@@ -19,7 +20,7 @@ from bloomretrieval.index import (
     query_hierarchical,
     save_records,
 )
-from bloomretrieval.vecmath import cosine_distance
+from bloomretrieval.vecmath import cosine_distance, l2_normalize, unit_cosine_distances
 
 from oracles import mean_same_class_cosine_distance
 
@@ -168,6 +169,15 @@ class TestQueries:
         with pytest.raises(DuplicateIdError):
             idx.add(random_record(rng, "x", "c"))
 
+    def test_signature_layers_must_match(self):
+        rng = np.random.default_rng(2)
+        idx = HierarchicalIndex(LAYERS3, ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+        rec = random_record(rng, "x", "c")
+        del rec.signatures["L3"]
+        with pytest.raises(ConfigMismatchError, match="signature layers"):
+            idx.add(rec)
+        assert len(idx) == 0
+
     @pytest.mark.parametrize(
         "vector, error",
         [
@@ -281,6 +291,243 @@ class TestEquivalence:
         got_small = {rid for rid, _ in query_hierarchical(small, q, 100)}
         got_big = {rid for rid, _ in query_hierarchical(big, q, 100)}
         assert got_small <= got_big
+
+
+def clustered_records(rng, clusters, per, dim=6, spread=0.05, copies=1):
+    """`per` records around each of `clusters` random directions, each
+    cluster under its own L3 signature, inserted in shuffled order; each
+    vector is repeated `copies` times under other ids."""
+    centres = rng.normal(size=(clusters, dim))
+    recs = []
+    for c in range(clusters):
+        sigs = {l: BinarySignature(width=8, data=bytes([c])) for l in LAYERS3}
+        for i in range(per):
+            vecs = {l: centres[c] + spread * rng.normal(size=dim) for l in LAYERS3}
+            for j in range(copies):
+                recs.append(FeatureRecord(f"c{c}-{i:03d}-{j}", f"k{c}", vecs, sigs))
+    return [recs[i] for i in rng.permutation(len(recs))], centres
+
+
+def rows_scored(idx, q):
+    """How many rows the first stage scores for q: the rows of the buckets
+    it cannot skip."""
+    idx.freeze()
+    layer = idx.stage_layers()[0]
+    starts, stops = idx._buckets.spans(l2_normalize(q[layer]), idx.thresholds.effective(layer))
+    return int(np.sum(stops - starts))
+
+
+def l3_distances(idx, q):
+    """The kernel's L3 distance of every row, in row order."""
+    idx.freeze()
+    return unit_cosine_distances(idx._rows["L3"], l2_normalize(q["L3"]))
+
+
+def ulps_around(x, count=3):
+    """x and its `count` nearest float64 neighbours on each side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return [float(v) for v in out]
+
+
+class TestBucketPruning:
+    """Staged == brute force at zero tolerance where whole L3 buckets are
+    skipped; the oracle never prunes."""
+
+    @staticmethod
+    def open_later_stages(t3=0.02):
+        return ThresholdSet(thresholds={"L3": t3, "L2": 2.0, "L1": 2.0})
+
+    def test_thresholds_at_row_distances_and_bucket_bounds(self):
+        rng = np.random.default_rng(21)
+        recs, centres = clustered_records(rng, clusters=6, per=8)
+        ts = self.open_later_stages()
+        idx = build_index(recs, ts)
+        idx.freeze()
+        assert len(idx._buckets.radii) == 6
+        skipped = 0
+        for c in range(6):
+            q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
+            qn = l2_normalize(q["L3"])
+            b = idx._buckets
+            diff = b.centres - qn
+            gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
+            # t where each far bucket's skip decision flips, and each row's
+            # own distance: both within a few ulps either side
+            flips = [g * g / 2 - b.eps for g in gaps if g * g / 2 > b.eps]
+            near = np.sort(l3_distances(idx, q))[[0, 3, 7, 8, 20]]
+            for t in [v for x in [*flips, *near] for v in ulps_around(float(x))]:
+                ts.thresholds["L3"] = t
+                assert query_hierarchical(idx, q, 100) == brute_force_scan(idx, q, 100)
+                skipped += rows_scored(idx, q) < len(idx)
+        assert skipped
+
+    def test_bucket_flips_at_its_bound(self):
+        rng = np.random.default_rng(22)
+        recs, centres = clustered_records(rng, clusters=4, per=5)
+        ts = self.open_later_stages()
+        idx = build_index(recs, ts)
+        idx.freeze()
+        q = {l: centres[0] for l in LAYERS3}
+        b = idx._buckets
+        diff = b.centres - l2_normalize(q["L3"])
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
+        far = int(np.argmax(gap))
+        size = int(b.bounds[far + 1] - b.bounds[far])
+        flip = float(gap[far] ** 2 / 2 - b.eps)
+        below = ulps_around(flip, 3)[1::2]  # lower neighbours, nearest first
+        # a threshold just below the flip skips the bucket (the rounding of
+        # sqrt may decide at the flip itself); one well above keeps it
+        ts.thresholds["L3"] = below[-1]
+        assert rows_scored(idx, q) <= len(idx) - size
+        ts.thresholds["L3"] = flip * (1 + 1e-9)
+        scored_above = rows_scored(idx, q)
+        assert scored_above >= size
+        for t in ulps_around(flip, 3):
+            ts.thresholds["L3"] = t
+            assert query_hierarchical(idx, q, 50) == brute_force_scan(idx, q, 50)
+
+    @pytest.mark.parametrize("rho, alpha", [(1e-5, 1e-4), (3e-4, 3e-4), (1e-3, 1e-5)])
+    def test_row_at_the_triangle_bound(self, rho, alpha):
+        # a bucket of two rows rho either side of e0, and a query alpha
+        # beyond one of them on the same great circle: q, the centre and
+        # that row are nearly collinear, so |q - c| - r falls short of
+        # |q - u| only by the bound's slack and eps
+        rng = np.random.default_rng(29)
+        e0, e1 = np.linalg.qr(rng.normal(size=(6, 2)))[0].T
+        at = lambda a: np.cos(a) * e0 + np.sin(a) * e1
+        vectors = [at(rho), at(-rho), -at(0.1), -at(-0.1)]
+        recs = [
+            FeatureRecord(
+                f"r{i}", "c", {l: v for l in LAYERS3},
+                {l: BinarySignature(8, bytes([i // 2])) for l in LAYERS3},
+            )
+            for i, v in enumerate(vectors)
+        ]
+        ts = self.open_later_stages()
+        idx = build_index(recs, ts)
+        idx.freeze()
+        assert len(idx._buckets.radii) == 2
+        q = {l: at(rho + alpha) for l in LAYERS3}
+        b = idx._buckets
+        qn = l2_normalize(q["L3"])
+        gap = np.linalg.norm(b.centres[0] - qn) - b.radii[0]
+        own = float(l3_distances(idx, q)[0])
+        assert 0 < np.sqrt(2 * own) - gap < 1e-8
+        for t in ulps_around(own):
+            ts.thresholds["L3"] = t
+            staged = query_hierarchical(idx, q, 4)
+            assert staged == brute_force_scan(idx, q, 4)
+            assert [rid for rid, _ in staged] == (["r0"] if t >= own else [])
+            assert rows_scored(idx, q) == 2
+
+    def test_buckets_of_identical_rows(self):
+        # every bucket's rows are one vector, so r is 0 up to eps; queries
+        # sit at tiny angles from a row, down to where the kernel rounds
+        # their distance to 0, and t at that row's distance
+        rng = np.random.default_rng(23)
+        recs, centres = clustered_records(rng, clusters=5, per=1, copies=6)
+        ts = self.open_later_stages()
+        idx = build_index(recs, ts)
+        idx.freeze()
+        assert len(idx._buckets.radii) == 5
+        assert np.all(idx._buckets.radii <= 2 * np.sqrt(idx._buckets.eps))
+        skipped = 0
+        for rec in recs[:10]:
+            for angle in (0.0, 1e-9, 1e-8, 1e-7, 1e-4, 1e-2):
+                q = {l: rec.compressed[l] + angle * rng.normal(size=6) for l in LAYERS3}
+                own = float(np.min(l3_distances(idx, q)))
+                for t in ulps_around(own) + [THRESHOLD_FLOOR]:
+                    if t < 0:
+                        continue
+                    ts.thresholds["L3"] = t
+                    staged = query_hierarchical(idx, q, 10)
+                    assert staged == brute_force_scan(idx, q, 10)
+                    assert bool(staged) == (own <= t)
+                    skipped += rows_scored(idx, q) < len(idx)
+        assert skipped
+
+    def test_single_record_bucket(self):
+        rng = np.random.default_rng(24)
+        rec = random_record(rng, "only", "c")
+        ts = ThresholdSet(thresholds={l: 1e-6 for l in LAYERS3})
+        idx = build_index([rec], ts)
+        assert query_hierarchical(idx, rec.compressed, 3) == [("only", 0.0)]
+        far = {l: -rec.compressed[l] for l in LAYERS3}
+        assert rows_scored(idx, far) == 0
+        for fn in (query_hierarchical, brute_force_scan):
+            assert fn(idx, far, 3) == []
+
+    def test_every_bucket_skipped(self):
+        rng = np.random.default_rng(25)
+        recs, centres = clustered_records(rng, clusters=4, per=10)
+        ts = self.open_later_stages(0.01)
+        idx = build_index(recs, ts)
+        idx.freeze()
+        # the direction farthest from every cluster centre
+        q = {l: -centres.sum(axis=0) for l in LAYERS3}
+        assert rows_scored(idx, q) == 0
+        for fn in (query_hierarchical, brute_force_scan):
+            assert fn(idx, q, 10) == []
+        # a threshold below 0 passes no row, and its bound is no error
+        ts.thresholds["L3"] = -1.0
+        on_a_row = recs[0].compressed
+        for fn in (query_hierarchical, brute_force_scan):
+            assert fn(idx, on_a_row, 10) == []
+
+    def test_scales_changed_after_freeze(self):
+        rng = np.random.default_rng(26)
+        recs, centres = clustered_records(rng, clusters=6, per=10)
+        ts = self.open_later_stages(0.01)
+        idx = build_index(recs, ts)
+        idx.freeze()
+        q = {l: centres[2] + 0.05 * rng.normal(size=6) for l in LAYERS3}
+        narrow = rows_scored(idx, q)
+        assert narrow < len(idx)
+        before = query_hierarchical(idx, q, 100)
+        assert before == brute_force_scan(idx, q, 100)
+        # a new scales mapping, the way a caller swaps it, with no new freeze
+        ts.scales = {"L3": 200.0}
+        assert rows_scored(idx, q) == len(idx)
+        wide = query_hierarchical(idx, q, 100)
+        assert wide == brute_force_scan(idx, q, 100)
+        assert len(wide) > len(before)
+        ts.scales = {}
+        assert query_hierarchical(idx, q, 100) == before
+
+    @pytest.mark.parametrize("signatures, buckets", [(4, 4), (5, 1)])
+    def test_sqrt_n_cut(self, signatures, buckets):
+        # 16 rows: 4 distinct signatures is sqrt(n) and keeps its buckets,
+        # 5 is above it and falls back to one bucket in insertion order
+        rng = np.random.default_rng(27)
+        recs, centres = clustered_records(rng, clusters=signatures, per=4)
+        recs = recs[:16]
+        ts = self.open_later_stages(0.01)
+        idx = build_index(recs, ts)
+        idx.freeze()
+        assert len(idx._buckets.radii) == buckets
+        if buckets == 1:
+            assert idx._row_ids == [r.id for r in recs]
+        skipped = 0
+        for c in range(signatures):
+            q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
+            assert query_hierarchical(idx, q, 20) == brute_force_scan(idx, q, 20)
+            skipped += rows_scored(idx, q) < len(idx)
+        assert skipped == (signatures if buckets > 1 else 0)
+
+    def test_bucket_order_keeps_record_order(self, tmp_path):
+        rng = np.random.default_rng(28)
+        recs, _ = clustered_records(rng, clusters=3, per=4)
+        idx = build_index(recs, self.open_later_stages())
+        idx.freeze()
+        assert [r.id for r in idx.records] == [r.id for r in recs]
+        assert idx._row_ids != [r.id for r in recs]
+        save_records(tmp_path / "records.bin", idx)
+        back = load_records(tmp_path / "records.bin", LAYERS3, 6, 8, idx.thresholds)
+        assert [r.id for r in back.records] == [r.id for r in recs]
 
 
 class TestRecordsFile:

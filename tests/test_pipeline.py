@@ -75,6 +75,8 @@ class TestConfig:
             {"binseq_threshold": "10"},
             {"rng_seed": "0"},
             {"active_layers": 5},
+            {"binseq_threshold": 1e39},  # too large for the dictionary's float32
+            {"binseq_threshold": 1e-50},  # 0 as a float32
         ],
     )
     def test_bad_config_rejected(self, bad):
