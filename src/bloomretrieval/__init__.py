@@ -23,7 +23,7 @@ from .index import (
     query_hierarchical,
 )
 from .murmur3 import murmur3_x64_128
-from .pca import PcaModel, fit_pca, project, reconstruct
+from .pca import PcaModel, fit_pca, project
 from .pipeline import (
     EvaluationReport,
     PipelineConfig,
@@ -39,7 +39,7 @@ from .pipeline import (
     train,
     write_features,
 )
-from .vecmath import cosine_distance, l2_distance, l2_normalize
+from .vecmath import l2_normalize
 
 __version__ = "0.1.0"
 
@@ -63,21 +63,18 @@ __all__ = [
     "average_precision",
     "brute_force_scan",
     "calibrate_thresholds",
-    "cosine_distance",
     "encode_signature",
     "evaluate",
     "fit_pca",
     "fp_probability",
     "gated_query",
     "init_dictionary",
-    "l2_distance",
     "l2_normalize",
     "murmur3_x64_128",
     "optimal_bits",
     "project",
     "query_hierarchical",
     "read_features",
-    "reconstruct",
     "synth_generate",
     "train",
     "write_features",

@@ -17,10 +17,6 @@ import numpy as np
 from .binio import Reader
 from .errors import DataFormatError, DimensionMismatchError
 
-DEFAULT_CENTROID_COUNT = 64
-DEFAULT_THRESHOLD = 10.0
-
-
 @dataclass(frozen=True)
 class BinarySignature:
     width: int
@@ -29,14 +25,6 @@ class BinarySignature:
     def __post_init__(self):
         if len(self.data) != (self.width + 7) // 8:
             raise ValueError("signature byte length does not match width")
-
-    def bit(self, i: int) -> bool:
-        if not 0 <= i < self.width:
-            raise IndexError(i)
-        return bool((self.data[i // 8] >> (i % 8)) & 1)
-
-    def popcount(self) -> int:
-        return sum(byte.bit_count() for byte in self.data)
 
     @classmethod
     def from_bits(cls, bits) -> "BinarySignature":
@@ -86,8 +74,8 @@ class CentroidDictionary:
 
 def init_dictionary(
     training_vectors,
-    count: int = DEFAULT_CENTROID_COUNT,
-    threshold: float = DEFAULT_THRESHOLD,
+    count: int,
+    threshold: float,
     rng_seed: int = 0,
 ) -> CentroidDictionary:
     """Sample `count` distinct training vectors as centroids, per rng_seed."""
@@ -108,7 +96,7 @@ def init_dictionary(
 
 
 def encode_signature(dictionary: CentroidDictionary, x) -> BinarySignature:
-    """Bit i set iff l2_distance(x, centroid i) < threshold (strict)."""
+    """Bit i set iff the L2 distance from x to centroid i is < threshold (strict)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (dictionary.dim,):
         raise DimensionMismatchError(

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 config mismatch.
+Exit codes: 0 success, 1 usage error, 2 data/format error or a path that
+cannot be read or written, 3 config mismatch.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     except ConfigMismatchError as exc:
         print(f"config mismatch: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, FileNotFoundError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

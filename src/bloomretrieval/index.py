@@ -206,9 +206,6 @@ class HierarchicalIndex:
         self._ids.add(record.id)
         self._rows = None
 
-    def labels(self) -> set[str]:
-        return {r.label for r in self.records}
-
     def freeze(self) -> None:
         """Build each layer's unit-row matrix in bucket order, the row-to-id
         list and the first stage's buckets, once until the next add; queries

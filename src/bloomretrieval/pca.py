@@ -15,8 +15,6 @@ import numpy as np
 from .binio import Reader
 from .errors import DimensionMismatchError
 
-DEFAULT_TARGET_DIM = 128
-
 _EIG_CLAMP = -1e-9
 
 
@@ -80,7 +78,7 @@ def _complete_basis(basis_rows: list[np.ndarray], needed: int, dim: int) -> list
     return rows
 
 
-def fit_pca(samples, target_dim: int = DEFAULT_TARGET_DIM) -> PcaModel:
+def fit_pca(samples, target_dim: int) -> PcaModel:
     """Fit mean + top-target_dim principal components of the sample covariance."""
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -141,13 +139,3 @@ def project_many(model: PcaModel, X) -> np.ndarray:
             f"expected (n, {model.input_dim}), got {X.shape}"
         )
     return (X - model.mean) @ model.basis.T
-
-
-def reconstruct(model: PcaModel, y) -> np.ndarray:
-    """Approximate inverse of project (exact on the retained subspace)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (model.target_dim,):
-        raise DimensionMismatchError(
-            f"expected dim {model.target_dim}, got {y.shape}"
-        )
-    return model.mean + model.basis.T @ y

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,11 +52,12 @@ def _is_int(value, low: int) -> bool:
 
 
 def _is_positive(value) -> bool:
-    """A finite real number > 0; a bool or a string is not one."""
+    """A real number > 0 that is finite as a float; a bool or a string is
+    not one."""
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and 0 < value < math.inf
+        and 0 < value <= sys.float_info.max
     )
 
 
@@ -415,7 +417,6 @@ def evaluate(
     if not queries:
         raise ValueError("evaluation requires at least one query")
     index.freeze()
-    indexed_labels = index.labels()
     relevant_by_label: dict[str, list[str]] = {}
     for rec in index.records:
         relevant_by_label.setdefault(rec.label, []).append(rec.id)
@@ -427,7 +428,7 @@ def evaluate(
         result = gated_query(bundle, index, q.features, top_k)
         times.append(time.perf_counter() - t0)
         ids.append(q.id)
-        distractor = q.label not in indexed_labels
+        distractor = q.label not in relevant_by_label
         if result.rejected:
             rejections += 1
             if distractor:
@@ -556,8 +557,15 @@ def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
         doc = json.load(fh)
     config = PipelineConfig.from_dict(doc)
     calibrated = doc.get("calibrated_thresholds")
+    if calibrated is not None and not isinstance(calibrated, dict):
+        raise DataFormatError("calibrated_thresholds must be a JSON object")
     if calibrated is None or set(calibrated) != set(config.active_layers):
         raise ConfigMismatchError("calibrated thresholds missing for active layers")
+    for layer, value in calibrated.items():
+        if not _is_positive(value):
+            raise DataFormatError(
+                f"calibrated threshold of {layer} must be finite and > 0, got {value!r}"
+            )
     thresholds = ThresholdSet(
         thresholds={l: float(v) for l, v in calibrated.items()},
         scales=dict(config.threshold_scales),

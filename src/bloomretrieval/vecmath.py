@@ -1,40 +1,15 @@
-"""Dense vector primitives: L2 distance, cosine distance, normalization.
+"""Dense vector primitives: unit normalization and the one cosine distance
+kernel, which the staged and the brute-force retrieval paths share.
 
-All functions accept anything array-like and compute in float64. Persisted
-formats elsewhere store float32; the extra internal precision keeps distance
-accumulation stable.
+Both compute in float64. Persisted formats elsewhere store float32; the
+extra internal precision keeps distance accumulation stable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroVectorError
-
-
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains NaN or Inf")
-    return v
-
-
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}"
-        )
-
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two equal-dimension vectors."""
-    a = as_vector(a)
-    b = as_vector(b)
-    _check_dims(a, b)
-    return float(np.linalg.norm(a - b))
+from .errors import ZeroVectorError
 
 
 def unit_rows(rows) -> np.ndarray:
@@ -61,20 +36,12 @@ def unit_rows(rows) -> np.ndarray:
 
 
 def l2_normalize(a) -> np.ndarray:
-    """Scale to unit L2 norm, preserving direction."""
-    return unit_rows(as_vector(a)[None, :])[0]
-
-
-def cosine_distance(a, b) -> float:
-    """1 - cosine similarity, in [0, 2]. Zero for same-direction vectors."""
-    a = as_vector(a)
-    b = as_vector(b)
-    _check_dims(a, b)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine distance is undefined for zero vectors")
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
+    """A 1-D vector scaled to unit L2 norm, with the bits `unit_rows` gives
+    it as a row; the same errors, and `ValueError` for input that is not 1-D."""
+    v = np.asarray(a, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    return unit_rows(v[None, :])[0]
 
 
 def unit_cosine_distances(rows: np.ndarray, qn: np.ndarray) -> np.ndarray:

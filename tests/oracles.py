@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they check: the eigensolver is a
 hand-rolled cyclic Jacobi sweep (not numpy.linalg), average precision is
-recomputed directly from its textbook definition, and the calibrated
-threshold is a mean over explicitly enumerated pairs.
+recomputed directly from its textbook definition, the calibrated
+threshold is a mean over explicitly enumerated pairs, a cosine distance is
+one dot product over two norms, a signature's bits are read byte by byte,
+and a reconstruction is the textbook mean + basisᵀy.
 """
 
 import numpy as np
@@ -69,7 +71,24 @@ def mean_same_class_cosine_distance(labels, rows):
     for group in by_label.values():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                total += 1.0 - np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+                total += cosine_distance(group[i], group[j])
                 pairs += 1
     return total / pairs
+
+
+def cosine_distance(a, b):
+    """1 - cos(a, b) of two raw vectors, neither normalized first."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return 1.0 - np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def signature_bits(sig):
+    """A signature's bits as a list of bools: bit i at byte i // 8, bit
+    position i % 8, least significant first."""
+    return [bool((sig.data[i // 8] >> (i % 8)) & 1) for i in range(sig.width)]
+
+
+def reconstruct(model, y):
+    """mean + basisᵀy: the inverse of projection on the retained subspace."""
+    return model.mean + model.basis.T @ np.asarray(y, dtype=np.float64)

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import struct
 
@@ -280,3 +281,36 @@ def test_filter_memory_ceiling(filled_copy, workspace, capsys):
     (idx / "filter.bin").write_bytes(bytes(blob))
     rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
     assert rc == 2 and err.startswith("data error: ") and "2 GiB" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"L1": -1.0}, {"L1": True}, {"L1": math.nan}, {"L1": None}, {"L1": "x"}, {"L1": 10**400}, list(LAYERS), 0.5],
+    ids=["negative", "bool", "nan", "null", "string", "huge-int", "list", "number"],
+)
+def test_bad_calibrated_thresholds_exit_2(filled_copy, capsys, bad):
+    idx, qrys = filled_copy
+    doc = json.loads((idx / "config.json").read_text())
+    stored = doc["calibrated_thresholds"]
+    doc["calibrated_thresholds"] = {**stored, **bad} if isinstance(bad, dict) else bad
+    (idx / "config.json").write_text(json.dumps(doc))
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "calibrated" in err
+
+
+@pytest.mark.parametrize("case", ["index-is-file", "features-is-dir", "config-is-dir", "out-is-file"])
+def test_unusable_path_exit_2(filled, workspace, capsys, case):
+    idx, _, qrys = filled
+    tmp_path, feats, _, cfg_path = workspace
+    argv = {
+        "index-is-file": ("query", "--index", qrys, "--features", qrys),
+        "features-is-dir": ("query", "--index", idx, "--features", tmp_path),
+        "config-is-dir": ("train", "--config", tmp_path, "--features", feats, "--out", tmp_path / "i"),
+        "out-is-file": ("train", "--config", cfg_path, "--features", feats, "--out", feats),
+    }[case]
+    before = feats.read_bytes()
+    rc, err = run(capsys, *argv)
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert feats.read_bytes() == before

@@ -20,9 +20,9 @@ from bloomretrieval.index import (
     query_hierarchical,
     save_records,
 )
-from bloomretrieval.vecmath import cosine_distance, l2_normalize, unit_cosine_distances
+from bloomretrieval.vecmath import l2_normalize, unit_cosine_distances
 
-from oracles import mean_same_class_cosine_distance
+from oracles import cosine_distance, mean_same_class_cosine_distance
 
 LAYERS3 = ("L1", "L2", "L3")
 

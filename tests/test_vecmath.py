@@ -4,55 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bloomretrieval.errors import DimensionMismatchError, ZeroVectorError
-from bloomretrieval.vecmath import (
-    cosine_distance,
-    l2_distance,
-    l2_normalize,
-    unit_cosine_distances,
-    unit_rows,
-)
+from bloomretrieval.errors import ZeroVectorError
+from bloomretrieval.vecmath import l2_normalize, unit_cosine_distances, unit_rows
 
-finite_vectors = st.lists(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    min_size=2,
-    max_size=8,
-)
+from oracles import cosine_distance
 
 
-def test_l2_distance_345():
-    assert l2_distance([0, 0], [3, 4]) == 5.0
-
-
-def test_l2_distance_identity():
-    x = [1.5, -2.25, 7.0]
-    assert l2_distance(x, x) == 0.0
-
-
-def test_l2_distance_sqrt200():
-    assert l2_distance([0, 0], [10, 10]) == pytest.approx(math.sqrt(200), rel=1e-12)
-
-
-def test_l2_distance_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        l2_distance([1, 2], [1, 2, 3])
+def kernel_distance(a, b):
+    """Cosine distance of two raw vectors as retrieval scores it: b as a
+    unit row, a as a unit query, through the one kernel."""
+    return float(unit_cosine_distances(unit_rows([b]), l2_normalize(a))[0])
 
 
 def test_cosine_identical_direction():
-    assert cosine_distance([1, 0], [1, 0]) == 0.0
+    assert kernel_distance([1, 0], [1, 0]) == 0.0
 
 
 def test_cosine_orthogonal():
-    assert cosine_distance([1, 0], [0, 1]) == pytest.approx(1.0)
+    assert kernel_distance([1, 0], [0, 1]) == pytest.approx(1.0)
 
 
 def test_cosine_45_degrees():
-    assert cosine_distance([1, 1], [1, 0]) == pytest.approx(1 - 1 / math.sqrt(2))
-
-
-def test_cosine_zero_vector_rejected():
-    with pytest.raises(ZeroVectorError):
-        cosine_distance([0, 0], [1, 0])
+    assert kernel_distance([1, 1], [1, 0]) == pytest.approx(1 - 1 / math.sqrt(2))
 
 
 def test_normalize_345():
@@ -75,25 +48,7 @@ def test_normalize_zero_rejected():
 
 def test_rejects_nan():
     with pytest.raises(ValueError):
-        l2_distance([float("nan"), 0], [0, 0])
-
-
-@given(finite_vectors, finite_vectors)
-def test_l2_symmetry(a, b):
-    if len(a) != len(b):
-        a = a[: min(len(a), len(b))]
-        b = b[: len(a)]
-    assert l2_distance(a, b) == l2_distance(b, a)
-
-
-def test_triangle_inequality_random_triples():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        a, b, c = rng.normal(size=(3, 6))
-        ab = l2_distance(a, b)
-        bc = l2_distance(b, c)
-        ac = l2_distance(a, c)
-        assert ac <= (ab + bc) * (1 + 1e-9)
+        l2_normalize([float("nan"), 0])
 
 
 @given(
@@ -104,16 +59,18 @@ def test_cosine_scale_invariance(vals, c):
     a = np.asarray(vals)
     if np.linalg.norm(a) < 1e-6:
         return
-    assert abs(cosine_distance(a, c * a)) < 1e-9
+    assert abs(kernel_distance(a, c * a)) < 1e-9
 
 
 def test_cosine_invariant_under_normalization():
+    # the kernel scores unit vectors; the oracle takes the raw ones
     rng = np.random.default_rng(1)
     for _ in range(200):
         a, b = rng.normal(size=(2, 5))
         d = cosine_distance(a, b)
-        assert abs(cosine_distance(l2_normalize(a), b) - d) < 1e-9
-        assert abs(cosine_distance(a, l2_normalize(b)) - d) < 1e-9
+        assert abs(kernel_distance(a, b) - d) < 1e-9
+        assert abs(kernel_distance(l2_normalize(a), b) - d) < 1e-9
+        assert abs(kernel_distance(a, l2_normalize(b)) - d) < 1e-9
 
 
 def test_unit_cosine_distances_block_independent():
