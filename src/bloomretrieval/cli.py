@@ -81,14 +81,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _read_for(bundle, path):
-    """A feature file's records, checked against the index's PCA input widths
-    before any is compressed."""
-    records = pipeline.read_features(path)
-    pipeline.check_feature_widths(bundle, records)
-    return records
-
-
 def _cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = pipeline.PipelineConfig.from_dict(json.load(fh))
@@ -105,7 +97,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_add(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
-    records = _read_for(bundle, args.features)
+    records = pipeline.read_features(args.features)
     for rec in records:
         pipeline.add_record(bundle, index, rec)
     pipeline.save_index_dir(args.index, bundle, index)
@@ -116,7 +108,7 @@ def _cmd_add(args) -> int:
 def _cmd_query(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
-    queries = _read_for(bundle, args.features)
+    queries = pipeline.read_features(args.features)
     out = []
     for q in queries:
         res = pipeline.gated_query(bundle, index, q.features, args.top_k)
@@ -144,7 +136,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
-    queries = _read_for(bundle, args.queries)
+    queries = pipeline.read_features(args.queries)
     report = pipeline.evaluate(bundle, index, queries)
     if args.json:
         json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -168,7 +160,7 @@ def _percentile(sorted_vals, q):
 def _cmd_bench(args) -> int:
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
-    queries = _read_for(bundle, args.queries)
+    queries = pipeline.read_features(args.queries)
     top_k = bundle.config.top_k if args.top_k is None else args.top_k
 
     for name, fn in (("hierarchical", query_hierarchical), ("brute-force", brute_force_scan)):

@@ -1,16 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package. The CLI's exit code follows
+the type: `ConfigMismatchError` 3, `DataFormatError` 2, another `ValueError` 1."""
 
 
 class RetrievalError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class DimensionMismatchError(RetrievalError, ValueError):
-    """Two vectors (or a vector and a model) disagree on dimensionality."""
-
-
-class ZeroVectorError(RetrievalError, ValueError):
-    """A zero-norm vector was passed where a direction is required."""
 
 
 class DataFormatError(RetrievalError):
@@ -33,9 +26,13 @@ class InconsistentDimsError(DataFormatError):
     """Per-layer dimensions disagree across records."""
 
 
-class InvalidVectorError(DataFormatError):
-    """A record vector is non-finite or has zero norm, so it has no direction."""
+class InvalidVectorError(DataFormatError, ValueError):
+    """A vector has no direction: it holds a NaN or Inf, or its norm is zero."""
 
 
 class ConfigMismatchError(RetrievalError):
     """Stored artifacts disagree with the active configuration."""
+
+
+class DimensionMismatchError(ConfigMismatchError, ValueError):
+    """A vector is not as wide as the model or dictionary it is given to."""

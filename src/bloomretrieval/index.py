@@ -105,8 +105,7 @@ def calibrate_thresholds(labels, vectors) -> ThresholdSet:
     `vectors` maps each layer to a matrix with one row per label. A class of
     c unit rows u (`unit_rows`, the index's normalisation) with sum s has
     pairwise distances summing to c(c-1)/2 - (s.s - sum |u|^2)/2, so no pair
-    is visited; a zero-norm row raises `ZeroVectorError`, a non-finite one
-    `ValueError`.
+    is visited; a row with no direction raises `InvalidVectorError`.
     """
     _, members, counts = np.unique(
         list(labels), return_inverse=True, return_counts=True
@@ -180,7 +179,8 @@ class HierarchicalIndex:
         return record_id in self._ids
 
     def add(self, record: FeatureRecord) -> None:
-        """Append a record; rejects one that would poison a layer matrix."""
+        """Append a record as the record store holds it, its vectors cast to
+        float32; rejects one that would poison a layer matrix or the store."""
         if record.id in self._ids:
             raise DuplicateIdError(f"duplicate record id {record.id!r}")
         layers = set(self.layers)
@@ -189,20 +189,29 @@ class HierarchicalIndex:
                 f"record vector layers {sorted(record.compressed)} and signature "
                 f"layers {sorted(record.signatures)} != index layers {sorted(self.layers)}"
             )
+        first = self.records[0] if self.records else record
+        vectors = {}
         for layer in self.layers:
-            vec = np.asarray(record.compressed[layer], dtype=np.float64)
-            first = self.records[0].compressed[layer] if self.records else vec
-            if vec.ndim != 1 or vec.shape != np.shape(first):
+            vec = np.asarray(record.compressed[layer], dtype=np.float32)
+            if vec.ndim != 1 or vec.shape != np.shape(first.compressed[layer]):
                 raise InconsistentDimsError(
                     f"record {record.id!r} layer {layer} shape {vec.shape} != "
-                    f"{np.shape(first)}"
+                    f"{np.shape(first.compressed[layer])}"
                 )
-            if not 0.0 < float(vec @ vec) < math.inf:
+            nbytes = len(record.signatures[layer].data)
+            if nbytes != len(first.signatures[layer].data):
+                raise InconsistentDimsError(
+                    f"record {record.id!r} layer {layer} signature is {nbytes} bytes, "
+                    f"not {len(first.signatures[layer].data)}"
+                )
+            wide = vec.astype(np.float64)
+            if not 0.0 < float(wide @ wide) < math.inf:
                 raise InvalidVectorError(
                     f"record {record.id!r} layer {layer} vector is non-finite "
                     "or has zero norm"
                 )
-        self.records.append(record)
+            vectors[layer] = vec
+        self.records.append(FeatureRecord(record.id, record.label, vectors, record.signatures))
         self._ids.add(record.id)
         self._rows = None
 

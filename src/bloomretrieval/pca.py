@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binio import Reader
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidVectorError
 
 _EIG_CLAMP = -1e-9
 
@@ -78,11 +78,19 @@ def _complete_basis(basis_rows: list[np.ndarray], needed: int, dim: int) -> list
     return rows
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, unless it holds a NaN or Inf: raw features enter the pipeline here."""
+    if not np.isfinite(x).all():
+        raise InvalidVectorError("raw features hold a NaN or Inf")
+    return x
+
+
 def fit_pca(samples, target_dim: int) -> PcaModel:
     """Fit mean + top-target_dim principal components of the sample covariance."""
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("fit_pca needs at least 2 samples of equal dimension")
+    _finite(X)
     n, dim = X.shape
     if target_dim < 1 or target_dim > min(dim, n - 1):
         raise ValueError(
@@ -127,15 +135,15 @@ def project(model: PcaModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_dim,):
         raise DimensionMismatchError(
-            f"expected dim {model.input_dim}, got {x.shape}"
+            f"PCA model takes {model.input_dim} values, got shape {x.shape}"
         )
-    return model.basis @ (x - model.mean)
+    return model.basis @ (_finite(x) - model.mean)
 
 
 def project_many(model: PcaModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimensionMismatchError(
-            f"expected (n, {model.input_dim}), got {X.shape}"
+            f"PCA model takes rows of {model.input_dim} values, got shape {X.shape}"
         )
-    return (X - model.mean) @ model.basis.T
+    return (_finite(X) - model.mean) @ model.basis.T

@@ -16,7 +16,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -121,16 +121,7 @@ class PipelineConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "active_layers": list(self.active_layers),
-            "pca_dim": self.pca_dim,
-            "centroid_count": self.centroid_count,
-            "binseq_threshold": self.binseq_threshold,
-            "filter_multiplier": self.filter_multiplier,
-            "rng_seed": self.rng_seed,
-            "top_k": self.top_k,
-            "threshold_scales": dict(self.threshold_scales),
-        }
+        return {**asdict(self), "active_layers": list(self.active_layers)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -260,22 +251,6 @@ def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
 
 
-def check_feature_widths(bundle: TrainedBundle, records: list[RawRecord]) -> None:
-    """Raise `ConfigMismatchError` unless every active layer of the records is
-    as wide as the input its PCA model was fitted on. The first record is
-    checked: a feature file gives every record its header's widths."""
-    if not records:
-        return
-    features = records[0].features
-    for layer in bundle.config.active_layers:
-        want = bundle.pca_models[layer].input_dim
-        got = np.shape(features.get(layer))
-        if got != (want,):
-            raise ConfigMismatchError(
-                f"feature layer {layer} has shape {got}; its PCA model takes {want} values"
-            )
-
-
 def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
     """Fit per-layer PCA + dictionaries, calibrate thresholds, size the filter.
 
@@ -326,8 +301,6 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
     """Compress, sign, append to the index, and insert into the filter."""
-    if raw.id in index:
-        raise DuplicateIdError(f"duplicate record id {raw.id!r}")
     rec = compress_record(bundle, raw)
     index.add(rec)  # first: a record the index rejects must not reach the filter
     bundle.filter.insert(rec.signatures)
@@ -412,7 +385,7 @@ def evaluate(
     A query rejected by the filter scores AP 0 when its label is indexed;
     queries whose label is absent from the index are distractors: excluded
     from mAP, counted as correct rejections (if rejected) or filter false
-    positives (if passed, since their id is not stored).
+    positives (if passed).
     """
     if not queries:
         raise ValueError("evaluation requires at least one query")
@@ -437,9 +410,8 @@ def evaluate(
             else:
                 aps.append(0.0)
             continue
-        if q.id not in index:
-            false_positives += 1
         if distractor:
+            false_positives += 1
             aps.append(None)
         else:
             ranked = [rid for rid, _ in result.results]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroVectorError
+from .errors import InvalidVectorError
 
 
 def unit_rows(rows) -> np.ndarray:
@@ -18,19 +18,17 @@ def unit_rows(rows) -> np.ndarray:
 
     Row norms come from the same per-row einsum as `unit_cosine_distances`,
     so a vector normalized alone or inside a matrix gets the same bits. A
-    row with a NaN or Inf (or a norm that overflows) raises `ValueError`; a
-    zero row raises `ZeroVectorError`.
+    row with no direction (a NaN or Inf, a norm that overflows, or a zero
+    norm) raises `InvalidVectorError` naming the first such row.
     """
     m = np.array(rows, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {m.shape}")
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-    finite = np.isfinite(norms)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"row {bad} is non-finite or its norm overflows")
-    if not np.all(norms > 0.0):
-        raise ZeroVectorError("cannot normalize a zero vector")
+    usable = (norms > 0.0) & (norms < np.inf)  # False for NaN
+    if not usable.all():
+        bad = int(np.argmin(usable))
+        raise InvalidVectorError(f"row {bad} is non-finite or zero, or its norm overflows")
     m /= norms[:, None]
     return m
 

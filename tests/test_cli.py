@@ -3,9 +3,11 @@ import math
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
-from bloomretrieval import cli
+from bloomretrieval import cli, pipeline
+from bloomretrieval.pca import PcaModel
 
 LAYERS = ("L1", "L2", "L3")
 
@@ -314,3 +316,40 @@ def test_unusable_path_exit_2(filled, workspace, capsys, case):
     assert rc == 2, err
     assert err.startswith("data error: ") and "Traceback" not in err
     assert feats.read_bytes() == before
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["train", "add", "query", "evaluate", "bench"])
+def test_non_finite_feature_exit_2(filled_copy, workspace, capsys, command, value):
+    idx, qrys = filled_copy
+    tmp_path, feats, _, cfg_path = workspace
+    records = pipeline.read_features(feats if command == "train" else qrys)
+    poisoned = records[1].features["L2"].copy()
+    poisoned[3] = value
+    records[1] = pipeline.RawRecord(records[1].id, records[1].label, {**records[1].features, "L2": poisoned})
+    bad = tmp_path / "bad.mlhc"
+    pipeline.write_features(bad, records)
+    flag = "--queries" if command in ("evaluate", "bench") else "--features"
+    argv = (
+        ("train", "--config", cfg_path, "--features", bad, "--out", tmp_path / "new")
+        if command == "train"
+        else (command, "--index", idx, flag, bad)
+    )
+    before = (idx / "records.bin").read_bytes()
+    rc, err = run(capsys, *argv)
+    assert rc == 2, err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert (idx / "records.bin").read_bytes() == before
+    assert not (tmp_path / "new").exists()
+
+
+def test_query_at_pca_mean_exit_2(filled_copy, tmp_path, capsys):
+    # raw features equal to each layer's PCA mean compress to zero vectors,
+    # which have no direction to rank by
+    idx, qrys = filled_copy
+    means = {l: PcaModel.from_bytes((idx / f"pca-{l}.bin").read_bytes()).mean for l in LAYERS}
+    pipeline.write_features(tmp_path / "mean.mlhc", [pipeline.RawRecord("q", "class-000", means)])
+    rc, err = run(capsys, "bench", "--index", idx, "--queries", tmp_path / "mean.mlhc")
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "non-finite or zero" in err

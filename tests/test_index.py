@@ -32,7 +32,7 @@ def make_record(rid, label, vectors, sig_width=8):
     return FeatureRecord(
         id=rid,
         label=label,
-        compressed={l: np.asarray(v, dtype=float) for l, v in vectors.items()},
+        compressed={l: np.asarray(v, dtype=np.float32) for l, v in vectors.items()},
         signatures={l: sig for l in vectors},
     )
 
@@ -178,6 +178,16 @@ class TestQueries:
             idx.add(rec)
         assert len(idx) == 0
 
+    def test_signature_byte_width_must_match(self):
+        # records.bin holds one signature byte width; the loader rejects a mix
+        rng = np.random.default_rng(2)
+        idx = build_index([random_record(rng, "a", "c")], ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+        wide = random_record(rng, "b", "c")
+        wide.signatures["L2"] = BinarySignature(width=16, data=bytes(2))
+        with pytest.raises(InconsistentDimsError, match="signature"):
+            idx.add(wide)
+        assert len(idx) == 1 and "b" not in idx
+
     @pytest.mark.parametrize(
         "vector, error",
         [
@@ -191,6 +201,11 @@ class TestQueries:
             ),
             ([1.0] * 5, InconsistentDimsError),
             ([[1.0] * 6], InconsistentDimsError),
+            pytest.param(  # finite as a float64, inf as the float32 the store holds
+                [1e39] + [1.0] * 5,
+                InvalidVectorError,
+                marks=pytest.mark.filterwarnings("ignore:overflow"),
+            ),
         ],
     )
     def test_poisoned_vector_rejected(self, vector, error):
@@ -552,6 +567,23 @@ class TestRecordsFile:
             for l in LAYERS3:
                 np.testing.assert_array_equal(a.compressed[l], b.compressed[l])
                 assert a.signatures[l] == b.signatures[l]
+
+    def test_float64_records_answer_as_after_load(self, tmp_path):
+        # add() keeps float32, the precision the store persists, so loading
+        # the store back changes no distance
+        rng = np.random.default_rng(11)
+        ts = ThresholdSet(thresholds={l: 2.0 for l in LAYERS3})
+        sig = BinarySignature(width=8, data=b"\x00")
+        recs = [
+            FeatureRecord(f"r{i:03d}", "c", {l: rng.normal(size=6) for l in LAYERS3}, {l: sig for l in LAYERS3})
+            for i in range(200)
+        ]
+        idx = build_index(recs, ts)
+        save_records(tmp_path / "records.bin", idx)
+        back = load_records(tmp_path / "records.bin", LAYERS3, 6, 8, ts)
+        for _ in range(50):
+            q = {l: rng.normal(size=6) for l in LAYERS3}
+            assert query_hierarchical(idx, q, 10) == query_hierarchical(back, q, 10)
 
     def test_zero_vector_in_file_rejected(self, tmp_path):
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})

@@ -368,6 +368,18 @@ class TestEvaluate:
         assert report.bloom_rejections == 0
         assert report.bloom_false_positives == 0
 
+    def test_held_out_queries_are_no_false_positives(self, tmp_path):
+        # a query of an indexed class passes the filter rightly, though its
+        # own id is not stored
+        records, queries = synth_records(tmp_path, classes=4, per_class=10, queries_per_class=3)
+        bundle = pl.train(small_config(threshold_scales={l: 4.0 for l in ("L1", "L2", "L3")}), records)
+        index = bundle.new_index()
+        for r in records:
+            pl.add_record(bundle, index, r)
+        report = pl.evaluate(bundle, index, queries)
+        assert report.bloom_rejections < len(queries)
+        assert report.bloom_false_positives == 0
+
     def test_all_distractor_queries(self, tmp_path):
         records, _ = synth_records(tmp_path, classes=4, per_class=10)
         cfg = small_config()

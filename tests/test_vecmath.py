@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bloomretrieval.errors import ZeroVectorError
+from bloomretrieval.errors import InvalidVectorError
 from bloomretrieval.vecmath import l2_normalize, unit_cosine_distances, unit_rows
 
 from oracles import cosine_distance
@@ -42,7 +42,7 @@ def test_normalize_diagonal():
 
 
 def test_normalize_zero_rejected():
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(InvalidVectorError):
         l2_normalize([0.0, 0.0, 0.0])
 
 
@@ -96,7 +96,7 @@ def test_unit_rows_matches_l2_normalize():
     units = unit_rows(m)
     for row, unit in zip(m, units):
         np.testing.assert_array_equal(l2_normalize(row), unit)
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(InvalidVectorError):
         unit_rows([[1.0, 0.0], [0.0, 0.0]])
 
 
