@@ -1,8 +1,8 @@
 """Little-endian binary layout shared by every persisted file.
 
 `Reader` holds every loader to one set of rules: a read past the end raises
-`TruncatedFileError`; bytes left over at `end()`, and text that is not
-UTF-8, raise `DataFormatError`.
+`TruncatedFileError`; bytes left over at `end()`, text that is not UTF-8,
+and a NaN or Inf read by `finite`, raise `DataFormatError`.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ class Reader:
     def floats(self, count: int, dtype=np.float64) -> np.ndarray:
         """The next `count` float32 values, as a new array of `dtype`."""
         return np.frombuffer(self.blob, "<f4", count, self._skip(4 * count)).astype(dtype)
+
+    def finite(self, count: int) -> np.ndarray:
+        """`floats`, none of which may be a NaN or Inf."""
+        x = self.floats(count)
+        if not np.isfinite(x).all():
+            raise DataFormatError(f"{self.what} holds a NaN or Inf")
+        return x
 
     def end(self) -> None:
         if self.off != len(self.blob):

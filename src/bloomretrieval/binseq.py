@@ -67,7 +67,7 @@ class CentroidDictionary:
         count, dim, threshold, seed = r.unpack("IIfQ")
         if not threshold > 0:
             raise DataFormatError(f"centroid dictionary threshold {threshold} is not > 0")
-        cents = r.floats(count * dim).reshape(count, dim)
+        cents = r.finite(count * dim).reshape(count, dim)
         r.end()
         return cls(centroids=cents, threshold=float(threshold), rng_seed=seed)
 

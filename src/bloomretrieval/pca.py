@@ -1,8 +1,10 @@
 """PCA compression of raw layer features down to a fixed target dimension.
 
 The fitted model keeps the top principal components of the sample covariance
-(descending eigenvalue order). When the input dimension exceeds the sample
-count the Gram-matrix trick is used so fitting stays O(n^2) in samples.
+(descending eigenvalue order), from one eigendecomposition of the smaller of
+the D x D covariance and the n x n Gram matrix, which share their nonzero
+eigenvalues. From the Gram matrix the components are lifted to input space;
+QR completes any zero-variance directions to an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .binio import Reader
 from .errors import DimensionMismatchError, InvalidVectorError
 
 _EIG_CLAMP = -1e-9
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -43,9 +46,9 @@ class PcaModel:
     def from_bytes(cls, blob: bytes) -> "PcaModel":
         r = Reader(blob, "PCA model")
         d_in, d_out = r.unpack("II")
-        mean = r.floats(d_in)
-        basis = r.floats(d_out * d_in).reshape(d_out, d_in)
-        eig = r.floats(d_out)
+        mean = r.finite(d_in)
+        basis = r.finite(d_out * d_in).reshape(d_out, d_in)
+        eig = r.finite(d_out)
         r.end()
         return cls(mean=mean, basis=basis, eigenvalues=eig)
 
@@ -60,29 +63,12 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _complete_basis(basis_rows: list[np.ndarray], needed: int, dim: int) -> list[np.ndarray]:
-    """Deterministically extend a partial orthonormal set (zero-variance case)."""
-    rows = list(basis_rows)
-    e = 0
-    while len(rows) < needed:
-        if e >= dim:
-            raise ValueError("cannot complete orthonormal basis")
-        cand = np.zeros(dim)
-        cand[e] = 1.0
-        e += 1
-        for r in rows:
-            cand -= np.dot(cand, r) * r
-        n = np.linalg.norm(cand)
-        if n > 1e-8:
-            rows.append(cand / n)
-    return rows
-
-
-def _finite(x: np.ndarray) -> np.ndarray:
-    """x, unless it holds a NaN or Inf: raw features enter the pipeline here."""
-    if not np.isfinite(x).all():
-        raise InvalidVectorError("raw features hold a NaN or Inf")
-    return x
+def _storable(y: np.ndarray) -> np.ndarray:
+    """Projection y, unless it holds a NaN or Inf, as it does whenever the raw
+    input did, or a value beyond float32, the precision records hold."""
+    if y.size and not abs(y).max() <= _F32_MAX:
+        raise InvalidVectorError("raw features hold a NaN or Inf, or project beyond float32")
+    return y
 
 
 def fit_pca(samples, target_dim: int) -> PcaModel:
@@ -90,7 +76,8 @@ def fit_pca(samples, target_dim: int) -> PcaModel:
     X = np.asarray(samples, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("fit_pca needs at least 2 samples of equal dimension")
-    _finite(X)
+    if not np.isfinite(X).all():
+        raise InvalidVectorError("raw features hold a NaN or Inf")
     n, dim = X.shape
     if target_dim < 1 or target_dim > min(dim, n - 1):
         raise ValueError(
@@ -99,45 +86,37 @@ def fit_pca(samples, target_dim: int) -> PcaModel:
 
     mean = X.mean(axis=0)
     centered = X - mean
-
-    if dim <= n:
-        cov = centered.T @ centered / (n - 1)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:target_dim]
-        eig = eigvals[order]
-        basis = eigvecs[:, order].T.copy()
-    else:
-        # D >> n: eigendecompose the n x n Gram matrix instead
-        gram = centered @ centered.T / (n - 1)
-        gvals, gvecs = np.linalg.eigh(gram)
-        order = np.argsort(gvals)[::-1][:target_dim]
-        eig = gvals[order]
-        rows = []
-        kept = []
-        for lam, i in zip(eig, order):
-            if lam > 1e-12:
-                u = centered.T @ gvecs[:, i]
-                rows.append(u / np.linalg.norm(u))
-                kept.append(lam)
-        rows = _complete_basis(rows, target_dim, dim)
-        basis = np.vstack(rows)
-        eig = np.concatenate([kept, np.zeros(target_dim - len(kept))])
-
+    # D > n: the n x n Gram matrix (eigenfaces), else the D x D covariance
+    small = centered @ centered.T if dim > n else centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(small / (n - 1))
+    order = np.argsort(eigvals)[::-1][:target_dim]
+    eig = eigvals[order]
+    vecs = eigvecs[:, order]
+    if dim > n:
+        vecs = centered.T @ vecs
+        dead = eig <= 1e-12
+        if dead.any():
+            # QR normalises the live columns and completes the rest
+            eig[dead] = 0.0
+            vecs[:, dead] = 0.0
+            vecs = np.linalg.qr(vecs)[0]
+        else:
+            vecs /= np.linalg.norm(vecs, axis=0)
     if np.any(eig < _EIG_CLAMP):
         raise ValueError("covariance produced a significantly negative eigenvalue")
     eig = np.clip(eig, 0.0, None)
-    basis = _fix_signs(np.ascontiguousarray(basis))
-    return PcaModel(mean=mean, basis=basis, eigenvalues=eig)
+    return PcaModel(mean=mean, basis=_fix_signs(vecs.T.copy()), eigenvalues=eig)
 
 
 def project(model: PcaModel, x) -> np.ndarray:
-    """Map a raw vector into the compressed space: basis @ (x - mean)."""
+    """Map a raw vector into the compressed space: basis @ (x - mean).
+    Raises `InvalidVectorError` unless the result fits float32."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.input_dim,):
         raise DimensionMismatchError(
             f"PCA model takes {model.input_dim} values, got shape {x.shape}"
         )
-    return model.basis @ (_finite(x) - model.mean)
+    return _storable(model.basis @ (x - model.mean))
 
 
 def project_many(model: PcaModel, X) -> np.ndarray:
@@ -146,4 +125,4 @@ def project_many(model: PcaModel, X) -> np.ndarray:
         raise DimensionMismatchError(
             f"PCA model takes rows of {model.input_dim} values, got shape {X.shape}"
         )
-    return (_finite(X) - model.mean) @ model.basis.T
+    return _storable((X - model.mean) @ model.basis.T)

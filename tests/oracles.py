@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: the eigensolver is a
-hand-rolled cyclic Jacobi sweep (not numpy.linalg), average precision is
+hand-rolled cyclic Jacobi sweep (not numpy.linalg), the covariance PCA is
+the textbook D x D route with no Gram matrix or QR, average precision is
 recomputed directly from its textbook definition, the calibrated
 threshold is a mean over explicitly enumerated pairs, a cosine distance is
 one dot product over two norms, a signature's bits are read byte by byte,
@@ -43,6 +44,23 @@ def jacobi_eigh(A, tol=1e-12, max_sweeps=100):
     vals = np.diag(A).copy()
     order = np.argsort(vals)[::-1]
     return vals[order], V[:, order]
+
+
+def covariance_pca(samples, target_dim):
+    """(mean, basis rows, eigenvalues) of the top target_dim principal
+    components: numpy's eigh of the D x D sample covariance, descending
+    order, each component's largest-magnitude entry made positive, negative
+    rounding noise in the eigenvalues clipped to 0."""
+    X = np.asarray(samples, dtype=np.float64)
+    mean = X.mean(axis=0)
+    centered = X - mean
+    vals, vecs = np.linalg.eigh(centered.T @ centered / (len(X) - 1))
+    order = np.argsort(vals)[::-1][:target_dim]
+    basis = vecs[:, order].T.copy()
+    for row in basis:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return mean, basis, np.clip(vals[order], 0.0, None)
 
 
 def average_precision_oracle(ranked_ids, relevant_ids):

@@ -133,3 +133,11 @@ def test_dictionary_bad_threshold_rejected(threshold):
     blob[8:12] = struct.pack("<f", threshold)
     with pytest.raises(DataFormatError, match="threshold"):
         CentroidDictionary.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_dictionary_non_finite_centroid_rejected(value):
+    d = init_dictionary(np.eye(4), count=2, threshold=1.0, rng_seed=0)
+    d.centroids[1, 2] = value
+    with pytest.raises(DataFormatError, match="NaN or Inf"):
+        CentroidDictionary.from_bytes(d.to_bytes())

@@ -319,15 +319,24 @@ def test_unusable_path_exit_2(filled, workspace, capsys, case):
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "layer,at,value",
+    [
+        ("L2", 3, math.nan),
+        ("L2", 3, math.inf),
+        # finite, but it projects beyond float32, the precision records hold
+        ("L1", slice(None), 3e38 * (-1.0) ** np.arange(24)),
+    ],
+    ids=["nan", "inf", "beyond-f32"],
+)
 @pytest.mark.parametrize("command", ["train", "add", "query", "evaluate", "bench"])
-def test_non_finite_feature_exit_2(filled_copy, workspace, capsys, command, value):
+def test_non_finite_feature_exit_2(filled_copy, workspace, capsys, command, layer, at, value):
     idx, qrys = filled_copy
     tmp_path, feats, _, cfg_path = workspace
     records = pipeline.read_features(feats if command == "train" else qrys)
-    poisoned = records[1].features["L2"].copy()
-    poisoned[3] = value
-    records[1] = pipeline.RawRecord(records[1].id, records[1].label, {**records[1].features, "L2": poisoned})
+    poisoned = records[1].features[layer].copy()
+    poisoned[at] = value
+    records[1] = pipeline.RawRecord(records[1].id, records[1].label, {**records[1].features, layer: poisoned})
     bad = tmp_path / "bad.mlhc"
     pipeline.write_features(bad, records)
     flag = "--queries" if command in ("evaluate", "bench") else "--features"
@@ -342,6 +351,22 @@ def test_non_finite_feature_exit_2(filled_copy, workspace, capsys, command, valu
     assert err.startswith("data error: ") and err.count("\n") == 1, err
     assert (idx / "records.bin").read_bytes() == before
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["query", "evaluate"])
+@pytest.mark.parametrize("part", ["pca-L2.bin", "dict-L2.bin"])
+def test_non_finite_model_float_exit_2(filled_copy, capsys, part, command):
+    idx, qrys = filled_copy
+    blob = bytearray((idx / part).read_bytes())
+    # a NaN as the first basis entry, after the two u32 dims and the mean, or
+    # as the first centroid value, after the dictionary's 20-byte header
+    at = 8 + 4 * struct.unpack_from("<I", blob)[0] if part.startswith("pca") else 20
+    blob[at:at + 4] = struct.pack("<f", math.nan)
+    (idx / part).write_bytes(bytes(blob))
+    flag = "--queries" if command == "evaluate" else "--features"
+    rc, err = run(capsys, command, "--index", idx, flag, qrys)
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "NaN or Inf" in err
 
 
 def test_query_at_pca_mean_exit_2(filled_copy, tmp_path, capsys):

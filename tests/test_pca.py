@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from bloomretrieval.errors import DimensionMismatchError
+from bloomretrieval.errors import DataFormatError, DimensionMismatchError, InvalidVectorError
 from bloomretrieval.pca import PcaModel, fit_pca, project, project_many
 
-from oracles import jacobi_eigh, reconstruct
+from oracles import covariance_pca, jacobi_eigh, reconstruct
 
 
 def test_rank1_line_data():
@@ -118,6 +120,62 @@ def test_gram_trick_when_dim_exceeds_samples():
     cov = centered.T @ centered / 9
     direct = np.sort(np.linalg.eigvalsh(cov))[::-1][:6]
     np.testing.assert_allclose(model.eigenvalues, direct, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n,dim,target", [(60, 24, 8), (30, 30, 10), (1000, 256, 32), (1600, 256, 32)]
+)
+def test_covariance_fit_matches_oracle_exactly(n, dim, target):
+    # D <= n: the covariance eigendecomposition, bit for bit
+    rng = np.random.default_rng(n + dim)
+    samples = rng.normal(size=(n, dim)) @ rng.normal(size=(dim, dim))
+    model = fit_pca(samples, target)
+    mean, basis, eig = covariance_pca(samples, target)
+    assert np.array_equal(model.mean, mean)
+    assert np.array_equal(model.basis, basis)
+    assert np.array_equal(model.eigenvalues, eig)
+
+
+@pytest.mark.parametrize(
+    "samples,target,live",
+    [
+        (np.tile(np.random.default_rng(41).normal(size=300), (20, 1)), 10, 0),
+        (np.repeat(np.random.default_rng(43).normal(size=(50, 512)), 8, axis=0), 128, 49),
+    ],
+    ids=["identical-rows", "50-rows-repeated"],
+)
+def test_gram_fit_completes_zero_variance_directions(samples, target, live):
+    # D > n with fewer live components than target: the rest of the basis is
+    # completed to an orthonormal set and carries exactly zero variance
+    model = fit_pca(samples, target)
+    np.testing.assert_allclose(model.basis @ model.basis.T, np.eye(target), rtol=0, atol=1e-12)
+    assert np.all(model.eigenvalues[:live] > 0.0)
+    assert np.all(model.eigenvalues[live:] == 0.0)
+    proj = project_many(model, samples)
+    centered = proj - proj.mean(axis=0)
+    cov = centered.T @ centered / (len(proj) - 1)
+    off = cov - np.diag(np.diag(cov))
+    assert np.abs(off).max() <= 1e-9 * max(model.eigenvalues[0], 1.0)
+    np.testing.assert_allclose(np.diag(cov), model.eigenvalues, rtol=1e-6, atol=1e-9)
+    assert fit_pca(samples, target).to_bytes() == model.to_bytes()
+
+
+def test_projection_beyond_float32_rejected():
+    model = fit_pca(np.random.default_rng(47).normal(size=(30, 6)), target_dim=3)
+    with pytest.raises(InvalidVectorError, match="float32"):
+        project(model, model.mean + 1e39 * model.basis[0])
+    with pytest.raises(InvalidVectorError, match="float32"):
+        project_many(model, [model.mean, model.mean - 1e39 * model.basis[1]])
+    assert project_many(model, np.empty((0, 6))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("field", ["mean", "basis", "eigenvalues"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_model_rejected(field, value):
+    model = fit_pca(np.random.default_rng(53).normal(size=(20, 6)), target_dim=3)
+    getattr(model, field).flat[1] = value
+    with pytest.raises(DataFormatError, match="NaN or Inf"):
+        PcaModel.from_bytes(model.to_bytes())
 
 
 def test_input_validation():
