@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -153,8 +154,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _percentile(sorted_vals, q):
-    i = min(int(q * len(sorted_vals)), len(sorted_vals) - 1)
-    return sorted_vals[i]
+    """Nearest-rank percentile of ascending values, q in (0, 1]."""
+    return sorted_vals[max(0, math.ceil(q * len(sorted_vals)) - 1)]
 
 
 def _cmd_bench(args) -> int:

@@ -6,7 +6,9 @@ the textbook D x D route with no Gram matrix or QR, average precision is
 recomputed directly from its textbook definition, the calibrated
 threshold is a mean over explicitly enumerated pairs, a cosine distance is
 one dot product over two norms, a signature's bits are read byte by byte,
-and a reconstruction is the textbook mean + basisᵀy.
+a signature is the L2 distance to every centroid at once, as
+`np.linalg.norm` computes it, and a reconstruction is the textbook
+mean + basisᵀy.
 """
 
 import numpy as np
@@ -105,6 +107,16 @@ def signature_bits(sig):
     """A signature's bits as a list of bools: bit i at byte i // 8, bit
     position i % 8, least significant first."""
     return [bool((sig.data[i // 8] >> (i % 8)) & 1) for i in range(sig.width)]
+
+
+def reference_signature(centroids, threshold, x):
+    """Signature bytes straight from the definition: bit i set iff
+    `np.linalg.norm(C - x, axis=1)[i] < threshold`, over the whole float64
+    centroid matrix, packed LSB first."""
+    C = np.asarray(centroids, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    bits = np.linalg.norm(C - x, axis=1) < threshold
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def reconstruct(model, y):

@@ -378,3 +378,13 @@ def test_query_at_pca_mean_exit_2(filled_copy, tmp_path, capsys):
     rc, err = run(capsys, "bench", "--index", idx, "--queries", tmp_path / "mean.mlhc")
     assert rc == 2, err
     assert err.startswith("data error: ") and "non-finite or zero" in err
+
+
+@pytest.mark.parametrize(
+    "n,q,want",
+    [(10, 0.90, 9), (100, 0.90, 90), (10, 0.50, 5), (100, 0.99, 99), (1, 0.99, 1), (3, 0.50, 2)],
+)
+def test_bench_percentile_is_nearest_rank(n, q, want):
+    # the value at rank ceil(q * n), as benchmark/workloads.py reports it;
+    # the old int(q * n) index was one rank too high
+    assert cli._percentile(list(range(1, n + 1)), q) == want
