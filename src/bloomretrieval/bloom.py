@@ -75,6 +75,8 @@ class LayeredBloomFilter:
             raise ValueError(f"unknown layers: {bad}")
         if not 1 <= len(self.layers) <= 3:
             raise ValueError("filter needs 1 to 3 layers")
+        if len(set(self.layers)) != len(self.layers):
+            raise ValueError(f"repeated layer in {self.layers}")
         if self.bits is None:
             self.bits = bytearray((self.m + 7) // 8)
 
@@ -138,6 +140,8 @@ class LayeredBloomFilter:
             (seed,) = r.unpack("I")
             if seed not in seed_to_layer:
                 raise ConfigMismatchError(f"unknown layer seed {seed}")
+            if seed_to_layer[seed] in layers:
+                raise ConfigMismatchError(f"repeated layer seed {seed}")
             layers.append(seed_to_layer[seed])
         (count,) = r.unpack("Q")
         bits = bytearray(r.take((m + 7) // 8))

@@ -164,12 +164,12 @@ def _cmd_bench(args) -> int:
     queries = pipeline.read_features(args.queries)
     top_k = bundle.config.top_k if args.top_k is None else args.top_k
 
+    compressed = [pipeline.compress_record(bundle, q).compressed for q in queries]
     for name, fn in (("hierarchical", query_hierarchical), ("brute-force", brute_force_scan)):
         times = []
-        for q in queries:
-            rec = pipeline.compress_record(bundle, q)
+        for vectors in compressed:
             t0 = time.perf_counter()
-            fn(index, rec.compressed, top_k)
+            fn(index, vectors, top_k)
             times.append(time.perf_counter() - t0)
         times.sort()
         print(

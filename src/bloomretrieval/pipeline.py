@@ -165,6 +165,8 @@ def write_features(path, records: list[RawRecord]) -> None:
     set and 1-D shapes against the first record's, its id and label lengths),
     so a bad record raises before the file is opened."""
     layers = LAYERS[: len(records[0].features)] if records else ()
+    if records and not layers:
+        raise InconsistentDimsError(f"record {records[0].id!r} has no layers")
     shapes = [np.shape(records[0].features.get(layer)) for layer in layers]
     layer_set = set(layers)
     for rec in records:
@@ -353,24 +355,16 @@ class EvaluationReport:
     query_ids: list[str]
     average_precisions: list[float | None]  # None = excluded (absent label)
     mean_average_precision: float | None
-    query_times: list[float]
-    mean_query_time: float
     bloom_rejections: int
     correct_rejections: int
     bloom_false_positives: int
+    query_times: list[float]
+    mean_query_time: float
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "query_ids": self.query_ids,
-            "average_precisions": self.average_precisions,
-            "mean_average_precision": self.mean_average_precision,
-            "bloom_rejections": self.bloom_rejections,
-            "correct_rejections": self.correct_rejections,
-            "bloom_false_positives": self.bloom_false_positives,
-        }
-        if include_timing:
-            d["query_times"] = self.query_times
-            d["mean_query_time"] = self.mean_query_time
+        d = asdict(self)
+        if not include_timing:
+            del d["query_times"], d["mean_query_time"]
         return d
 
 
@@ -382,10 +376,10 @@ def evaluate(
 ) -> EvaluationReport:
     """Run gated queries and score mAP against shared-label ground truth.
 
-    A query rejected by the filter scores AP 0 when its label is indexed;
-    queries whose label is absent from the index are distractors: excluded
-    from mAP, counted as correct rejections (if rejected) or filter false
-    positives (if passed).
+    A query whose label is indexed scores the AP of the ids the gate
+    returned, so a rejected one scores 0. A query whose label is absent is a
+    distractor: excluded from mAP, counted as a correct rejection if
+    rejected and as a filter false positive if passed.
     """
     if not queries:
         raise ValueError("evaluation requires at least one query")
@@ -394,40 +388,26 @@ def evaluate(
     for rec in index.records:
         relevant_by_label.setdefault(rec.label, []).append(rec.id)
 
-    ids, aps, times = [], [], []
-    rejections = correct_rejections = false_positives = 0
+    aps, times, outcomes = [], [], []  # outcomes: (rejected, distractor)
     for q in queries:
         t0 = time.perf_counter()
         result = gated_query(bundle, index, q.features, top_k)
         times.append(time.perf_counter() - t0)
-        ids.append(q.id)
-        distractor = q.label not in relevant_by_label
-        if result.rejected:
-            rejections += 1
-            if distractor:
-                correct_rejections += 1
-                aps.append(None)
-            else:
-                aps.append(0.0)
-            continue
-        if distractor:
-            false_positives += 1
-            aps.append(None)
-        else:
-            ranked = [rid for rid, _ in result.results]
-            aps.append(average_precision(ranked, relevant_by_label[q.label]))
+        relevant = relevant_by_label.get(q.label)
+        outcomes.append((result.rejected, relevant is None))
+        ranked = [rid for rid, _ in result.results]
+        aps.append(None if relevant is None else average_precision(ranked, relevant))
 
     included = [a for a in aps if a is not None]
-    mean_ap = sum(included) / len(included) if included else None
     return EvaluationReport(
-        query_ids=ids,
+        query_ids=[q.id for q in queries],
         average_precisions=aps,
-        mean_average_precision=mean_ap,
+        mean_average_precision=sum(included) / len(included) if included else None,
+        bloom_rejections=sum(r for r, _ in outcomes),
+        correct_rejections=sum(r and d for r, d in outcomes),
+        bloom_false_positives=sum(d and not r for r, d in outcomes),
         query_times=times,
         mean_query_time=sum(times) / len(times),
-        bloom_rejections=rejections,
-        correct_rejections=correct_rejections,
-        bloom_false_positives=false_positives,
     )
 
 

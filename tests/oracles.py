@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the eigensolver is a
 hand-rolled cyclic Jacobi sweep (not numpy.linalg), the covariance PCA is
 the textbook D x D route with no Gram matrix or QR, average precision is
-recomputed directly from its textbook definition, the calibrated
+recomputed directly from its textbook definition, an evaluation report
+is rescored case by case from each query's gated result, the calibrated
 threshold is a mean over explicitly enumerated pairs, a cosine distance is
 one dot product over two norms, a signature's bits are read byte by byte,
 a signature is the L2 distance to every centroid at once, as
@@ -78,6 +79,42 @@ def average_precision_oracle(ranked_ids, relevant_ids):
     missing = len(relevant) - seen_relevant
     precisions.extend([0.0] * missing)
     return sum(precisions) / len(relevant)
+
+
+def evaluation_oracle(queries, results, indexed):
+    """An evaluation report's fields, timing aside, from each query's
+    `gated_query` result and the (id, label) pairs of the index, by four
+    cases: a rejected query of an indexed label scores AP 0.0, a passed one
+    the AP of its ranking; a distractor (a label not indexed) scores None
+    and counts as a correct rejection if rejected, a false positive if not."""
+    relevant = {}
+    for rid, label in indexed:
+        relevant.setdefault(label, []).append(rid)
+    aps = []
+    rejections = correct_rejections = false_positives = 0
+    for q, res in zip(queries, results):
+        if res.rejected:
+            rejections += 1
+            if q.label in relevant:
+                aps.append(0.0)
+            else:
+                correct_rejections += 1
+                aps.append(None)
+        elif q.label in relevant:
+            ranked = [rid for rid, _ in res.results]
+            aps.append(average_precision_oracle(ranked, relevant[q.label]))
+        else:
+            false_positives += 1
+            aps.append(None)
+    included = [a for a in aps if a is not None]
+    return {
+        "query_ids": [q.id for q in queries],
+        "average_precisions": aps,
+        "mean_average_precision": sum(included) / len(included) if included else None,
+        "bloom_rejections": rejections,
+        "correct_rejections": correct_rejections,
+        "bloom_false_positives": false_positives,
+    }
 
 
 def mean_same_class_cosine_distance(labels, rows):

@@ -181,6 +181,10 @@ class TestFormulas:
             with pytest.raises(ValueError, match="filter size"):
                 LayeredBloomFilter(m=m, layers=("L1",))
 
+    def test_repeated_layer_rejected(self):
+        # a repeated layer would count twice in k, and so in Eq. 1 and Eq. 2
+        with pytest.raises(ValueError, match="repeated layer"):
+            LayeredBloomFilter(m=64, layers=("L1", "L1"))
 
     def test_memory_ceiling(self):
         # MAX_BITS is 2 GiB of bits; one more is refused before allocating
@@ -245,6 +249,12 @@ class TestSerialization:
         blob = bytearray(LayeredBloomFilter(m=777, layers=("L1",)).to_bytes())
         blob[4:13] = struct.pack("<QB", m, k)
         with pytest.raises(DataFormatError, match=f"m={m}, k={k}"):
+            LayeredBloomFilter.from_bytes(bytes(blob))
+
+    def test_repeated_seed_rejected(self):
+        blob = bytearray(LayeredBloomFilter(m=777, layers=("L1", "L2")).to_bytes())
+        blob[17:21] = struct.pack("<I", 1)  # magic, m u64, k u8, first seed, then the second
+        with pytest.raises(ConfigMismatchError, match="repeated layer seed 1"):
             LayeredBloomFilter.from_bytes(bytes(blob))
 
     def test_truncated(self):

@@ -226,6 +226,31 @@ def test_part_of_other_width_exit_3(filled_copy, tmp_path, capsys, part):
         assert err.startswith("config mismatch: ")
 
 
+def test_repeated_filter_seed_exit_3(filled_copy, capsys):
+    idx, qrys = filled_copy
+    blob = bytearray((idx / "filter.bin").read_bytes())
+    blob[17:21] = struct.pack("<I", 1)  # the L2 seed becomes a second L1
+    (idx / "filter.bin").write_bytes(bytes(blob))
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 3, err
+    assert err.startswith("config mismatch: repeated layer seed 1")
+
+
+def test_bench_compresses_each_query_once(filled, capsys, monkeypatch):
+    idx, _, qrys = filled
+    calls = []
+    compress = pipeline.compress_record
+
+    def counted(bundle, raw):
+        calls.append(raw.id)
+        return compress(bundle, raw)
+
+    monkeypatch.setattr(pipeline, "compress_record", counted)
+    rc, err = run(capsys, "bench", "--index", idx, "--queries", qrys)
+    assert rc == 0, err
+    assert calls == [q.id for q in pipeline.read_features(qrys)]
+
+
 @pytest.mark.parametrize("top_k", ["-1", "0"])
 def test_bad_top_k_exit_1(filled, capsys, top_k):
     idx, _, qrys = filled

@@ -17,7 +17,7 @@ from bloomretrieval.errors import (
 )
 from bloomretrieval.index import save_records
 
-from oracles import average_precision_oracle
+from oracles import average_precision_oracle, evaluation_oracle
 
 
 def small_config(layers=("L1", "L2", "L3"), **kw):
@@ -186,6 +186,13 @@ class TestFeatureFiles:
         with pytest.raises(InconsistentDimsError):
             pl.write_features(p, records)
         assert p.read_bytes() == before
+
+    def test_record_with_no_layers_rejected_before_writing(self, tmp_path):
+        # its file would declare layer count 0, which read_features refuses
+        p = tmp_path / "none.mlhc"
+        with pytest.raises(InconsistentDimsError, match="no layers"):
+            pl.write_features(p, [pl.RawRecord("a", "c", {})])
+        assert not p.exists()
 
     @pytest.mark.parametrize("layer_count", [0, 4])
     def test_layer_count_out_of_range(self, tmp_path, layer_count):
@@ -396,6 +403,36 @@ class TestEvaluate:
         assert report.mean_average_precision is None
         assert report.bloom_rejections + report.bloom_false_positives == 50
         assert report.correct_rejections == report.bloom_rejections
+
+    def test_every_outcome_scored_as_the_oracle(self, tmp_path):
+        records, queries = synth_records(tmp_path, classes=4, per_class=10, queries_per_class=3)
+        bundle = pl.train(small_config(threshold_scales={l: 4.0 for l in ("L1", "L2", "L3")}), records)
+        index = bundle.new_index()
+        for r in records:
+            pl.add_record(bundle, index, r)
+        rng = np.random.default_rng(12)
+
+        def far():
+            return {l: 100 + rng.normal(size=24) for l in ("L1", "L2", "L3")}
+
+        mixed = [
+            *queries,  # held out from indexed classes
+            *(pl.RawRecord(f"far-{i}", records[0].label, far()) for i in range(5)),
+            *(pl.RawRecord(f"copy-{i}", "unseen", r.features) for i, r in enumerate(records[::10])),
+            *(pl.RawRecord(f"stray-{i}", "unseen", far()) for i in range(5)),
+        ]
+        report = pl.evaluate(bundle, index, mixed)
+        results = [pl.gated_query(bundle, index, q.features) for q in mixed]
+        # (rejected, distractor): hits, rejected indexed labels, passed and
+        # rejected distractors all occur
+        outcomes = {(res.rejected, q.label == "unseen") for q, res in zip(mixed, results)}
+        assert outcomes == {(False, False), (True, False), (False, True), (True, True)}
+        want = evaluation_oracle(mixed, results, [(r.id, r.label) for r in index.records])
+        assert report.to_dict(include_timing=False) == want
+        assert list(report.to_dict()) == [
+            "query_ids", "average_precisions", "mean_average_precision", "bloom_rejections",
+            "correct_rejections", "bloom_false_positives", "query_times", "mean_query_time",
+        ]
 
     def test_empty_query_set(self, tmp_path):
         records, _ = synth_records(tmp_path, classes=2, per_class=10)
