@@ -20,6 +20,7 @@ from .index import (
     ThresholdSet,
     brute_force_scan,
     calibrate_thresholds,
+    l2_normalize,
     query_hierarchical,
 )
 from .murmur3 import murmur3_x64_128
@@ -39,7 +40,6 @@ from .pipeline import (
     train,
     write_features,
 )
-from .vecmath import l2_normalize
 
 __version__ = "0.1.0"
 

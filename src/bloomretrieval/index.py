@@ -12,9 +12,14 @@ ranked by the finest (L1) distance.
 The staged path is a pruning strategy only: its output is exactly equal to
 a full brute-force scan applying the same thresholds, which doubles as its
 test oracle and timing baseline. Both paths score through one distance
-kernel, `vecmath.unit_cosine_distances`, which gives a row the same bits in
-any block; a BLAS product would not, and the two paths would disagree in
-the last bit at a threshold.
+kernel, `unit_cosine_distances`, often over different blocks of the same
+rows. Its einsum takes each row's dot product on its own, so a row gets the
+same bits in any block; a BLAS product would not (its blocking changes the
+summation order), and the two paths would disagree in the last bit at a
+threshold. `unit_rows` takes its norms from the same per-row einsum, so a
+vector normalised alone or inside a matrix gets the same bits. Both compute
+in float64 although the record store holds float32: the extra precision
+keeps the distance accumulation stable, and the bound below is for it.
 
 Buckets. `freeze()` groups the rows by their signature on the first stage's
 layer (the paper's neural hash of L3) and lays out every layer's matrix in
@@ -50,8 +55,8 @@ the kernel's clip at 2 would pass every row.
 
 Each layer's threshold is calibrated as the mean cosine distance over all
 same-class pairs of training vectors. It is computed in closed form from
-each class's sum of unit rows (`vecmath.unit_rows`, the normalisation the
-index uses), so no pair is visited. The record store gives ids and labels
+each class's sum of unit rows (`unit_rows`, the normalisation the index
+uses), so no pair is visited. The record store gives ids and labels
 u16 length prefixes; a longer one raises `DataFormatError` before the file
 is opened.
 """
@@ -73,13 +78,49 @@ from .errors import (
     InconsistentDimsError,
     InvalidVectorError,
 )
-from .vecmath import l2_normalize, unit_cosine_distances, unit_rows
 
 _MAGIC = b"MHIX"
 
 # floor applied to degenerate (identical-image) calibrated thresholds so
 # exact duplicates still match
 THRESHOLD_FLOOR = 1e-6
+
+
+def unit_rows(rows) -> np.ndarray:
+    """Each row of a 2-D array (or a sequence of equal-length vectors) scaled
+    to unit L2 norm, as a new contiguous float64 matrix. A row with no
+    direction (a NaN or Inf, a norm that overflows, or a zero norm) raises
+    `InvalidVectorError` naming the first such row.
+    """
+    m = np.array(rows, dtype=np.float64, order="C")
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D array of rows, got shape {m.shape}")
+    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    usable = (norms > 0.0) & (norms < np.inf)  # False for NaN
+    if not usable.all():
+        bad = int(np.argmin(usable))
+        raise InvalidVectorError(f"row {bad} is non-finite or zero, or its norm overflows")
+    m /= norms[:, None]
+    return m
+
+
+def l2_normalize(a) -> np.ndarray:
+    """A 1-D vector scaled to unit L2 norm, with the bits `unit_rows` gives
+    it as a row; the same errors, and `ValueError` for input that is not 1-D."""
+    v = np.asarray(a, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    return unit_rows(v[None, :])[0]
+
+
+def unit_cosine_distances(rows: np.ndarray, qn: np.ndarray) -> np.ndarray:
+    """Cosine distance from a unit query to each unit row, clamped to [0, 2]:
+    the one kernel of both retrieval paths. The clamp absorbs the rounding
+    that would otherwise push a self-match a few ulps below zero.
+    """
+    d = 1.0 - np.einsum("ij,j->i", rows, qn)
+    np.clip(d, 0.0, 2.0, out=d)
+    return d
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binseq, pca
-from .binseq import BinarySignature, CentroidDictionary
+from .binseq import CentroidDictionary
 from .binio import Reader, pack_id_label
 from .bloom import LAYERS, MAX_BITS, LayeredBloomFilter, optimal_bits
 from .errors import (
@@ -194,7 +194,9 @@ def write_features(path, records: list[RawRecord]) -> None:
 
 
 def read_features(path) -> list[RawRecord]:
-    """Parse an MLHC feature file into raw records (float64 in memory)."""
+    """Parse an MLHC feature file into raw records. A record's features are
+    float32 as stored, one array per record with a view per layer; each
+    consumer widens what it computes with."""
     r = Reader(Path(path).read_bytes(), "feature file", _MLHC_MAGIC)
     version, count, layer_count = r.unpack("HQB")
     if version != _MLHC_VERSION:
@@ -203,7 +205,7 @@ def read_features(path) -> list[RawRecord]:
     if layer_count > len(LAYERS) or (count and not layer_count):
         raise DataFormatError(f"feature file layer count {layer_count} is not 1..3")
     layers = LAYERS[:layer_count]
-    dims = [r.unpack("I")[0] for _ in layers]
+    bounds = np.cumsum([0, *(r.unpack("I")[0] for _ in layers)]).tolist()
 
     records = []
     seen = set()
@@ -213,7 +215,8 @@ def read_features(path) -> list[RawRecord]:
         if rid in seen:
             raise DuplicateIdError(f"duplicate record id {rid!r}")
         seen.add(rid)
-        features = {layer: r.floats(d) for layer, d in zip(layers, dims)}
+        row = r.floats(bounds[-1], np.float32)
+        features = {layer: row[a:b] for layer, a, b in zip(layers, bounds, bounds[1:])}
         records.append(RawRecord(rid, lab, features))
     r.end()
     return records
@@ -426,14 +429,17 @@ def synth_generate(
     queries_path=None,
 ) -> tuple[int, int]:
     """Gaussian class-blob features written in MLHC format, one file for the
-    database and optionally one for held-out queries from the same centers."""
+    database and optionally one for held-out queries from the same centers.
+    Every argument is checked before anything is drawn or written."""
     if classes < 1 or per_class < 1 or queries_per_class < 0:
         raise ValueError("counts must be positive")
     layer_dims = list(layer_dims)
-    if not layer_dims or any(d < 1 for d in layer_dims):
-        raise ValueError("layer dims must be positive")
-    if noise_scale < 0:
-        raise ValueError("noise scale must be non-negative")
+    if not 1 <= len(layer_dims) <= len(LAYERS) or any(d < 1 for d in layer_dims):
+        raise ValueError(f"need 1 to {len(LAYERS)} positive layer dims, got {layer_dims}")
+    if not 0 <= noise_scale < math.inf:
+        raise ValueError(f"noise scale must be finite and >= 0, got {noise_scale!r}")
+    if queries_per_class and queries_path is None:
+        raise ValueError("queries_path required when queries_per_class > 0")
     layers = LAYERS[: len(layer_dims)]
 
     rng = np.random.default_rng(seed)
@@ -459,8 +465,6 @@ def synth_generate(
     write_features(out_path, records)
     n_queries = 0
     if queries_per_class:
-        if queries_path is None:
-            raise ValueError("queries_path required when queries_per_class > 0")
         queries = make("qry", queries_per_class)
         write_features(queries_path, queries)
         n_queries = len(queries)
@@ -505,8 +509,10 @@ def save_index_dir(path, bundle: TrainedBundle, index: HierarchicalIndex) -> Non
 
 
 def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
-    with open(os.path.join(path, "config.json"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(Path(path, "config.json").read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(f"config.json: {exc}") from None
     config = PipelineConfig.from_dict(doc)
     calibrated = doc.get("calibrated_thresholds")
     if calibrated is not None and not isinstance(calibrated, dict):

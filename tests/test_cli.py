@@ -200,6 +200,25 @@ def test_corrupt_part_exit_2(filled_copy, capsys, part, edit):
     assert ("truncated" if edit == "cut" else "trailing bytes") in err
 
 
+@pytest.mark.parametrize("edit", ["cut", "append", "non-utf8"])
+def test_corrupt_config_json_exit_2(filled_copy, capsys, edit):
+    idx, qrys = filled_copy
+    blob = (idx / "config.json").read_bytes()
+    (idx / "config.json").write_bytes(
+        {
+            "cut": blob[: len(blob) // 2],
+            "append": blob + b"\x00",
+            "non-utf8": blob.replace(b'"active_layers"', b'"\xffactive_layers"', 1),
+        }[edit]
+    )
+    for command, flag in (
+        ("query", "--features"), ("evaluate", "--queries"), ("bench", "--queries"), ("add", "--features"),
+    ):
+        rc, err = run(capsys, command, "--index", idx, flag, qrys)
+        assert rc == 2, (command, err)
+        assert err.startswith("data error: config.json: "), err
+
+
 @pytest.mark.parametrize(
     "part, first_id", [("records.bin", b"img-000-00000"), ("queries", b"qry-000-00000")]
 )
@@ -413,3 +432,16 @@ def test_bench_percentile_is_nearest_rank(n, q, want):
     # the value at rank ceil(q * n), as benchmark/workloads.py reports it;
     # the old int(q * n) index was one rank too high
     assert cli._percentile(list(range(1, n + 1)), q) == want
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--noise", "nan"), ("--noise", "inf"), ("--dims", "4,4,4,4"), ("--queries-per-class", "1")],
+    ids=["noise-nan", "noise-inf", "four-dims", "queries-without-path"],
+)
+def test_synth_refuses_before_writing(tmp_path, capsys, flag, value):
+    args = {"--classes": "2", "--per-class": "3", "--dims": "4,4", "--out": tmp_path / "feats.mlhc"}
+    args[flag] = value
+    rc, err = run(capsys, "synth", *(x for pair in args.items() for x in pair))
+    assert rc == 1 and err.startswith("error: "), err
+    assert list(tmp_path.iterdir()) == []

@@ -16,11 +16,12 @@ from bloomretrieval.index import (
     ThresholdSet,
     brute_force_scan,
     calibrate_thresholds,
+    l2_normalize,
     load_records,
     query_hierarchical,
     save_records,
+    unit_cosine_distances,
 )
-from bloomretrieval.vecmath import l2_normalize, unit_cosine_distances
 
 from oracles import cosine_distance, mean_same_class_cosine_distance
 

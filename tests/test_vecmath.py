@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bloomretrieval.errors import InvalidVectorError
-from bloomretrieval.vecmath import l2_normalize, unit_cosine_distances, unit_rows
+from bloomretrieval.index import l2_normalize, unit_cosine_distances, unit_rows
 
 from oracles import cosine_distance
 
