@@ -15,7 +15,7 @@ import time
 
 from . import pipeline
 from .errors import ConfigMismatchError, DataFormatError
-from .index import brute_force_scan, query_hierarchical
+from .index import brute_force_scan, check_top_k, query_hierarchical
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +107,8 @@ def _cmd_add(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    if args.top_k is not None:  # before any file is read
+        check_top_k(args.top_k)
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
     queries = pipeline.read_features(args.features)
@@ -159,9 +161,13 @@ def _percentile(sorted_vals, q):
 
 
 def _cmd_bench(args) -> int:
+    if args.top_k is not None:  # before any file is read
+        check_top_k(args.top_k)
     bundle, index = pipeline.load_index_dir(args.index)
     index.freeze()
     queries = pipeline.read_features(args.queries)
+    if not queries:
+        raise ValueError(f"{args.queries} holds no query records")
     top_k = bundle.config.top_k if args.top_k is None else args.top_k
 
     compressed = [pipeline.compress_record(bundle, q).compressed for q in queries]

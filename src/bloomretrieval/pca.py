@@ -1,10 +1,16 @@
 """PCA compression of raw layer features down to a fixed target dimension.
 
-The fitted model keeps the top principal components of the sample covariance
-(descending eigenvalue order), from one eigendecomposition of the smaller of
-the D x D covariance and the n x n Gram matrix, which share their nonzero
-eigenvalues. From the Gram matrix the components are lifted to input space;
-QR completes any zero-variance directions to an orthonormal basis.
+The model keeps the top principal components from one eigh of S, the smaller
+of the D x D covariance and the n x n Gram matrix (over n - 1); one QR lifts
+Gram components to an orthonormal basis. Each selected eigenvalue at or below
+f = 4u (k tr S + (n + 2)^2 u X), u = 2^-53, k = max(n, D), X = sum_j max_i
+x_ij^2, becomes 0 with its lifted column, which the QR completes. Centring
+errs by (n + 2) u max_i |x_ij| an entry, a product entry by k u sum |c_p c_q|
+(Higham 2002, 3.5), so z'Sz <= 2 (n + 2)^2 u^2 X + k u tr S for a unit z with
+Cz = 0 (C^T z = 0 for Gram), C the exactly centred samples (Cauchy-Schwarz).
+By Courant-Fischer that bounds as many eigenvalues of S as C has null
+directions, and eigh moves each by at most N u |S| <= k u tr S (Golub & Van
+Loan, 8.1). f doubles the sum for second-order terms; it scales as x^2 does.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from .binio import Reader
 from .errors import DimensionMismatchError, InvalidVectorError
 
-_EIG_CLAMP = -1e-9
+_U = 2.0**-53
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -36,11 +42,12 @@ class PcaModel:
         return int(self.basis.shape[0])
 
     def to_bytes(self) -> bytes:
-        out = [struct.pack("<II", self.input_dim, self.target_dim)]
-        out.append(self.mean.astype("<f4").tobytes())
-        out.append(self.basis.astype("<f4").tobytes())
-        out.append(self.eigenvalues.astype("<f4").tobytes())
-        return b"".join(out)
+        """The model at float32; `InvalidVectorError` for a finite value beyond it."""
+        fields = (self.mean, self.basis, self.eigenvalues)
+        if any(np.any(np.isfinite(f) & (abs(f) > _F32_MAX)) for f in fields):
+            raise InvalidVectorError("raw features too large: their PCA model exceeds float32")
+        head = struct.pack("<II", self.input_dim, self.target_dim)
+        return head + b"".join(f.astype("<f4").tobytes() for f in fields)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PcaModel":
@@ -87,24 +94,17 @@ def fit_pca(samples, target_dim: int) -> PcaModel:
     mean = X.mean(axis=0)
     centered = X - mean
     # D > n: the n x n Gram matrix (eigenfaces), else the D x D covariance
-    small = centered @ centered.T if dim > n else centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(small / (n - 1))
+    S = (centered @ centered.T if dim > n else centered.T @ centered) / (n - 1)
+    eigvals, eigvecs = np.linalg.eigh(S)
     order = np.argsort(eigvals)[::-1][:target_dim]
-    eig = eigvals[order]
-    vecs = eigvecs[:, order]
+    eig, vecs = eigvals[order], eigvecs[:, order]
+    col_max = abs(X).max(axis=0)  # the floor f of the module docstring
+    null = eig <= 4 * _U * (max(n, dim) * np.trace(S) + (n + 2) ** 2 * _U * col_max.dot(col_max))
+    eig[null] = 0.0
     if dim > n:
         vecs = centered.T @ vecs
-        dead = eig <= 1e-12
-        if dead.any():
-            # QR normalises the live columns and completes the rest
-            eig[dead] = 0.0
-            vecs[:, dead] = 0.0
-            vecs = np.linalg.qr(vecs)[0]
-        else:
-            vecs /= np.linalg.norm(vecs, axis=0)
-    if np.any(eig < _EIG_CLAMP):
-        raise ValueError("covariance produced a significantly negative eigenvalue")
-    eig = np.clip(eig, 0.0, None)
+        vecs[:, null] = 0.0
+        vecs = np.linalg.qr(vecs)[0]
     return PcaModel(mean=mean, basis=_fix_signs(vecs.T.copy()), eigenvalues=eig)
 
 

@@ -82,8 +82,8 @@ class PipelineConfig:
     threshold_scales: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Check each value's type and range, so a bad config.json fails here
-        with `ValueError` (CLI exit 1), not later in training or querying."""
+        """Check each value's type and range, so a bad config fails here with
+        `ValueError`, not later in training or querying."""
         layers = self.active_layers
         layers = tuple(layers) if isinstance(layers, (list, tuple)) else ()
         object.__setattr__(self, "active_layers", layers)
@@ -275,14 +275,16 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
         if any(v is None for v in raws):
             raise ConfigMismatchError(f"training records missing layer {layer}")
         raw = np.vstack(raws)
-        model = pca.fit_pca(raw, config.pca_dim)
+        # the model and threshold as pca-*.bin and dict-*.bin store them, so
+        # the bundle answers as the index it saves does once loaded
+        model = pca.PcaModel.from_bytes(pca.fit_pca(raw, config.pca_dim).to_bytes())
         pca_models[layer] = model
         # float32: the precision records hold and records.bin persists
         compressed[layer] = pca.project_many(model, raw).astype(np.float32)
         dictionaries[layer] = binseq.init_dictionary(
             compressed[layer],
             count=config.centroid_count,
-            threshold=config.binseq_threshold,
+            threshold=_as_f32(config.binseq_threshold),
             rng_seed=config.rng_seed + ordinal,
         )
     calibrated = calibrate_thresholds([r.label for r in records], compressed)
@@ -509,11 +511,12 @@ def save_index_dir(path, bundle: TrainedBundle, index: HierarchicalIndex) -> Non
 
 
 def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
+    # not UTF-8, not one JSON value, or not a valid config: all ValueErrors
     try:
         doc = json.loads(Path(path, "config.json").read_bytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        config = PipelineConfig.from_dict(doc)
+    except ValueError as exc:
         raise DataFormatError(f"config.json: {exc}") from None
-    config = PipelineConfig.from_dict(doc)
     calibrated = doc.get("calibrated_thresholds")
     if calibrated is not None and not isinstance(calibrated, dict):
         raise DataFormatError("calibrated_thresholds must be a JSON object")

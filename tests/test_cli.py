@@ -200,15 +200,23 @@ def test_corrupt_part_exit_2(filled_copy, capsys, part, edit):
     assert ("truncated" if edit == "cut" else "trailing bytes") in err
 
 
-@pytest.mark.parametrize("edit", ["cut", "append", "non-utf8"])
+@pytest.mark.parametrize(
+    "edit", ["cut", "append", "non-utf8", "pca-dim-0", "unknown-key", "list-wrapped"]
+)
 def test_corrupt_config_json_exit_2(filled_copy, capsys, edit):
+    # an index's config.json is a part of it: a value that `train --config`
+    # refuses with exit 1 exits 2 here
     idx, qrys = filled_copy
     blob = (idx / "config.json").read_bytes()
+    doc = json.loads(blob)
     (idx / "config.json").write_bytes(
         {
             "cut": blob[: len(blob) // 2],
             "append": blob + b"\x00",
             "non-utf8": blob.replace(b'"active_layers"', b'"\xffactive_layers"', 1),
+            "pca-dim-0": json.dumps({**doc, "pca_dim": 0}).encode(),
+            "unknown-key": json.dumps({**doc, "top_kk": 10}).encode(),
+            "list-wrapped": json.dumps([doc]).encode(),
         }[edit]
     )
     for command, flag in (
@@ -445,3 +453,85 @@ def test_synth_refuses_before_writing(tmp_path, capsys, flag, value):
     rc, err = run(capsys, "synth", *(x for pair in args.items() for x in pair))
     assert rc == 1 and err.startswith("error: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_top_k_checked_before_any_file_is_read(filled, tmp_path, capsys):
+    idx, _, _ = filled
+    empty = tmp_path / "empty.mlhc"
+    pipeline.write_features(empty, [])
+    for command, flag in (("query", "--features"), ("bench", "--queries")):
+        for index in (idx, tmp_path / "no-such-index"):
+            rc, err = run(capsys, command, "--index", index, flag, empty, "--top-k", "0")
+            assert rc == 1, (command, index, err)
+            assert err.startswith("error: top_k"), err
+
+
+def test_bench_refuses_empty_query_file(filled, tmp_path, capsys):
+    idx, _, _ = filled
+    empty = tmp_path / "empty.mlhc"
+    pipeline.write_features(empty, [])
+    rc, err = run(capsys, "bench", "--index", idx, "--queries", empty)
+    assert rc == 1, err
+    assert err.startswith("error: ") and str(empty) in err and "no query records" in err
+
+
+@pytest.mark.filterwarnings("error")  # no numpy cast overflow
+def test_train_refuses_model_beyond_float32(workspace, capsys):
+    # features of amplitude 1e20 fit float32, their variance of 1e40 does not
+    tmp_path, feats, _, cfg_path = workspace
+    huge = [
+        pipeline.RawRecord(r.id, r.label, {l: 1e20 * v for l, v in r.features.items()})
+        for r in pipeline.read_features(feats)
+    ]
+    pipeline.write_features(tmp_path / "huge.mlhc", huge)
+    rc, err = run(capsys, "train", "--config", cfg_path, "--features", tmp_path / "huge.mlhc", "--out", tmp_path / "new")
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "float32" in err
+    assert not (tmp_path / "new").exists()
+
+
+def _signature_bytes_3(blob):
+    # the first record's L1 signature byte count, after its label, its
+    # vector width and its 8 floats: 3 bytes do not fit 16 bits
+    at = blob.index(b"class-000") + len(b"class-000") + 4 + 4 * 8
+    return blob[:at] + struct.pack("<H", 3) + blob[at + 2:]
+
+
+def _pca_one_dim_short(blob):
+    model = PcaModel.from_bytes(blob)
+    return PcaModel(model.mean, model.basis[:-1], model.eigenvalues[:-1]).to_bytes()
+
+
+def _filter_without_l3(blob):
+    # magic and m (12 bytes), the layer count, then one u32 seed per layer
+    return blob[:12] + bytes([2]) + blob[13:21] + blob[25:]
+
+
+def _calibrated_without_l3(blob):
+    doc = json.loads(blob)
+    del doc["calibrated_thresholds"]["L3"]
+    return json.dumps(doc).encode()
+
+
+def _feature_file_version_2(blob):
+    return blob[:4] + struct.pack("<H", 2) + blob[6:]
+
+
+@pytest.mark.parametrize(
+    "part, edit, code, message",
+    [
+        ("records.bin", _signature_bytes_3, 3, "signature byte width 3 does not fit 16 bits"),
+        ("pca-L2.bin", _pca_one_dim_short, 3, "PCA target dim 7 != configured 8"),
+        ("filter.bin", _filter_without_l3, 3, "filter layers ('L1', 'L2') != configured"),
+        ("config.json", _calibrated_without_l3, 3, "calibrated thresholds missing"),
+        ("queries", _feature_file_version_2, 2, "unsupported feature file version 2"),
+    ],
+    ids=["record-signature-bytes", "pca-target-dim", "filter-layers", "calibrated-layer", "mlhc-version"],
+)
+def test_cross_check_exit_code(filled_copy, capsys, part, edit, code, message):
+    idx, qrys = filled_copy
+    target = qrys if part == "queries" else idx / part
+    target.write_bytes(edit(target.read_bytes()))
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == code, err
+    assert message in err

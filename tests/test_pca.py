@@ -201,3 +201,67 @@ def test_serialization_round_trip():
     np.testing.assert_allclose(back.mean, model.mean, atol=1e-6)
     np.testing.assert_allclose(back.basis, model.basis, atol=1e-6)
     assert back.to_bytes() == blob
+
+
+def _rank_r(seed, n, rank, dim, amplitude):
+    rng = np.random.default_rng(seed)
+    directions = np.linalg.qr(rng.normal(size=(dim, rank)))[0]
+    return amplitude * rng.normal(size=(n, rank)) @ directions.T
+
+
+def _spread_spectrum(seed, n, dim, decades, amplitude):
+    # full rank n - 1 once centred, singular values spread evenly over decades
+    rng = np.random.default_rng(seed)
+    left = rng.normal(size=(n, n - 1))
+    left = np.linalg.qr(left - left.mean(axis=0))[0]
+    right = np.linalg.qr(rng.normal(size=(dim, n - 1)))[0]
+    return amplitude * (left * np.logspace(0, -decades, n - 1)) @ right.T
+
+
+def _assert_top_subspace(samples, target):
+    """The fit is orthonormal, captures the top-target singular share of the
+    variance, and has eigenvalue exactly 0 on the null directions only: those
+    whose true variance is below what a double-precision fit resolves."""
+    model = fit_pca(samples, target)
+    np.testing.assert_allclose(model.basis @ model.basis.T, np.eye(target), rtol=0, atol=1e-12)
+    centered = samples - samples.mean(axis=0)
+    true_eig = np.linalg.svd(centered, compute_uv=False) ** 2 / (len(samples) - 1)
+    captured = np.sum((centered @ model.basis.T) ** 2) / (len(samples) - 1)
+    assert captured == pytest.approx(true_eig[:target].sum(), rel=1e-9)
+    top = true_eig[:target]
+    assert np.all(model.eigenvalues[top > 1e-11 * top[0]] > 0.0)
+    assert np.all(model.eigenvalues[top < 1e-15 * top[0]] == 0.0)
+    np.testing.assert_allclose(model.eigenvalues, top, rtol=1e-6, atol=1e-12 * top[0])
+    return model
+
+
+def test_rank_deficient_covariance_fit_at_large_amplitude():
+    # D <= n: rounding gives the 53 null directions eigenvalues near -5e-8;
+    # an absolute clamp of -1e-9 refused the fit as a negative covariance
+    model = _assert_top_subspace(_rank_r(61, 500, 10, 64, 1e4), 63)
+    assert np.all(model.eigenvalues[:10] > 0.0)
+    assert np.all(model.eigenvalues[10:] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "samples,target,live",
+    [
+        (_rank_r(67, 60, 2, 65, 3e3), 21, 2),
+        (_spread_spectrum(71, 26, 268, 9, 1e4), 24, None),
+    ],
+    ids=["2-live-dims-at-3e3", "nine-decade-spectrum"],
+)
+def test_gram_fit_orthonormal_with_near_null_eigenvalues(samples, target, live):
+    # D > n: null or unresolved eigenvalues that round above an absolute
+    # 1e-12 cut were lifted and normalised, giving parallel basis rows
+    model = _assert_top_subspace(samples, target)
+    if live is not None:
+        assert np.all(model.eigenvalues[:live] > 0.0)
+        assert np.all(model.eigenvalues[live:] == 0.0)
+
+
+def test_gram_fit_at_small_amplitude_keeps_its_components():
+    # D > n at amplitude 1e-7: every eigenvalue lies below an absolute 1e-12
+    # cut, which zeroed every column and returned a QR completion of zeros
+    model = _assert_top_subspace(1e-7 * np.random.default_rng(73).normal(size=(40, 300)), 10)
+    assert np.all(model.eigenvalues > 0.0)

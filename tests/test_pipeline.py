@@ -527,8 +527,28 @@ class TestIndexDir:
         for q in queries:
             a = pl.gated_query(bundle, index, q.features, top_k=10)
             b = pl.gated_query(bundle2, index2, q.features, top_k=10)
-            assert a.rejected == b.rejected
-            assert [r for r, _ in a.results] == [r for r, _ in b.results]
+            assert a == b  # distances included
+
+    def test_trained_signature_bits_survive_round_trip(self, tmp_path):
+        # axis-aligned, zero-mean samples: the projection is exact, and the
+        # probe lies 0.1000000009 from the centroid at (a, a), outside a
+        # threshold of 0.1 but inside the float32 0.1 that dict-L1.bin holds
+        a = 2.0**-10
+        points = [(a, a), (-a, -a), (a, -a), (-a, a), (1, 0), (-1, 0), (0, 2), (0, -2)]
+        records = [
+            pl.RawRecord(f"r{i}", f"c{i // 4}", {"L1": np.array(p, np.float32)})
+            for i, p in enumerate(points)
+        ]
+        cfg = small_config(layers=("L1",), pca_dim=2, centroid_count=8, binseq_threshold=0.1)
+        bundle = pl.train(cfg, records)
+        pl.save_index_dir(tmp_path / "idx", bundle, bundle.new_index())
+        loaded, _ = pl.load_index_dir(tmp_path / "idx")
+        offset = np.array([0.0631851, 0.077508986], np.float32)
+        assert 0.1 < np.linalg.norm(offset.astype(np.float64)) < np.float32(0.1)
+        probe = pl.RawRecord("p", "c0", {"L1": offset + np.float32(a)})
+        trained = pl.compress_record(bundle, probe).signatures["L1"]
+        assert trained == pl.compress_record(loaded, probe).signatures["L1"]
+        assert trained.data != bytes(1)  # the near centroid's bit is set
 
     def test_mismatched_config_rejected(self, tmp_path):
         records, _ = synth_records(tmp_path)
