@@ -110,7 +110,6 @@ def _cmd_query(args) -> int:
     if args.top_k is not None:  # before any file is read
         check_top_k(args.top_k)
     bundle, index = pipeline.load_index_dir(args.index)
-    index.freeze()
     queries = pipeline.read_features(args.features)
     out = []
     for q in queries:

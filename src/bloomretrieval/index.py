@@ -74,6 +74,7 @@ from .binio import Reader, pack_id_label
 from .binseq import BinarySignature
 from .errors import (
     ConfigMismatchError,
+    DimensionMismatchError,
     DuplicateIdError,
     InconsistentDimsError,
     InvalidVectorError,
@@ -216,9 +217,6 @@ class HierarchicalIndex:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self._ids
-
     def add(self, record: FeatureRecord) -> None:
         """Append a record as the record store holds it, its vectors cast to
         float32; rejects one that would poison a layer matrix or the store."""
@@ -304,7 +302,15 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k):
     if index._rows is None:
         index.freeze()
     stages = index.stage_layers()
-    return stages, index._rows, {layer: l2_normalize(q[layer]) for layer in stages}
+    qn = {layer: l2_normalize(q[layer]) for layer in stages}
+    if index._rows is not None:  # None: no record to be as wide as
+        for layer, vec in qn.items():
+            if len(vec) != index._rows[layer].shape[1]:
+                raise DimensionMismatchError(
+                    f"query layer {layer} vector is {len(vec)} wide, "
+                    f"the index's is {index._rows[layer].shape[1]}"
+                )
+    return stages, index._rows, qn
 
 
 def _ranked(index: HierarchicalIndex, hits: np.ndarray, dists: np.ndarray, top_k: int):
@@ -382,24 +388,22 @@ def save_records(path, index: HierarchicalIndex) -> None:
 
 def load_records(
     path,
-    layers,
+    idx: HierarchicalIndex,
     dim: int,
     sig_width: int,
-    thresholds: ThresholdSet,
 ) -> HierarchicalIndex:
-    """Read the record store. Every vector must be `dim` wide and every
-    signature `sig_width` bits, else `ConfigMismatchError`; each record then
-    passes through `HierarchicalIndex.add`, which rejects a poisoned vector."""
+    """Read the record store into `idx` and return it. Every vector must be
+    `dim` wide and every signature `sig_width` bits, else `ConfigMismatchError`;
+    each record then passes through `idx.add`, which rejects a poisoned vector."""
     r = Reader(Path(path).read_bytes(), "records file", _MAGIC)
     (count,) = r.unpack("Q")
     sig_bytes = (sig_width + 7) // 8
-    idx = HierarchicalIndex(layers, thresholds)
     for _ in range(count):
         rid = r.text()
         lab = r.text()
         compressed = {}
         signatures = {}
-        for layer in layers:
+        for layer in idx.layers:
             (width,) = r.unpack("I")
             if width != dim:
                 raise ConfigMismatchError(

@@ -11,6 +11,8 @@ Cz = 0 (C^T z = 0 for Gram), C the exactly centred samples (Cauchy-Schwarz).
 By Courant-Fischer that bounds as many eigenvalues of S as C has null
 directions, and eigh moves each by at most N u |S| <= k u tr S (Golub & Van
 Loan, 8.1). f doubles the sum for second-order terms; it scales as x^2 does.
+Each of its terms is scaled down by u before it is multiplied, so f is finite
+wherever S is; an S that overflows float64 raises `InvalidVectorError`.
 """
 
 from __future__ import annotations
@@ -91,15 +93,19 @@ def fit_pca(samples, target_dim: int) -> PcaModel:
             f"target_dim {target_dim} exceeds min(input_dim={dim}, samples-1={n - 1})"
         )
 
-    mean = X.mean(axis=0)
-    centered = X - mean
-    # D > n: the n x n Gram matrix (eigenfaces), else the D x D covariance
-    S = (centered @ centered.T if dim > n else centered.T @ centered) / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        # D > n: the n x n Gram matrix (eigenfaces), else the D x D covariance
+        S = (centered @ centered.T if dim > n else centered.T @ centered) / (n - 1)
+        trace = np.trace(S)
+    if not (np.isfinite(S).all() and np.isfinite(trace)):
+        raise InvalidVectorError("raw features too large: their covariance overflows float64")
     eigvals, eigvecs = np.linalg.eigh(S)
     order = np.argsort(eigvals)[::-1][:target_dim]
     eig, vecs = eigvals[order], eigvecs[:, order]
-    col_max = abs(X).max(axis=0)  # the floor f of the module docstring
-    null = eig <= 4 * _U * (max(n, dim) * np.trace(S) + (n + 2) ** 2 * _U * col_max.dot(col_max))
+    scaled_max = _U * abs(X).max(axis=0)  # the floor f of the module docstring
+    null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)
     eig[null] = 0.0
     if dim > n:
         vecs = centered.T @ vecs

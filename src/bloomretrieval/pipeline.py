@@ -30,6 +30,7 @@ from .errors import (
     DataFormatError,
     DuplicateIdError,
     InconsistentDimsError,
+    InvalidVectorError,
 )
 from .index import (
     FeatureRecord,
@@ -287,7 +288,8 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
             threshold=_as_f32(config.binseq_threshold),
             rng_seed=config.rng_seed + ordinal,
         )
-    calibrated = calibrate_thresholds([r.label for r in records], compressed)
+    thresholds = calibrate_thresholds([r.label for r in records], compressed)
+    thresholds.scales = dict(config.threshold_scales)
 
     if config.filter_multiplier is None:
         m = optimal_bits(n, len(layers))
@@ -299,9 +301,7 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
         config=config,
         pca_models=pca_models,
         dictionaries=dictionaries,
-        thresholds=ThresholdSet(
-            thresholds=calibrated.thresholds, scales=dict(config.threshold_scales)
-        ),
+        thresholds=thresholds,
         filter=LayeredBloomFilter(m=m, layers=layers),
     )
 
@@ -330,11 +330,17 @@ def gated_query(
     top_k: int | None = None,
 ) -> QueryResult:
     """Bloom-gated retrieval: definitely-absent queries never touch the index.
-    A top_k other than an int >= 1 raises `ValueError`, even on a rejected query."""
+    Raises `ValueError` for a top_k other than an int >= 1, and
+    `InvalidVectorError` for a query that compresses to zero on a layer, as
+    `HierarchicalIndex.add` does for such a record; both even when the
+    filter would reject the query."""
     k = bundle.config.top_k if top_k is None else top_k
     check_top_k(k)
     raw = RawRecord("__query__", "", dict(features))
     rec = compress_record(bundle, raw)
+    for layer, vec in rec.compressed.items():
+        if not np.count_nonzero(vec):
+            raise InvalidVectorError(f"query layer {layer} vector is non-finite or zero")
     if not bundle.filter.query(rec.signatures):
         return QueryResult(rejected=True, results=[])
     ranked = query_hierarchical(index, rec.compressed, k)
@@ -563,10 +569,9 @@ def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
     bundle = TrainedBundle(config, pca_models, dictionaries, thresholds, filt)
     index = load_records(
         os.path.join(path, "records.bin"),
-        config.active_layers,
+        bundle.new_index(),
         config.pca_dim,
         config.centroid_count,
-        thresholds,
     )
     if filt.inserted_count != len(index):
         raise ConfigMismatchError(

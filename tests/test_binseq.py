@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bloomretrieval.binseq import (
+    BinarySignature,
     CentroidDictionary,
     encode_signature,
     init_dictionary,
@@ -153,6 +154,21 @@ def test_dictionary_threshold_must_be_positive_and_finite(threshold):
         CentroidDictionary(centroids=np.eye(4), threshold=threshold, rng_seed=0)
     with pytest.raises(ValueError, match="threshold"):
         init_dictionary(np.eye(4), count=2, threshold=threshold, rng_seed=0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: BinarySignature(width=9, data=b"\x00"), "byte length"),
+        (lambda: BinarySignature(width=8, data=b"\x00\x00"), "byte length"),
+        (lambda: init_dictionary(np.ones(4), count=1, threshold=1.0), "share one dimension"),
+        (lambda: init_dictionary(np.eye(4), count=0, threshold=1.0), "count must be positive"),
+    ],
+    ids=["signature-short", "signature-long", "vectors-1d", "count-0"],
+)
+def test_argument_checks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_dictionary_centroids_are_a_read_only_copy():

@@ -181,6 +181,22 @@ class TestFormulas:
             with pytest.raises(ValueError, match="filter size"):
                 LayeredBloomFilter(m=m, layers=("L1",))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: BloomParams(n=-1, k=1, m=8), "n must be >= 0"),
+            (lambda: BloomParams(n=1, k=0, m=8), "k must be in 1..3"),
+            (lambda: BloomParams(n=1, k=4, m=8), "k must be in 1..3"),
+            (lambda: LayeredBloomFilter(m=64, layers=("L1", "L4")), r"unknown layers: \['L4'\]"),
+            (lambda: LayeredBloomFilter(m=64, layers=()), "1 to 3 layers"),
+            (lambda: LayeredBloomFilter(m=64, layers=("L1", "L2", "L3", "L1")), "1 to 3 layers"),
+        ],
+        ids=["negative-n", "k-0", "k-4", "unknown-layer", "no-layers", "four-layers"],
+    )
+    def test_constructor_checks(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_repeated_layer_rejected(self):
         # a repeated layer would count twice in k, and so in Eq. 1 and Eq. 2
         with pytest.raises(ValueError, match="repeated layer"):

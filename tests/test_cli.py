@@ -1,12 +1,15 @@
+import itertools
 import json
 import math
 import shutil
 import struct
+import types
 
 import numpy as np
 import pytest
 
 from bloomretrieval import cli, pipeline
+from bloomretrieval.index import HierarchicalIndex
 from bloomretrieval.pca import PcaModel
 
 LAYERS = ("L1", "L2", "L3")
@@ -535,3 +538,137 @@ def test_cross_check_exit_code(filled_copy, capsys, part, edit, code, message):
     rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
     assert rc == code, err
     assert message in err
+
+
+def gated_index(tmp_path, binseq_threshold):
+    """An index holding 4 classes of 30 records (seed 3) under 16 centroids,
+    with its 8 held-out queries and 6 records of 2 foreign classes (seed 4),
+    labelled `foreign`. At a binseq threshold of 1.0 its filter passes every
+    held-out query and rejects every foreign record."""
+    feats, qrys, foreign = tmp_path / "feats.mlhc", tmp_path / "qrys.mlhc", tmp_path / "foreign.mlhc"
+    synth = ["synth", "--dims", "24,24,24", "--classes"]
+    assert cli.main([*synth, "4", "--per-class", "30", "--seed", "3", "--out", str(feats), "--queries-per-class", "2", "--queries-out", str(qrys)]) == 0
+    assert cli.main([*synth, "2", "--per-class", "3", "--seed", "4", "--out", str(foreign)]) == 0
+    pipeline.write_features(
+        foreign, [pipeline.RawRecord(r.id, "foreign", r.features) for r in pipeline.read_features(foreign)]
+    )
+    cfg = {
+        "active_layers": list(LAYERS),
+        "pca_dim": 8,
+        "centroid_count": 16,
+        "binseq_threshold": binseq_threshold,
+        "rng_seed": 1,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    idx = tmp_path / "idx"
+    assert cli.main(["train", "--config", str(tmp_path / "config.json"), "--features", str(feats), "--out", str(idx)]) == 0
+    assert cli.main(["add", "--index", str(idx), "--features", str(feats)]) == 0
+    return idx, qrys, foreign
+
+
+@pytest.fixture(scope="module")
+def gated(tmp_path_factory):
+    """`gated_index` at binseq thresholds 1.0 and 10.0."""
+    return {t: gated_index(tmp_path_factory.mktemp(f"gated-{t}"), t) for t in (1.0, 10.0)}
+
+
+def passes_filter(idx, raw):
+    bundle, _ = pipeline.load_index_dir(idx)
+    return bundle.filter.query(pipeline.compress_record(bundle, raw).signatures)
+
+
+@pytest.mark.parametrize("threshold, passes", [(1.0, False), (10.0, True)], ids=["filter-rejects", "filter-passes"])
+@pytest.mark.parametrize("command", ["query", "evaluate"])
+def test_query_at_pca_mean_exit_2_whatever_the_filter(gated, tmp_path, capsys, command, threshold, passes):
+    # a query that compresses to zero has no direction, whether or not the
+    # filter would send it on to the index
+    idx, _, _ = gated[threshold]
+    means = {l: PcaModel.from_bytes((idx / f"pca-{l}.bin").read_bytes()).mean for l in LAYERS}
+    raw = pipeline.RawRecord("q", "class-000", means)
+    assert passes_filter(idx, raw) is passes
+    pipeline.write_features(tmp_path / "mean.mlhc", [raw])
+    flag = "--queries" if command == "evaluate" else "--features"
+    rc, err = run(capsys, command, "--index", idx, flag, tmp_path / "mean.mlhc")
+    assert rc == 2, err
+    assert err.startswith("data error: ") and "non-finite or zero" in err
+
+
+def test_query_rejected_in_full_builds_no_index(gated, capsys, monkeypatch):
+    idx, _, foreign = gated[1.0]
+    assert not any(passes_filter(idx, raw) for raw in pipeline.read_features(foreign))
+
+    def refuse(self):
+        raise AssertionError("freeze() called for queries the filter rejects")
+
+    monkeypatch.setattr(HierarchicalIndex, "freeze", refuse)
+    assert cli.main(["query", "--index", str(idx), "--features", str(foreign), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out) == 6 and all(e["rejected_by_filter"] and not e["results"] for e in out)
+
+
+def test_query_text_output(gated, tmp_path, capsys):
+    # one line a query: its hits as `id (distance)`, `rejected-by-filter`, or
+    # `(no matches)` when the filter passes it and no record is near enough
+    idx, qrys, foreign = gated[1.0]
+    strict = tmp_path / "strict"
+    shutil.copytree(idx, strict)
+    doc = json.loads((strict / "config.json").read_text())
+    doc["threshold_scales"] = {l: 1e-9 for l in LAYERS}
+    (strict / "config.json").write_text(json.dumps(doc))
+    seen = set()
+    for index, queries in ((idx, qrys), (idx, foreign), (strict, qrys)):
+        argv = ["query", "--index", str(index), "--features", str(queries)]
+        assert cli.main([*argv, "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(entries)
+        for line, e in zip(lines, entries):
+            hits = ", ".join(f"{r['id']} ({r['distance']:.6f})" for r in e["results"])
+            rest = "rejected-by-filter" if e["rejected_by_filter"] else hits or "(no matches)"
+            assert line == f"{e['query_id']}: {rest}"
+            seen.add("hits" if hits else rest)
+    assert seen == {"hits", "rejected-by-filter", "(no matches)"}
+
+
+def test_evaluate_text_output_matches_json(gated, tmp_path, capsys, monkeypatch):
+    idx, qrys, foreign = gated[1.0]
+    mixed = tmp_path / "mixed.mlhc"
+    pipeline.write_features(mixed, pipeline.read_features(qrys) + pipeline.read_features(foreign))
+    # every query takes one tick of 1 ms, so both runs time alike
+    ticks = itertools.count()
+    monkeypatch.setattr(pipeline, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks) * 1e-3))
+    argv = ["evaluate", "--index", str(idx), "--queries", str(mixed)]
+    assert cli.main([*argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "queries:              14",
+        f"mAP:                  {report['mean_average_precision']:.4f}",
+        "mean query time:      1.000 ms",
+        "bloom rejections:     6",
+        "correct rejections:   6",
+        "bloom false positives:0",
+    ]
+    assert report["bloom_rejections"] == report["correct_rejections"] == 6
+    assert report["bloom_false_positives"] == 0 and report["mean_query_time"] == pytest.approx(1e-3)
+
+
+def test_unknown_filter_seed_exit_3(filled_copy, capsys):
+    idx, qrys = filled_copy
+    blob = bytearray((idx / "filter.bin").read_bytes())
+    blob[13:17] = struct.pack("<I", 9)  # magic, m u64, k u8, then the L1 seed
+    (idx / "filter.bin").write_bytes(bytes(blob))
+    rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
+    assert rc == 3, err
+    assert err.startswith("config mismatch: unknown layer seed 9")
+
+
+def test_train_on_no_records_exit_1(workspace, capsys):
+    tmp_path, _, _, cfg_path = workspace
+    empty = tmp_path / "empty.mlhc"
+    pipeline.write_features(empty, [])
+    rc, err = run(capsys, "train", "--config", cfg_path, "--features", empty, "--out", tmp_path / "new")
+    assert rc == 1, err
+    assert err.startswith("error: ") and "at least one record" in err
+    assert not (tmp_path / "new").exists()

@@ -4,6 +4,7 @@ import pytest
 from bloomretrieval.binseq import BinarySignature
 from bloomretrieval.errors import (
     ConfigMismatchError,
+    DimensionMismatchError,
     DataFormatError,
     DuplicateIdError,
     InconsistentDimsError,
@@ -21,6 +22,7 @@ from bloomretrieval.index import (
     query_hierarchical,
     save_records,
     unit_cosine_distances,
+    unit_rows,
 )
 
 from oracles import cosine_distance, mean_same_class_cosine_distance
@@ -162,11 +164,19 @@ class TestQueries:
         with pytest.raises(ConfigMismatchError):
             query_hierarchical(idx, {"L1": np.ones(3)}, top_k=1)
 
+    @pytest.mark.parametrize("search", [query_hierarchical, brute_force_scan])
+    def test_query_of_other_width_rejected(self, search):
+        rng = np.random.default_rng(2)
+        idx = build_index([random_record(rng, "x", "c")], ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+        q = {"L1": rng.normal(size=6), "L2": rng.normal(size=5), "L3": rng.normal(size=6)}
+        with pytest.raises(DimensionMismatchError, match="query layer L2 vector is 5 wide"):
+            search(idx, q, top_k=1)
+
     def test_duplicate_id_rejected(self):
         rng = np.random.default_rng(2)
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
         idx = build_index([random_record(rng, "x", "c")], ts)
-        assert "x" in idx and "y" not in idx
+        assert [r.id for r in idx.records] == ["x"]
         with pytest.raises(DuplicateIdError):
             idx.add(random_record(rng, "x", "c"))
 
@@ -187,7 +197,7 @@ class TestQueries:
         wide.signatures["L2"] = BinarySignature(width=16, data=bytes(2))
         with pytest.raises(InconsistentDimsError, match="signature"):
             idx.add(wide)
-        assert len(idx) == 1 and "b" not in idx
+        assert len(idx) == 1 and [r.id for r in idx.records] == ["a"]
 
     @pytest.mark.parametrize(
         "vector, error",
@@ -218,7 +228,7 @@ class TestQueries:
         bad.compressed["L2"] = np.array(vector)
         with pytest.raises(error):
             idx.add(bad)
-        assert len(idx) == 1 and "bad" not in idx
+        assert len(idx) == 1 and [r.id for r in idx.records] == ["good"]
         assert query_hierarchical(idx, good.compressed, 5) == [("good", 0.0)]
 
     def test_query_after_add_to_frozen_index(self):
@@ -542,7 +552,7 @@ class TestBucketPruning:
         assert [r.id for r in idx.records] == [r.id for r in recs]
         assert idx._row_ids != [r.id for r in recs]
         save_records(tmp_path / "records.bin", idx)
-        back = load_records(tmp_path / "records.bin", LAYERS3, 6, 8, idx.thresholds)
+        back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, idx.thresholds), 6, 8)
         assert [r.id for r in back.records] == [r.id for r in recs]
 
 
@@ -561,7 +571,7 @@ class TestRecordsFile:
         idx = build_index(recs, ts)
         path = tmp_path / "records.bin"
         save_records(path, idx)
-        back = load_records(path, LAYERS3, 4, 16, ts)
+        back = load_records(path, HierarchicalIndex(LAYERS3, ts), 4, 16)
         assert len(back) == 10
         for a, b in zip(idx.records, back.records):
             assert a.id == b.id and a.label == b.label
@@ -581,7 +591,7 @@ class TestRecordsFile:
         ]
         idx = build_index(recs, ts)
         save_records(tmp_path / "records.bin", idx)
-        back = load_records(tmp_path / "records.bin", LAYERS3, 6, 8, ts)
+        back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, ts), 6, 8)
         for _ in range(50):
             q = {l: rng.normal(size=6) for l in LAYERS3}
             assert query_hierarchical(idx, q, 10) == query_hierarchical(back, q, 10)
@@ -598,7 +608,7 @@ class TestRecordsFile:
         blob[22:22 + 16] = bytes(16)
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidVectorError):
-            load_records(path, LAYERS3, 4, 16, ts)
+            load_records(path, HierarchicalIndex(LAYERS3, ts), 4, 16)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
@@ -609,7 +619,7 @@ class TestRecordsFile:
         save_records(path, idx)
         path.write_bytes(path.read_bytes() + bytes(25))
         with pytest.raises(DataFormatError, match="trailing bytes"):
-            load_records(path, LAYERS3, 4, 16, ts)
+            load_records(path, HierarchicalIndex(LAYERS3, ts), 4, 16)
 
     def test_bad_magic(self, tmp_path):
         from bloomretrieval.errors import BadMagicError
@@ -618,4 +628,19 @@ class TestRecordsFile:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
         with pytest.raises(BadMagicError):
-            load_records(p, LAYERS3, 4, 16, ts)
+            load_records(p, HierarchicalIndex(LAYERS3, ts), 4, 16)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: unit_rows(np.ones(3)), "2-D array"),
+        (lambda: unit_rows(np.ones((2, 2, 2))), "2-D array"),
+        (lambda: l2_normalize(np.ones((1, 3))), "1-D vector"),
+        (lambda: l2_normalize(1.0), "1-D vector"),
+    ],
+    ids=["rows-1d", "rows-3d", "vector-2d", "vector-scalar"],
+)
+def test_shape_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -265,3 +265,26 @@ def test_gram_fit_at_small_amplitude_keeps_its_components():
     # cut, which zeroed every column and returned a QR completion of zeros
     model = _assert_top_subspace(1e-7 * np.random.default_rng(73).normal(size=(40, 300)), 10)
     assert np.all(model.eigenvalues > 0.0)
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning
+@pytest.mark.parametrize("amplitude", [1e153, 1e154, 1e160])
+@pytest.mark.parametrize("shape", [(20, 8), (6, 40)], ids=["covariance", "gram"])
+def test_fit_near_float64_limit(shape, amplitude):
+    # at 1e153 the floor's k tr S overflowed to inf and zeroed every
+    # component; from 1e154 the product itself overflows and is refused
+    samples = np.random.default_rng(79).normal(size=shape)
+    if amplitude < 1e154:
+        unit, model = fit_pca(samples, 3), fit_pca(amplitude * samples, 3)
+        np.testing.assert_allclose(model.eigenvalues, amplitude**2 * unit.eigenvalues, rtol=1e-12)
+        np.testing.assert_allclose(model.basis, unit.basis, rtol=0, atol=1e-12)
+    else:
+        with pytest.raises(InvalidVectorError, match="overflows float64"):
+            fit_pca(amplitude * samples, 3)
+
+
+def test_project_many_of_other_width_rejected():
+    model = fit_pca(np.random.default_rng(83).normal(size=(10, 4)), target_dim=2)
+    for rows in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4))):
+        with pytest.raises(DimensionMismatchError, match="rows of 4 values"):
+            project_many(model, rows)
