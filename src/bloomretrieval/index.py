@@ -5,7 +5,7 @@ persists) and one binary signature per active layer. Freezing the index
 builds one contiguous float64 matrix of unit rows per layer. Retrieval
 filters candidates layer by layer, coarse to fine as the paper orders the
 hierarchy (L3 first, L1 last), against calibrated cosine thresholds: the
-first stage scores the rows of the buckets it cannot skip (below), each
+first stage scores the rows of the buckets no stage can skip (below), each
 later stage only the rows that survived the stage before. The survivors are
 ranked by the finest (L1) distance.
 
@@ -21,37 +21,52 @@ vector normalised alone or inside a matrix gets the same bits. Both compute
 in float64 although the record store holds float32: the extra precision
 keeps the distance accumulation stable, and the bound below is for it.
 
-Buckets. `freeze()` groups the rows by their signature on the first stage's
-layer (the paper's neural hash of L3) and lays out every layer's matrix in
-bucket order: buckets in order of first insertion, rows within a bucket in
-insertion order, so each bucket is a contiguous slice. A bucket holds a
-centre c, the mean of its unit rows on that layer, and a radius
-r >= max |u - c|. For unit rows the kernel's distance 1 - u.q equals
+Buckets. Each layer's signature is the paper's neural hash of that layer,
+and coarse to fine the hashes nest: `freeze()` groups the rows by their
+signature prefix at each stage, (L3), then (L3, L2), then (L3, L2, L1), one
+level of buckets per stage. Every layer's matrix is laid out so that each
+level's buckets are contiguous runs nested inside the runs of the level
+above: L3 buckets in order of first insertion, the buckets inside a parent
+in the order their own stage's signature was first inserted, rows within a
+deepest bucket in insertion order. A bucket holds a centre c, the mean of
+its unit rows on its own stage's layer, and a radius r >= max |u - c| on
+that layer. For unit rows the kernel's distance 1 - u.q equals
 |u - q|^2 / 2, and |u - q| >= |q - c| - r for every row u of the bucket.
 So a bucket with
 
     |q - c| - r > sqrt(2 (t + eps))
 
-holds no row within the stage's effective threshold t, and the query skips
-it. t is read at query time, so a threshold scale changed after `freeze()`
-is obeyed. With more than sqrt(n) distinct signatures the per-bucket bounds
-would cost about as much as the scan they save, so the rows form one bucket
-in insertion order; that is the same code path. When no bucket is skipped
-the stage scores the whole matrix as one view. `records` and the record
-store keep insertion order; only the matrices and the row-to-id list are in
+holds no row within its stage's effective threshold t: none of its rows
+survives that stage. A bucket is live when its own bound passes and the
+bucket holding it a level up is live, and the first stage scores, as views,
+only the runs of the deepest level's live buckets. Every later stage then
+scores only the rows that survived the stage before, as when no bucket is
+skipped, so a row the first stage skipped is one a later stage would have
+dropped. t is read at query time, so a threshold scale changed after
+`freeze()` is obeyed. A stage with more than sqrt(n) distinct prefixes adds
+no level, and neither does any later one: the per-bucket bounds would cost
+about as much as the scan they save. An index with more than sqrt(n)
+distinct L3 signatures therefore keeps one bucket in insertion order, and a
+one-bucket index runs the same code. When no bucket is skipped the first
+stage scores its whole matrix as one view. `records` and the record store
+keep insertion order; only the matrices and the row-to-id list are in
 bucket order, and ranking ties break by id, so the order changes no answer.
 
-eps bounds the rounding of the kernel and of c and r. Let u = 2^-53 and d
-the rows' width. `unit_rows` leaves |u.u - 1| <= (d + 5)u, so the exact
-1 - u.q is at least |u - q|^2 / 2 - (d + 5)u, and the kernel's dot product
-and subtraction lose at most (2d + 3)u more. The skip test's own terms
-(|q - c|, r and the square root, each at most about 2) carry at most
-(d + 17)u of error, which costs at most 2(d + 17)u in |u - q|^2 / 2. The
-sum, (5d + 42)u, is below eps = 8(d + 8)u, about 1.2e-13 at d = 128. The
-radius is taken as sqrt(1 + c.c - 2 min u.c + eps); its expansion errs by
-at most (4d + 20)u, so the added eps makes r an upper bound. For t >= 2 the
-bound exceeds 2 by more than |q - c| - r can, so no bucket is skipped where
-the kernel's clip at 2 would pass every row.
+eps bounds the rounding of the kernel and of c and r on one level's layer;
+nothing in it depends on the layer but the width d of its rows, so each
+level takes eps from its own layer's d. Let u = 2^-53. `unit_rows` leaves
+|u.u - 1| <= (d + 5)u, so the exact 1 - u.q is at least
+|u - q|^2 / 2 - (d + 5)u, and the kernel's dot product and subtraction lose
+at most (2d + 3)u more. The skip test's own terms (|q - c|, r and the
+square root, each at most about 2) carry at most (d + 17)u of error, which
+costs at most 2(d + 17)u in |u - q|^2 / 2. The sum, (5d + 42)u, is below
+eps = 8(d + 8)u, about 1.2e-13 at d = 128. The radius is taken as
+sqrt(1 + c.c - 2 min u.c + eps) for the stored c, whatever its rounding;
+the expansion errs by at most (4d + 20)u in any summation order of the
+d-term dot products, so BLAS may compute c and u.c, and the added eps
+makes r an upper bound. For t >= 2 the bound
+exceeds 2 by more than |q - c| - r can, so no bucket is skipped where the
+kernel's clip at 2 would pass every row.
 
 Each layer's threshold is calibrated as the mean cosine distance over all
 same-class pairs of training vectors. It is computed in closed form from
@@ -170,36 +185,43 @@ def calibrate_thresholds(labels, vectors) -> ThresholdSet:
 
 @dataclass(frozen=True)
 class Buckets:
-    """The first stage's buckets: row `bounds[b]` up to `bounds[b + 1]` of
-    each layer matrix, their `centres` and `radii`, and the skip test's
-    rounding bound `eps` (see the module docstring)."""
+    """One level of buckets on one stage's layer: row `bounds[b]` up to
+    `bounds[b + 1]` of each layer matrix, their `centres` and `radii` on
+    that layer, the bucket of the level above that holds each one
+    (`parent`; 0 at the first level), and the skip test's rounding bound
+    `eps` for the layer's width (see the module docstring)."""
 
     bounds: np.ndarray
     centres: np.ndarray
     radii: np.ndarray
+    parent: np.ndarray
     eps: float
 
     @classmethod
-    def build(cls, rows: np.ndarray, counts: np.ndarray) -> "Buckets":
-        """Buckets of unit `rows` laid out in runs of `counts` rows; each
-        radius comes from one dot product per row, with no n x d temporary."""
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        blocks = [rows[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
-        centres = np.array([block.mean(axis=0) for block in blocks])
-        nearest = np.array([np.einsum("ij,j->i", b, c).min() for b, c in zip(blocks, centres)])
+    def build(cls, rows: np.ndarray, bounds: np.ndarray, above: np.ndarray) -> "Buckets":
+        """Buckets of unit `rows` split at `bounds`, nested in the runs
+        split at `above`; each radius comes from one dot product per row,
+        with no n x d temporary."""
+        centres, nearest = [], []
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            # two BLAS products while the block is in cache; r is a bound for
+            # any c, and their summation order is within eps (module docstring)
+            block = rows[start:stop]
+            centres.append(np.full(stop - start, 1.0 / (stop - start)) @ block)
+            nearest.append((block @ centres[-1]).min())
+        centres = np.array(centres)
         eps = 8 * (rows.shape[1] + 8) * 2.0**-53
-        reach = 1.0 + np.einsum("ij,ij->i", centres, centres) - 2.0 * nearest
-        return cls(bounds, centres, np.sqrt(np.maximum(reach, 0.0) + eps), eps)
+        reach = 1.0 + np.einsum("ij,ij->i", centres, centres) - 2.0 * np.array(nearest)
+        parent = np.searchsorted(above, bounds[:-1], side="right") - 1
+        return cls(bounds, centres, np.sqrt(np.maximum(reach, 0.0) + eps), parent, eps)
 
-    def spans(self, qn: np.ndarray, t: float):
-        """(starts, stops) of the row ranges a unit query must score at
-        threshold t: the runs of buckets the bound cannot skip."""
+    def live(self, qn: np.ndarray, t: float, above: np.ndarray) -> np.ndarray:
+        """Which buckets a unit query must score at threshold t: those the
+        bound cannot skip whose parent is live in `above`."""
         diff = self.centres - qn
         gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii
         # a t below -eps keeps no row; the kernel's distances are >= 0
-        live = gap <= math.sqrt(max(2.0 * (t + self.eps), 0.0))
-        edges = self.bounds[np.flatnonzero(np.diff(live, prepend=False, append=False))]
-        return edges[0::2], edges[1::2]
+        return (gap <= math.sqrt(max(2.0 * (t + self.eps), 0.0))) & above[self.parent]
 
 
 class HierarchicalIndex:
@@ -212,7 +234,7 @@ class HierarchicalIndex:
         self._ids: set[str] = set()
         self._rows: dict[str, np.ndarray] | None = None
         self._row_ids: list[str] = []
-        self._buckets: Buckets | None = None
+        self._levels: tuple[Buckets, ...] = ()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -256,27 +278,57 @@ class HierarchicalIndex:
 
     def freeze(self) -> None:
         """Build each layer's unit-row matrix in bucket order, the row-to-id
-        list and the first stage's buckets, once until the next add; queries
+        list and the bucket levels, once until the next add; queries
         afterwards are read-only."""
         if self._rows is not None or not self.records:
             return
-        first = self.stage_layers()[0]
-        bucket_of: dict[bytes, int] = {}
-        bucket = np.array(
-            [bucket_of.setdefault(r.signatures[first].data, len(bucket_of)) for r in self.records]
-        )
-        if len(bucket_of) ** 2 > len(self.records):
-            bucket[:] = 0
-        order = np.argsort(bucket, kind="stable").tolist()
+        stages, n = self.stage_layers(), len(self.records)
+        # per level, each row's bucket: the rank of its signature prefix,
+        # each signature numbered in order of first insertion; a prefix
+        # ranks among its parent's, so sorting by the last level's buckets
+        # nests every level's runs in the one above. A level of more than
+        # sqrt(n) buckets ends the levels
+        keys, key = [], np.zeros(n, dtype=np.int64)
+        signatures = [r.signatures for r in self.records]
+        for layer in stages:
+            number = {}
+            sig = [number.setdefault(s[layer].data, len(number)) for s in signatures]
+            prefixes, key = np.unique(key * len(number) + sig, return_inverse=True)
+            if len(prefixes) ** 2 > n:
+                break
+            keys.append(key)
+        keys = keys or [np.zeros(n, dtype=np.int64)]
+        perm = np.argsort(keys[-1], kind="stable").tolist()
         rows = {}
         for layer in self.layers:
             # gathered in record order, then permuted as a list: faster than
             # visiting the records out of order, and no matrix is built twice
             vectors = [r.compressed[layer] for r in self.records]
-            rows[layer] = unit_rows([vectors[i] for i in order])
-        self._row_ids = [self.records[i].id for i in order]
-        self._buckets = Buckets.build(rows[first], np.bincount(bucket))
+            rows[layer] = unit_rows([vectors[i] for i in perm])
+        ids = [r.id for r in self.records]
+        self._row_ids = [ids[i] for i in perm]
+        levels, above = [], np.array([0, n])
+        for key, layer in zip(keys, stages):
+            bounds = np.concatenate(([0], np.cumsum(np.bincount(key))))
+            levels.append(Buckets.build(rows[layer], bounds, above))
+            above = bounds
+        self._levels = tuple(levels)
         self._rows = rows  # last: a query that sees it sees the ids and buckets
+
+    def _spans(self, qn: dict[str, np.ndarray]):
+        """(starts, stops) of the row ranges the first stage must score for
+        unit query vectors `qn`: the runs of the deepest level's buckets
+        that are live at every level, each at its stage's effective
+        threshold, read now."""
+        live = np.array([True])  # the first level's parent: every row
+        for level, layer in zip(self._levels, self.stage_layers()):
+            live = level.live(qn[layer], self.thresholds.effective(layer), live)
+        # a run starts or ends where `live` flips; padding it with False is
+        # faster than np.diff's prepend and append
+        padded = np.zeros(len(live) + 2, dtype=bool)
+        padded[1:-1] = live
+        edges = self._levels[-1].bounds[np.flatnonzero(padded[1:] != padded[:-1])]
+        return edges[0::2], edges[1::2]
 
     def stage_layers(self) -> tuple[str, ...]:
         """The active layers in retrieval order: coarse to fine."""
@@ -291,7 +343,8 @@ def check_top_k(top_k) -> None:
 
 def _prepare(index: HierarchicalIndex, q: dict, top_k):
     """Check a query and top_k against the index: (stages, unit matrices,
-    unit query vector per stage)."""
+    unit query vector per stage). A query vector with no direction raises
+    `InvalidVectorError` naming its layer."""
     check_top_k(top_k)
     if set(q) != set(index.layers):
         raise ConfigMismatchError(
@@ -302,7 +355,14 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k):
     if index._rows is None:
         index.freeze()
     stages = index.stage_layers()
-    qn = {layer: l2_normalize(q[layer]) for layer in stages}
+    qn = {}
+    for layer in stages:
+        try:
+            qn[layer] = l2_normalize(q[layer])
+        except InvalidVectorError:
+            raise InvalidVectorError(
+                f"query layer {layer} vector is non-finite or zero, or its norm overflows"
+            ) from None
     if index._rows is not None:  # None: no record to be as wide as
         for layer, vec in qn.items():
             if len(vec) != index._rows[layer].shape[1]:
@@ -335,7 +395,7 @@ def query_hierarchical(
     first = stages[0]
     t = index.thresholds.effective(first)
     kept, dists = [], []
-    for start, stop in zip(*index._buckets.spans(qn[first], t)):
+    for start, stop in zip(*index._spans(qn)):
         d = unit_cosine_distances(rows[first][start:stop], qn[first])
         passed = np.flatnonzero(d <= t)
         kept.append(passed + start)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import shutil
 import struct
 import types
@@ -578,19 +579,20 @@ def passes_filter(idx, raw):
 
 
 @pytest.mark.parametrize("threshold, passes", [(1.0, False), (10.0, True)], ids=["filter-rejects", "filter-passes"])
-@pytest.mark.parametrize("command", ["query", "evaluate"])
+@pytest.mark.parametrize("command", ["query", "evaluate", "bench"])
 def test_query_at_pca_mean_exit_2_whatever_the_filter(gated, tmp_path, capsys, command, threshold, passes):
     # a query that compresses to zero has no direction, whether or not the
-    # filter would send it on to the index
+    # filter would send it on to the index (`bench` asks no filter), and the
+    # message names the layer
     idx, _, _ = gated[threshold]
     means = {l: PcaModel.from_bytes((idx / f"pca-{l}.bin").read_bytes()).mean for l in LAYERS}
     raw = pipeline.RawRecord("q", "class-000", means)
     assert passes_filter(idx, raw) is passes
     pipeline.write_features(tmp_path / "mean.mlhc", [raw])
-    flag = "--queries" if command == "evaluate" else "--features"
+    flag = "--features" if command == "query" else "--queries"
     rc, err = run(capsys, command, "--index", idx, flag, tmp_path / "mean.mlhc")
     assert rc == 2, err
-    assert err.startswith("data error: ") and "non-finite or zero" in err
+    assert re.match(r"data error: query layer L[123] vector is non-finite or zero", err), err
 
 
 def test_query_rejected_in_full_builds_no_index(gated, capsys, monkeypatch):

@@ -172,6 +172,14 @@ class TestQueries:
         with pytest.raises(DimensionMismatchError, match="query layer L2 vector is 5 wide"):
             search(idx, q, top_k=1)
 
+    @pytest.mark.parametrize("search", [query_hierarchical, brute_force_scan])
+    def test_zero_query_names_its_layer(self, search):
+        rng = np.random.default_rng(2)
+        idx = build_index([random_record(rng, "x", "c")], ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+        q = {"L1": rng.normal(size=6), "L2": np.zeros(6), "L3": rng.normal(size=6)}
+        with pytest.raises(InvalidVectorError, match="query layer L2 vector is non-finite or zero"):
+            search(idx, q, top_k=1)
+
     def test_duplicate_id_rejected(self):
         rng = np.random.default_rng(2)
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
@@ -335,18 +343,17 @@ def clustered_records(rng, clusters, per, dim=6, spread=0.05, copies=1):
 
 
 def rows_scored(idx, q):
-    """How many rows the first stage scores for q: the rows of the buckets
-    it cannot skip."""
+    """How many rows the first stage scores for q: the rows of the deepest
+    level's buckets that no level skips."""
     idx.freeze()
-    layer = idx.stage_layers()[0]
-    starts, stops = idx._buckets.spans(l2_normalize(q[layer]), idx.thresholds.effective(layer))
+    starts, stops = idx._spans({l: l2_normalize(q[l]) for l in idx.stage_layers()})
     return int(np.sum(stops - starts))
 
 
-def l3_distances(idx, q):
-    """The kernel's L3 distance of every row, in row order."""
+def distances(idx, q, layer="L3"):
+    """The kernel's distance on `layer` of every row, in row order."""
     idx.freeze()
-    return unit_cosine_distances(idx._rows["L3"], l2_normalize(q["L3"]))
+    return unit_cosine_distances(idx._rows[layer], l2_normalize(q[layer]))
 
 
 def ulps_around(x, count=3):
@@ -373,18 +380,18 @@ class TestBucketPruning:
         ts = self.open_later_stages()
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._buckets.radii) == 6
+        assert len(idx._levels[0].radii) == 6
         skipped = 0
         for c in range(6):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
             qn = l2_normalize(q["L3"])
-            b = idx._buckets
+            b = idx._levels[0]
             diff = b.centres - qn
             gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
             # t where each far bucket's skip decision flips, and each row's
             # own distance: both within a few ulps either side
             flips = [g * g / 2 - b.eps for g in gaps if g * g / 2 > b.eps]
-            near = np.sort(l3_distances(idx, q))[[0, 3, 7, 8, 20]]
+            near = np.sort(distances(idx, q))[[0, 3, 7, 8, 20]]
             for t in [v for x in [*flips, *near] for v in ulps_around(float(x))]:
                 ts.thresholds["L3"] = t
                 assert query_hierarchical(idx, q, 100) == brute_force_scan(idx, q, 100)
@@ -398,7 +405,7 @@ class TestBucketPruning:
         idx = build_index(recs, ts)
         idx.freeze()
         q = {l: centres[0] for l in LAYERS3}
-        b = idx._buckets
+        b = idx._levels[0]
         diff = b.centres - l2_normalize(q["L3"])
         gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
         far = int(np.argmax(gap))
@@ -436,12 +443,12 @@ class TestBucketPruning:
         ts = self.open_later_stages()
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._buckets.radii) == 2
+        assert len(idx._levels[0].radii) == 2
         q = {l: at(rho + alpha) for l in LAYERS3}
-        b = idx._buckets
+        b = idx._levels[0]
         qn = l2_normalize(q["L3"])
         gap = np.linalg.norm(b.centres[0] - qn) - b.radii[0]
-        own = float(l3_distances(idx, q)[0])
+        own = float(distances(idx, q)[0])
         assert 0 < np.sqrt(2 * own) - gap < 1e-8
         for t in ulps_around(own):
             ts.thresholds["L3"] = t
@@ -459,13 +466,13 @@ class TestBucketPruning:
         ts = self.open_later_stages()
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._buckets.radii) == 5
-        assert np.all(idx._buckets.radii <= 2 * np.sqrt(idx._buckets.eps))
+        assert len(idx._levels[0].radii) == 5
+        assert np.all(idx._levels[0].radii <= 2 * np.sqrt(idx._levels[0].eps))
         skipped = 0
         for rec in recs[:10]:
             for angle in (0.0, 1e-9, 1e-8, 1e-7, 1e-4, 1e-2):
                 q = {l: rec.compressed[l] + angle * rng.normal(size=6) for l in LAYERS3}
-                own = float(np.min(l3_distances(idx, q)))
+                own = float(np.min(distances(idx, q)))
                 for t in ulps_around(own) + [THRESHOLD_FLOOR]:
                     if t < 0:
                         continue
@@ -534,7 +541,10 @@ class TestBucketPruning:
         ts = self.open_later_stages(0.01)
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._buckets.radii) == buckets
+        assert len(idx._levels[0].radii) == buckets
+        # every layer shares the cluster's signature, so every stage adds a
+        # level or none does
+        assert len(idx._levels) == (3 if buckets > 1 else 1)
         if buckets == 1:
             assert idx._row_ids == [r.id for r in recs]
         skipped = 0
@@ -543,6 +553,31 @@ class TestBucketPruning:
             assert query_hierarchical(idx, q, 20) == brute_force_scan(idx, q, 20)
             skipped += rows_scored(idx, q) < len(idx)
         assert skipped == (signatures if buckets > 1 else 0)
+
+    def test_sqrt_n_cut_at_a_later_stage(self):
+        # 16 rows under 2 L3 signatures but 6 (L3, L2) prefixes, more than
+        # sqrt(16): the L3 level stays alone, its buckets in order of first
+        # insertion and each bucket's rows in insertion order
+        rng = np.random.default_rng(30)
+        recs, centres = clustered_records(rng, clusters=2, per=8)
+        recs = [
+            FeatureRecord(r.id, r.label, r.compressed, {**r.signatures, "L2": BinarySignature(8, bytes([i % 3]))})
+            for i, r in enumerate(recs)
+        ]
+        ts = self.open_later_stages(0.01)
+        idx = build_index(recs, ts)
+        idx.freeze()
+        assert [len(level.radii) for level in idx._levels] == [2]
+        first = recs[0].signatures["L3"]
+        assert idx._row_ids == [r.id for r in recs if r.signatures["L3"] == first] + [
+            r.id for r in recs if r.signatures["L3"] != first
+        ]
+        for c in range(2):
+            q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
+            for t2 in (0.01, 2.0):
+                ts.thresholds["L2"] = t2
+                assert query_hierarchical(idx, q, 20) == brute_force_scan(idx, q, 20)
+                assert rows_scored(idx, q) == 8
 
     def test_bucket_order_keeps_record_order(self, tmp_path):
         rng = np.random.default_rng(28)
@@ -554,6 +589,172 @@ class TestBucketPruning:
         save_records(tmp_path / "records.bin", idx)
         back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, idx.thresholds), 6, 8)
         assert [r.id for r in back.records] == [r.id for r in recs]
+
+
+def nested_records(rng, shape=(2, 2, 2), per=8, dim=6, spread=0.05, copies=1):
+    """`per` records under each signature prefix: shape[0] L3 signatures,
+    each over shape[1] L2 ones, each over shape[2] L1 ones. The L2 and L1
+    signature values repeat under every parent, so only the prefix tells
+    their buckets apart. Each layer's vector lies near a random direction of
+    its own prefix; each vector is repeated `copies` times under other ids,
+    and the records are inserted in shuffled order. Also returns the
+    directions, keyed by (layer, prefix)."""
+    directions, recs = {}, []
+    for key in np.ndindex(*shape):
+        prefixes = {"L3": key[:1], "L2": key[:2], "L1": key}
+        sigs = {l: BinarySignature(8, bytes([p[-1]])) for l, p in prefixes.items()}
+        for i in range(per):
+            vecs = {
+                l: directions.setdefault((l, p), rng.normal(size=dim)) + spread * rng.normal(size=dim)
+                for l, p in prefixes.items()
+            }
+            for j in range(copies):
+                recs.append(FeatureRecord(f"n{''.join(map(str, key))}-{i:02d}-{j}", "k", vecs, sigs))
+    return [recs[i] for i in rng.permutation(len(recs))], directions
+
+
+def near(rng, directions, key, spread=0.05):
+    """A query near the directions of prefix `key` on every layer."""
+    prefixes = {"L3": key[:1], "L2": key[:2], "L1": key}
+    return {l: directions[(l, p)] + spread * rng.normal(size=6) for l, p in prefixes.items()}
+
+
+def open_but(layer, t):
+    """Thresholds of 2.0, which the bound never skips at, but t on `layer`."""
+    return ThresholdSet(thresholds={l: (t if l == layer else 2.0) for l in LAYERS3})
+
+
+def level_of(idx, layer):
+    idx.freeze()
+    return idx._levels[idx.stage_layers().index(layer)]
+
+
+def gaps(level, qn):
+    diff = level.centres - qn
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff)) - level.radii
+
+
+class TestNestedPruning:
+    """The L2 and L1 bucket levels nest inside the L3 buckets by signature
+    prefix; staged == brute force at zero tolerance where they skip."""
+
+    def test_levels_nest_by_signature_prefix(self):
+        rng = np.random.default_rng(31)
+        recs, _ = nested_records(rng)
+        idx = build_index(recs, open_but("L3", 2.0))
+        idx.freeze()
+        assert [len(level.radii) for level in idx._levels] == [2, 4, 8]
+        by_id = {r.id: r for r in recs}
+        rows = [by_id[rid] for rid in idx._row_ids]
+        above = np.array([0, len(recs)])
+        for depth, (level, layer) in enumerate(zip(idx._levels, ("L3", "L2", "L1"))):
+            assert set(above.tolist()) <= set(level.bounds.tolist())
+            for b, (start, stop) in enumerate(zip(level.bounds[:-1], level.bounds[1:])):
+                prefix = {tuple(r.signatures[l].data for l in LAYERS3[2 - depth:]) for r in rows[start:stop]}
+                assert len(prefix) == 1  # one prefix per bucket, one bucket per prefix
+                assert above[level.parent[b]] <= start and stop <= above[level.parent[b] + 1]
+                if depth == 2:  # each deepest bucket's rows in insertion order
+                    ids = [r.id for r in rows[start:stop]]
+                    assert ids == [r.id for r in recs if r.id in set(ids)]
+            if depth == 0:  # L3 buckets in order of first insertion
+                firsts = [rows[start].signatures["L3"] for start in level.bounds[:-1]]
+                assert firsts == list(dict.fromkeys(r.signatures["L3"] for r in recs))
+            above = level.bounds
+        assert [r.id for r in idx.records] == [r.id for r in recs]
+
+    @pytest.mark.parametrize("layer", ["L2", "L1"])
+    def test_thresholds_at_row_distances_and_bucket_bounds(self, layer):
+        rng = np.random.default_rng(32)
+        recs, directions = nested_records(rng)
+        ts = open_but(layer, 2.0)
+        idx = build_index(recs, ts)
+        level = level_of(idx, layer)
+        skipped = 0
+        for key in np.ndindex(2, 2, 2):
+            q = near(rng, directions, key)
+            g = gaps(level, l2_normalize(q[layer]))
+            flips = [x * x / 2 - level.eps for x in g if x * x / 2 > level.eps]
+            closest = np.sort(distances(idx, q, layer))[[0, 3, 7, 8, 20]]
+            for t in [v for x in [*flips, *closest] for v in ulps_around(float(x))]:
+                ts.thresholds[layer] = t
+                assert query_hierarchical(idx, q, 100) == brute_force_scan(idx, q, 100)
+                skipped += rows_scored(idx, q) < len(idx)
+        assert skipped
+
+    @pytest.mark.parametrize("layer", ["L2", "L1"])
+    def test_row_at_the_triangle_bound(self, layer):
+        # as the L3 test of that name, on a finer level: two buckets of two
+        # rows under one prefix of the stages above
+        rng = np.random.default_rng(33)
+        e0, e1 = np.linalg.qr(rng.normal(size=(6, 2)))[0].T
+        at = lambda a: np.cos(a) * e0 + np.sin(a) * e1
+        vectors = [at(1e-5), at(-1e-5), -at(0.1), -at(-0.1)]
+        other = rng.normal(size=6)
+        recs = [
+            FeatureRecord(
+                f"r{i}", "c", {l: (v if l == layer else other) for l in LAYERS3},
+                {l: BinarySignature(8, bytes([i // 2 if l == layer else 0])) for l in LAYERS3},
+            )
+            for i, v in enumerate(vectors)
+        ]
+        ts = open_but(layer, 2.0)
+        idx = build_index(recs, ts)
+        level = level_of(idx, layer)
+        assert len(level.radii) == 2
+        q = {l: (at(1e-5 + 1e-4) if l == layer else other) for l in LAYERS3}
+        own = float(distances(idx, q, layer)[0])
+        assert 0 < np.sqrt(2 * own) - gaps(level, l2_normalize(q[layer]))[0] < 1e-8
+        for t in ulps_around(own):
+            ts.thresholds[layer] = t
+            staged = query_hierarchical(idx, q, 4)
+            assert staged == brute_force_scan(idx, q, 4)
+            assert [rid for rid, _ in staged] == (["r0"] if t >= own else [])
+            assert rows_scored(idx, q) == 2
+
+    @pytest.mark.parametrize("layer", ["L2", "L1"])
+    def test_buckets_of_identical_rows(self, layer):
+        # every row of a bucket is one vector on every layer, so r is 0 up to
+        # eps; queries at tiny angles from a row, t at that row's distance
+        rng = np.random.default_rng(34)
+        recs, _ = nested_records(rng, per=1, spread=0.0, copies=8)
+        ts = open_but(layer, 2.0)
+        idx = build_index(recs, ts)
+        level = level_of(idx, layer)
+        assert len(level.radii) == {"L2": 4, "L1": 8}[layer]
+        assert np.all(level.radii <= 2 * np.sqrt(level.eps))
+        skipped = 0
+        for rec in recs[:10]:
+            for angle in (0.0, 1e-9, 1e-8, 1e-7, 1e-4, 1e-2):
+                q = dict(rec.compressed)
+                q[layer] = q[layer] + angle * rng.normal(size=6)
+                own = float(np.min(distances(idx, q, layer)))
+                for t in ulps_around(own) + [THRESHOLD_FLOOR]:
+                    if t < 0:
+                        continue
+                    ts.thresholds[layer] = t
+                    staged = query_hierarchical(idx, q, 10)
+                    assert staged == brute_force_scan(idx, q, 10)
+                    assert bool(staged) == (own <= t)
+                    skipped += rows_scored(idx, q) < len(idx)
+        assert skipped
+
+    @pytest.mark.parametrize("layer, above", [("L2", "L3"), ("L1", "L2"), ("L1", "L3")])
+    def test_each_level_reads_its_own_threshold(self, layer, above):
+        # a tight stage above and an open one below, and the other way round:
+        # a level tested at another stage's threshold would skip rows that pass
+        rng = np.random.default_rng(35)
+        recs, directions = nested_records(rng)
+        ts = open_but(layer, 2.0)
+        idx = build_index(recs, ts)
+        idx.freeze()
+        for key in np.ndindex(2, 2, 2):
+            q = near(rng, directions, key)
+            for stage in (layer, above):
+                for t in np.sort(distances(idx, q, stage))[[0, 7, 15, 31, 40]]:
+                    ts.scales = {stage: float(t) / ts.thresholds[stage]}
+                    got = query_hierarchical(idx, q, len(idx))
+                    assert got and got == brute_force_scan(idx, q, len(idx))
+            ts.scales = {}
 
 
 class TestRecordsFile:
