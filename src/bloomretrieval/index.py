@@ -1,8 +1,12 @@
 """Hierarchical per-layer store and coarse-to-fine retrieval.
 
-Records hold one compressed vector (float32, the precision the record store
-persists) and one binary signature per active layer. Freezing the index
-builds one contiguous float64 matrix of unit rows per layer. Retrieval
+The store is columnar and keeps insertion order: ids and labels as lists,
+and per active layer one float32 matrix of compressed vectors (the
+precision the record store persists) and one packed uint8 matrix of binary
+signatures, grown by doubling as records are added. `records` builds
+`FeatureRecord`s from these columns only when it is read. Freezing the
+index gathers, in blocks of rows, one contiguous float64 matrix of unit
+rows per layer from the float32 one. Retrieval
 filters candidates layer by layer, coarse to fine as the paper orders the
 hierarchy (L3 first, L1 last), against calibrated cosine thresholds: the
 first stage scores the rows of the buckets no stage can skip (below), each
@@ -48,9 +52,12 @@ no level, and neither does any later one: the per-bucket bounds would cost
 about as much as the scan they save. An index with more than sqrt(n)
 distinct L3 signatures therefore keeps one bucket in insertion order, and a
 one-bucket index runs the same code. When no bucket is skipped the first
-stage scores its whole matrix as one view. `records` and the record store
-keep insertion order; only the matrices and the row-to-id list are in
-bucket order, and ranking ties break by id, so the order changes no answer.
+stage scores its whole matrix as one view. The columns and the record store
+keep insertion order; only the unit-row matrices and the row-to-id list are
+in bucket order, and ranking ties break by id, so the order changes no
+answer. `freeze()` groups rows on the packed signature matrices: each
+distinct signature is numbered by its first row, and one stable argsort of
+the deepest level's prefix ranks gives the bucket order.
 
 eps bounds the rounding of the kernel and of c and r on one level's layer;
 nothing in it depends on the layer but the width d of its rows, so each
@@ -71,24 +78,42 @@ kernel's clip at 2 would pass every row.
 Each layer's threshold is calibrated as the mean cosine distance over all
 same-class pairs of training vectors. It is computed in closed form from
 each class's sum of unit rows (`unit_rows`, the normalisation the index
-uses), so no pair is visited. The record store gives ids and labels
-u16 length prefixes; a longer one raises `DataFormatError` before the file
-is opened.
+uses), so no pair is visited.
+
+The record store, records.bin v2, holds the columns as raw arrays, so a
+load reads each with `np.frombuffer` and checks it in one pass. All
+integers are little-endian:
+
+    "MHIX", u64 2^64 - 1 (where v1 holds its record count), u16 version 2,
+    u16 layer count, u64 record count n;
+    per layer: u32 vector width d, u32 signature byte width s;
+    per layer: the n x d float32 vector matrix;
+    n u32 id end offsets, then n u32 label end offsets;
+    per layer: the n x s signature matrix;
+    the ids' UTF-8 bytes, then the labels'.
+
+The arrays of 4-byte values come first, so they are aligned in memory. An
+empty store gives widths of 0. An id or label of more than 65,535 UTF-8
+bytes, the most a feature file can hold, raises `DataFormatError` before
+the file is opened. A v1 store, which lays out one record after another,
+still loads; v1 and v2 end in the same fill-and-check code.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .binio import Reader, pack_id_label
+from .binio import MAX_TEXT, Reader, too_long
 from .binseq import BinarySignature
 from .errors import (
     ConfigMismatchError,
+    DataFormatError,
     DimensionMismatchError,
     DuplicateIdError,
     InconsistentDimsError,
@@ -96,6 +121,11 @@ from .errors import (
 )
 
 _MAGIC = b"MHIX"
+# where v1 holds its record count; no v1 file can count 2^64 - 1 records
+_V2_MARK = 2**64 - 1
+_VERSION = 2
+# the rows freeze() gathers into float64 at a time
+_BLOCK = 256
 
 # floor applied to degenerate (identical-image) calibrated thresholds so
 # exact duplicates still match
@@ -111,6 +141,12 @@ def unit_rows(rows) -> np.ndarray:
     m = np.array(rows, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array of rows, got shape {m.shape}")
+    return _normalise(m)
+
+
+def _normalise(m: np.ndarray) -> np.ndarray:
+    """`unit_rows` in place on a float64 matrix; each norm is its own row's
+    einsum, so a row gets the same bits in any block of rows."""
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     usable = (norms > 0.0) & (norms < np.inf)  # False for NaN
     if not usable.all():
@@ -118,6 +154,29 @@ def unit_rows(rows) -> np.ndarray:
         raise InvalidVectorError(f"row {bad} is non-finite or zero, or its norm overflows")
     m /= norms[:, None]
     return m
+
+
+def _unit_gather(matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`unit_rows(matrix[order])`, gathered and scaled _BLOCK rows at a time
+    into the float64 result, so no whole-matrix temporary is made."""
+    out = np.empty((len(order), matrix.shape[1]))
+    for start in range(0, len(order), _BLOCK):
+        block = out[start:start + _BLOCK]
+        block[...] = matrix[order[start:start + _BLOCK]]
+        _normalise(block)
+    return out
+
+
+def _first_seen(rows: np.ndarray) -> np.ndarray:
+    """Each row of a uint8 matrix numbered by the order in which its value
+    first occurs."""
+    if not rows.shape[1]:
+        return np.zeros(len(rows), dtype=np.int64)
+    whole = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse]
 
 
 def l2_normalize(a) -> np.ndarray:
@@ -224,25 +283,76 @@ class Buckets:
         return (gap <= math.sqrt(max(2.0 * (t + self.eps), 0.0))) & above[self.parent]
 
 
+class Records(Sequence):
+    """An index's records in insertion order, as they stood when it was
+    read: each `FeatureRecord` is built from the columns when it is read,
+    its vectors read-only views of the layer matrices."""
+
+    def __init__(self, index: "HierarchicalIndex"):
+        self._n = len(index)
+        self._ids, self._labels = index._ids, index._labels  # appended to only
+        self._columns = []
+        for layer, (_, bits) in index._widths.items():
+            vectors = index._vectors[layer][:self._n].view()
+            vectors.flags.writeable = False
+            self._columns.append((layer, vectors, index._signatures[layer][:self._n], bits))
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._n))]
+        i = range(self._n)[i]
+        vectors, signatures = {}, {}
+        for layer, matrix, sigs, bits in self._columns:
+            vectors[layer] = matrix[i]
+            signatures[layer] = BinarySignature(bits, sigs[i].tobytes())
+        return FeatureRecord(self._ids[i], self._labels[i], vectors, signatures)
+
+
 class HierarchicalIndex:
-    """Append-then-freeze store; frozen indices serve concurrent queries."""
+    """Append-then-freeze columnar store; frozen indices serve concurrent
+    queries. Records are held by column, in insertion order: ids and labels
+    as lists, and per layer a float32 vector matrix and a packed uint8
+    signature matrix whose first len(self) rows are the records'."""
 
     def __init__(self, layers, thresholds: ThresholdSet):
         self.layers = tuple(layers)
         self.thresholds = thresholds
-        self.records: list[FeatureRecord] = []
-        self._ids: set[str] = set()
+        self._ids: list[str] = []
+        self._labels: list[str] = []
+        self._id_set: set[str] = set()
+        # per layer, from the first record: vector shape and signature bits
+        self._widths: dict[str, tuple[tuple[int, ...], int]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
+        self._signatures: dict[str, np.ndarray] = {}
+        # each signature matrix as flat bytes, which `add` writes cheaply
+        self._signature_bytes: dict[str, memoryview] = {}
         self._rows: dict[str, np.ndarray] | None = None
         self._row_ids: list[str] = []
         self._levels: tuple[Buckets, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ids)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(self._ids)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self._labels)
+
+    @property
+    def records(self) -> "Records":
+        """The records in insertion order, as they stand now."""
+        return Records(self)
 
     def add(self, record: FeatureRecord) -> None:
-        """Append a record as the record store holds it, its vectors cast to
-        float32; rejects one that would poison a layer matrix or the store."""
-        if record.id in self._ids:
+        """Append a record, its vectors cast to float32 as the record store
+        holds them; rejects one that would poison a layer matrix or the store."""
+        if record.id in self._id_set:
             raise DuplicateIdError(f"duplicate record id {record.id!r}")
         layers = set(self.layers)
         if set(record.compressed) != layers or set(record.signatures) != layers:
@@ -250,20 +360,21 @@ class HierarchicalIndex:
                 f"record vector layers {sorted(record.compressed)} and signature "
                 f"layers {sorted(record.signatures)} != index layers {sorted(self.layers)}"
             )
-        first = self.records[0] if self.records else record
+        widths = self._widths or {
+            layer: (np.shape(record.compressed[layer]), record.signatures[layer].width)
+            for layer in self.layers
+        }
         vectors = {}
-        for layer in self.layers:
+        for layer, (shape, bits) in widths.items():
             vec = np.asarray(record.compressed[layer], dtype=np.float32)
-            if vec.ndim != 1 or vec.shape != np.shape(first.compressed[layer]):
+            if vec.ndim != 1 or vec.shape != shape:
                 raise InconsistentDimsError(
-                    f"record {record.id!r} layer {layer} shape {vec.shape} != "
-                    f"{np.shape(first.compressed[layer])}"
+                    f"record {record.id!r} layer {layer} shape {vec.shape} != {shape}"
                 )
-            nbytes = len(record.signatures[layer].data)
-            if nbytes != len(first.signatures[layer].data):
+            if record.signatures[layer].width != bits:
                 raise InconsistentDimsError(
-                    f"record {record.id!r} layer {layer} signature is {nbytes} bytes, "
-                    f"not {len(first.signatures[layer].data)}"
+                    f"record {record.id!r} layer {layer} signature is "
+                    f"{record.signatures[layer].width} bits, not {bits}"
                 )
             wide = vec.astype(np.float64)
             if not 0.0 < float(wide @ wide) < math.inf:
@@ -272,41 +383,83 @@ class HierarchicalIndex:
                     "or has zero norm"
                 )
             vectors[layer] = vec
-        self.records.append(FeatureRecord(record.id, record.label, vectors, record.signatures))
-        self._ids.add(record.id)
+        n = len(self)
+        if not self._widths:
+            self._widths = widths
+            for layer, (shape, bits) in widths.items():
+                self._vectors[layer] = np.empty((0, *shape), np.float32)
+                self._signatures[layer] = np.empty((0, (bits + 7) // 8), np.uint8)
+        if n == len(self._vectors[self.layers[0]]):
+            self._reserve(n + 1)
+        for layer, vec in vectors.items():
+            self._vectors[layer][n] = vec
+            data = record.signatures[layer].data
+            self._signature_bytes[layer][n * len(data):(n + 1) * len(data)] = data
+        self._ids.append(record.id)
+        self._labels.append(record.label)
+        self._id_set.add(record.id)
+        self._rows = None
+
+    def _reserve(self, rows: int) -> None:
+        """Grow every matrix to at least `rows` rows, at least doubling it."""
+        n = len(self)
+        for store in (self._vectors, self._signatures):
+            for layer, m in store.items():
+                grown = np.empty((max(rows, 2 * len(m)), m.shape[1]), m.dtype)
+                grown[:n] = m[:n]
+                store[layer] = grown
+        self._signature_bytes = {
+            layer: memoryview(m.reshape(-1)) for layer, m in self._signatures.items()
+        }
+
+    def _fill(self, ids: list[str], labels: list[str], vectors, signatures, sig_width: int):
+        """Take a record store's columns, as `load_records` reads them, into
+        this empty index, with one check per column: every id unique, and
+        every vector finite and not all zero, which is what `add` asks of a
+        float32 vector's float64 squared norm."""
+        if len(self):
+            raise ValueError("a record store loads only into an empty index")
+        seen = set()
+        for rid in ids:
+            if rid in seen:
+                raise DuplicateIdError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+        for layer, m in vectors.items():
+            usable = np.isfinite(m).all(axis=1) & (np.count_nonzero(m, axis=1) > 0)
+            if not usable.all():
+                raise InvalidVectorError(
+                    f"record {ids[int(np.argmin(usable))]!r} layer {layer} vector is "
+                    "non-finite or has zero norm"
+                )
+        if ids:  # an empty store leaves the widths to the first record added
+            self._widths = {layer: (m.shape[1:], sig_width) for layer, m in vectors.items()}
+            self._vectors, self._signatures = dict(vectors), dict(signatures)
+        self._ids, self._labels, self._id_set = list(ids), list(labels), seen
         self._rows = None
 
     def freeze(self) -> None:
         """Build each layer's unit-row matrix in bucket order, the row-to-id
         list and the bucket levels, once until the next add; queries
         afterwards are read-only."""
-        if self._rows is not None or not self.records:
+        if self._rows is not None or not len(self):
             return
-        stages, n = self.stage_layers(), len(self.records)
+        stages, n = self.stage_layers(), len(self)
         # per level, each row's bucket: the rank of its signature prefix,
         # each signature numbered in order of first insertion; a prefix
         # ranks among its parent's, so sorting by the last level's buckets
         # nests every level's runs in the one above. A level of more than
         # sqrt(n) buckets ends the levels
         keys, key = [], np.zeros(n, dtype=np.int64)
-        signatures = [r.signatures for r in self.records]
         for layer in stages:
-            number = {}
-            sig = [number.setdefault(s[layer].data, len(number)) for s in signatures]
-            prefixes, key = np.unique(key * len(number) + sig, return_inverse=True)
+            sig = _first_seen(self._signatures[layer][:n])
+            prefixes, key = np.unique(key * (sig.max() + 1) + sig, return_inverse=True)
             if len(prefixes) ** 2 > n:
                 break
             keys.append(key)
         keys = keys or [np.zeros(n, dtype=np.int64)]
-        perm = np.argsort(keys[-1], kind="stable").tolist()
-        rows = {}
-        for layer in self.layers:
-            # gathered in record order, then permuted as a list: faster than
-            # visiting the records out of order, and no matrix is built twice
-            vectors = [r.compressed[layer] for r in self.records]
-            rows[layer] = unit_rows([vectors[i] for i in perm])
-        ids = [r.id for r in self.records]
-        self._row_ids = [ids[i] for i in perm]
+        perm = np.argsort(keys[-1], kind="stable")
+        rows = {layer: _unit_gather(self._vectors[layer], perm) for layer in self.layers}
+        self._row_ids = [self._ids[i] for i in perm.tolist()]
         levels, above = [], np.array([0, n])
         for key, layer in zip(keys, stages):
             bounds = np.concatenate(([0], np.cumsum(np.bincount(key))))
@@ -390,7 +543,7 @@ def query_hierarchical(
 ) -> list[tuple[str, float]]:
     """Staged filter-then-rank retrieval; at most top_k (id, distance) pairs."""
     stages, rows, qn = _prepare(index, q, top_k)
-    if not index.records:
+    if not len(index):
         return []
     first = stages[0]
     t = index.thresholds.effective(first)
@@ -418,7 +571,7 @@ def brute_force_scan(
 ) -> list[tuple[str, float]]:
     """Unpruned oracle: every record scored on every layer, same thresholds."""
     stages, rows, qn = _prepare(index, q, top_k)
-    if not index.records:
+    if not len(index):
         return []
     dists = [unit_cosine_distances(rows[layer], qn[layer]) for layer in stages]
     passed = np.logical_and.reduce(
@@ -429,21 +582,41 @@ def brute_force_scan(
 
 
 def save_records(path, index: HierarchicalIndex) -> None:
-    """Write the record store; an over-long id or label raises before the
-    file is opened."""
-    heads = [pack_id_label(rec) for rec in index.records]
+    """Write the record store as records.bin v2 (module docstring); an
+    over-long id or label raises before the file is opened."""
+    n = len(index)
+    texts = [
+        _text_column(index._ids, index._ids, "id"),
+        _text_column(index._ids, index._labels, "label"),
+    ]
+    header = _MAGIC + struct.pack("<QHHQ", _V2_MARK, _VERSION, len(index.layers), n)
+    for layer in index.layers:
+        m, s = index._vectors.get(layer), index._signatures.get(layer)
+        header += struct.pack("<II", *((m.shape[1], s.shape[1]) if n else (0, 0)))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(index.records)))
-        for rec, head in zip(index.records, heads):
-            fh.write(head)
-            for layer in index.layers:
-                vec = np.asarray(rec.compressed[layer], dtype="<f4")
-                sig = rec.signatures[layer]
-                fh.write(struct.pack("<I", vec.shape[0]))
-                fh.write(vec.tobytes())
-                fh.write(struct.pack("<H", len(sig.data)))
-                fh.write(sig.data)
+        fh.write(header)
+        for m in index._vectors.values():
+            fh.write(np.ascontiguousarray(m[:n], "<f4"))
+        for ends, _ in texts:
+            fh.write(ends)
+        for s in index._signatures.values():
+            fh.write(s[:n])
+        for _, blob in texts:
+            fh.write(blob)
+
+
+def _text_column(ids: list[str], texts: list[str], name: str) -> tuple[np.ndarray, bytes]:
+    """(u32 end offsets, UTF-8 blob) of `texts`; raises `too_long` for the
+    first one of more than `MAX_TEXT` bytes."""
+    data = [t.encode("utf-8") for t in texts]
+    lengths = np.array([len(d) for d in data], dtype=np.int64)
+    over = np.flatnonzero(lengths > MAX_TEXT)
+    if len(over):
+        raise too_long(ids[over[0]], name, int(lengths[over[0]]))
+    ends = np.cumsum(lengths)
+    if len(ends) and ends[-1] > 0xFFFFFFFF:
+        raise DataFormatError(f"the {name}s of {len(ends)} records take more than 4 GiB")
+    return ends.astype("<u4"), b"".join(data)
 
 
 def load_records(
@@ -452,30 +625,74 @@ def load_records(
     dim: int,
     sig_width: int,
 ) -> HierarchicalIndex:
-    """Read the record store into `idx` and return it. Every vector must be
-    `dim` wide and every signature `sig_width` bits, else `ConfigMismatchError`;
-    each record then passes through `idx.add`, which rejects a poisoned vector."""
+    """Read a record store, v2 or v1, into the empty `idx` and return it.
+    Every vector must be `dim` wide and every signature `sig_width` bits,
+    else `ConfigMismatchError`; both versions then end in `idx._fill`, which
+    rejects a duplicate id and a poisoned vector."""
     r = Reader(Path(path).read_bytes(), "records file", _MAGIC)
     (count,) = r.unpack("Q")
-    sig_bytes = (sig_width + 7) // 8
-    for _ in range(count):
-        rid = r.text()
-        lab = r.text()
-        compressed = {}
-        signatures = {}
-        for layer in idx.layers:
-            (width,) = r.unpack("I")
-            if width != dim:
-                raise ConfigMismatchError(
-                    f"record {rid!r} layer {layer} vector is {width} wide, not {dim}"
-                )
-            compressed[layer] = r.floats(dim, np.float32)
-            (nbytes,) = r.unpack("H")
-            if nbytes != sig_bytes:
-                raise ConfigMismatchError(
-                    f"signature byte width {nbytes} does not fit {sig_width} bits"
-                )
-            signatures[layer] = BinarySignature(width=sig_width, data=r.take(nbytes))
-        idx.add(FeatureRecord(rid, lab, compressed, signatures))
+    if count == _V2_MARK:
+        columns = _read_v2(r, idx.layers, dim, sig_width)
+    else:
+        columns = _read_v1(r, count, idx.layers, dim, sig_width)
     r.end()
+    idx._fill(*columns, sig_width)
     return idx
+
+
+def _read_v2(r: Reader, layers, dim: int, sig_width: int):
+    """(ids, labels, vectors, signatures) of a v2 store, the matrices as
+    read-only views of the file's bytes."""
+    version, layer_count, n = r.unpack("HHQ")
+    if version != _VERSION:
+        raise DataFormatError(f"unsupported records file version {version}")
+    if layer_count != len(layers):
+        raise ConfigMismatchError(
+            f"records file holds {layer_count} layers, the index {len(layers)}"
+        )
+    widths = [r.unpack("II") for _ in layers]
+    for layer, (width, nbytes) in zip(layers, widths):
+        if n:  # an empty store gives no widths
+            _check_width("records file", layer, width, dim)
+            _check_signature_bytes(nbytes, sig_width)
+    vectors = {l: r.array("<f4", n * w).reshape(n, w) for l, (w, _) in zip(layers, widths)}
+    id_ends, label_ends = r.array("<u4", n), r.array("<u4", n)
+    signatures = {l: r.array(np.uint8, n * b).reshape(n, b) for l, (_, b) in zip(layers, widths)}
+    return r.texts(id_ends), r.texts(label_ends), vectors, signatures
+
+
+def _read_v1(r: Reader, count: int, layers, dim: int, sig_width: int):
+    """(ids, labels, vectors, signatures) of a v1 store, which lays each
+    record out in turn."""
+    ids, labels = [], []
+    vectors = {layer: [] for layer in layers}
+    signatures = {layer: [] for layer in layers}
+    for _ in range(count):
+        ids.append(r.text())
+        labels.append(r.text())
+        for layer in layers:
+            (width,) = r.unpack("I")
+            _check_width(f"record {ids[-1]!r}", layer, width, dim)
+            vectors[layer].append(r.take(4 * dim))
+            (nbytes,) = r.unpack("H")
+            _check_signature_bytes(nbytes, sig_width)
+            signatures[layer].append(r.take(nbytes))
+    return (
+        ids,
+        labels,
+        {l: np.frombuffer(b"".join(v), "<f4").reshape(count, dim) for l, v in vectors.items()},
+        {l: np.frombuffer(b"".join(s), np.uint8).reshape(count, (sig_width + 7) // 8)
+         for l, s in signatures.items()},
+    )
+
+
+def _check_width(what: str, layer: str, width: int, dim: int) -> None:
+    if width != dim:
+        raise ConfigMismatchError(f"{what} layer {layer} vector is {width} wide, not {dim}")
+
+
+def _check_signature_bytes(nbytes: int, sig_width: int) -> None:
+    if nbytes != (sig_width + 7) // 8:
+        raise ConfigMismatchError(
+            f"signature byte width {nbytes} does not fit {sig_width} bits"
+        )

@@ -396,8 +396,8 @@ def evaluate(
         raise ValueError("evaluation requires at least one query")
     index.freeze()
     relevant_by_label: dict[str, list[str]] = {}
-    for rec in index.records:
-        relevant_by_label.setdefault(rec.label, []).append(rec.id)
+    for rid, label in zip(index.ids, index.labels):
+        relevant_by_label.setdefault(label, []).append(rid)
 
     aps, times, outcomes = [], [], []  # outcomes: (rejected, distractor)
     for q in queries:

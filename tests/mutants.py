@@ -1,0 +1,154 @@
+"""Mutation check: every derived rounding margin, and the bucket code built
+on the index's columns, must have a test that fails when it is broken.
+
+    python tests/mutants.py           # every mutant
+    python tests/mutants.py index     # the mutants whose name starts so
+
+Each mutant is one exact source substitution in one file under
+src/bloomretrieval/, paired with the test files that must catch it. For
+each, src/ is copied to a temporary directory, the substitution applied,
+and the paired tests run with that copy first on the import path, under the
+tier-1 flags and with -x. The unmutated copy must pass every paired test
+file first. The check fails when that baseline fails, when a substitution's
+target text is missing or not unique, or when a mutant's tests all pass.
+pytest does not collect this file: its name does not start with "test".
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BINSEQ_MARGIN = "margin = (2 * x.size + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
+PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
+INDEX_EPS = "eps = 8 * (rows.shape[1] + 8) * 2.0**-53"
+INDEX_RADIUS = "np.sqrt(np.maximum(reach, 0.0) + eps)"
+INDEX_LEVELS = """        for level, layer in zip(self._levels, self.stage_layers()):
+            live = level.live(qn[layer], self.thresholds.effective(layer), live)"""
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+BINSEQ = ("tests/test_binseq.py",)
+INDEX = ("tests/test_index.py", "tests/test_lifecycle.py")
+PCA = ("tests/test_pca.py",)
+
+MUTANTS = [
+    Mutant("binseq: margin 0", "binseq.py", BINSEQ_MARGIN, "margin = 0.0", BINSEQ),
+    Mutant("binseq: margin / 64", "binseq.py", BINSEQ_MARGIN, f"margin = ({BINSEQ_MARGIN.split('= ', 1)[1]}) / 64", BINSEQ),
+    Mutant(
+        "binseq: margin without eta", "binseq.py", BINSEQ_MARGIN,
+        BINSEQ_MARGIN.replace("(_U * reach * reach + _ETA)", "_U * reach * reach"), BINSEQ,
+    ),
+    Mutant(
+        "binseq: no overflow guard", "binseq.py",
+        "if reach * reach + t * t < _PRETEST_LIMIT:", "if True:", BINSEQ,
+    ),
+    Mutant(
+        "binseq: fallback summed by einsum", "binseq.py",
+        "np.sqrt(np.add.reduce((C[band] - x) ** 2, axis=1))",
+        'np.sqrt(np.einsum("ij,ij->i", C[band] - x, C[band] - x))', BINSEQ,
+    ),
+    Mutant("index: eps 0", "index.py", INDEX_EPS, "eps = 0.0", INDEX),
+    Mutant(
+        "index: eps 0 after the first level", "index.py", INDEX_EPS,
+        f"{INDEX_EPS} * (len(above) == 2)", INDEX,
+    ),
+    Mutant(
+        "index: bound sqrt(t + eps)", "index.py",
+        "math.sqrt(max(2.0 * (t + self.eps), 0.0))", "math.sqrt(max(t + self.eps, 0.0))", INDEX,
+    ),
+    Mutant("index: half radii", "index.py", INDEX_RADIUS, f"{INDEX_RADIUS} / 2", INDEX),
+    Mutant(
+        "index: r^2 short by 1e-12", "index.py", INDEX_RADIUS,
+        INDEX_RADIUS.replace("reach,", "reach - 1e-12,"), INDEX,
+    ),
+    Mutant(
+        "index: missing slice offset", "index.py",
+        "kept.append(passed + start)", "kept.append(passed)", INDEX,
+    ),
+    Mutant(
+        "index: every level on the first stage's layer", "index.py",
+        "Buckets.build(rows[layer], bounds, above)", "Buckets.build(rows[stages[0]], bounds, above)", INDEX,
+    ),
+    Mutant(
+        "index: each level at the threshold of the stage above", "index.py", INDEX_LEVELS,
+        """        stages = self.stage_layers()
+        for level, layer, up in zip(self._levels, stages, stages[:1] + stages):
+            live = level.live(qn[layer], self.thresholds.effective(up), live)""",
+        INDEX,
+    ),
+    Mutant(
+        "index: signatures numbered in byte order", "index.py",
+        "number[np.argsort(first)] = np.arange(len(first))", "number[:] = np.arange(len(first))", INDEX,
+    ),
+    Mutant(
+        "index: every block gathers the first rows", "index.py",
+        "block[...] = matrix[order[start:start + _BLOCK]]", "block[...] = matrix[order[:len(block)]]", INDEX,
+    ),
+    Mutant("pca: floor 0", "pca.py", PCA_FLOOR, "null = eig <= 0.0", PCA),
+    Mutant("pca: floor x 1e6", "pca.py", PCA_FLOOR, f"null = eig <= 1e6 * ({PCA_FLOOR.split('<= ', 1)[1]})", PCA),
+    Mutant(
+        "pca: floor without its centring term", "pca.py", PCA_FLOOR,
+        PCA_FLOOR.split(" + 4 * (n + 2)")[0], PCA,
+    ),
+]
+
+
+def run_tests(src: Path, tests: tuple[str, ...]) -> bool:
+    """Whether the test files pass against the package under `src`."""
+    # no bytecode cache: a mutant as long as its original, written within
+    # the same second, could otherwise run from the original's cache
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-x", "-W", "error",
+            "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main(prefixes: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not prefixes or m.name.startswith(tuple(prefixes))]
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        for tests in sorted({m.tests for m in chosen}):
+            if not run_tests(src, tests):
+                failures.append(f"unmutated tree fails {' '.join(tests)}")
+        for m in chosen:
+            path = src / "bloomretrieval" / m.file
+            original = path.read_text()
+            if original.count(m.old) != 1:
+                failures.append(f"{m.name}: target text found {original.count(m.old)} times in {m.file}")
+                continue
+            path.write_text(original.replace(m.old, m.new))
+            try:
+                caught = not run_tests(src, m.tests)
+            finally:
+                path.write_text(original)
+            print(f"{'caught' if caught else 'MISSED'}: {m.name}", flush=True)
+            if not caught:
+                failures.append(f"{m.name}: {' '.join(m.tests)} all pass")
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    print(f"{len(chosen)} mutants, {len(failures)} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -8,9 +8,12 @@ is rescored case by case from each query's gated result, the calibrated
 threshold is a mean over explicitly enumerated pairs, a cosine distance is
 one dot product over two norms, a signature's bits are read byte by byte,
 a signature is the L2 distance to every centroid at once, as
-`np.linalg.norm` computes it, and a reconstruction is the textbook
-mean + basisᵀy.
+`np.linalg.norm` computes it, a reconstruction is the textbook
+mean + basisᵀy, and a v1 record store is written record by record, as the
+store was before v2.
 """
+
+import struct
 
 import numpy as np
 
@@ -159,3 +162,20 @@ def reference_signature(centroids, threshold, x):
 def reconstruct(model, y):
     """mean + basisᵀy: the inverse of projection on the retained subspace."""
     return model.mean + model.basis.T @ np.asarray(y, dtype=np.float64)
+
+
+def write_records_v1(path, records, layers):
+    """A records.bin v1: "MHIX", the u64 record count, then per record its id
+    and label as u16-length-prefixed UTF-8 and per layer a u32 vector width,
+    the float32 vector, a u16 signature byte width and the signature."""
+    with open(path, "wb") as fh:
+        fh.write(b"MHIX" + struct.pack("<Q", len(records)))
+        for rec in records:
+            for text in (rec.id, rec.label):
+                data = text.encode("utf-8")
+                fh.write(struct.pack("<H", len(data)) + data)
+            for layer in layers:
+                vec = np.asarray(rec.compressed[layer], dtype="<f4")
+                sig = rec.signatures[layer].data
+                fh.write(struct.pack("<I", len(vec)) + vec.tobytes())
+                fh.write(struct.pack("<H", len(sig)) + sig)

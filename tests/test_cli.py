@@ -13,6 +13,8 @@ from bloomretrieval import cli, pipeline
 from bloomretrieval.index import HierarchicalIndex
 from bloomretrieval.pca import PcaModel
 
+from oracles import write_records_v1
+
 LAYERS = ("L1", "L2", "L3")
 
 
@@ -257,6 +259,29 @@ def test_part_of_other_width_exit_3(filled_copy, tmp_path, capsys, part):
         assert err.startswith("config mismatch: ")
 
 
+def test_add_to_v1_index_leaves_v2(filled_copy, capsys):
+    # an index saved before records.bin v2 answers as before, and `add`
+    # rewrites its record store as v2
+    idx, qrys = filled_copy
+    query = [str(a) for a in ("query", "--index", idx, "--features", qrys, "--json")]
+    assert cli.main(query) == 0
+    answers = capsys.readouterr().out
+    _, index = pipeline.load_index_dir(idx)
+    old = [(r.id, [r.compressed[l].tobytes() for l in LAYERS]) for r in index.records]
+    write_records_v1(idx / "records.bin", index.records, index.layers)
+    assert (idx / "records.bin").read_bytes()[4:12] == struct.pack("<Q", len(old))
+    assert cli.main(query) == 0
+    assert capsys.readouterr().out == answers
+
+    rc, err = run(capsys, "add", "--index", idx, "--features", qrys)
+    assert rc == 0, err
+    assert (idx / "records.bin").read_bytes()[:14] == b"MHIX" + b"\xff" * 8 + struct.pack("<H", 2)
+    _, index = pipeline.load_index_dir(idx)
+    records = index.records
+    assert [(r.id, [r.compressed[l].tobytes() for l in LAYERS]) for r in records[: len(old)]] == old
+    assert [r.id for r in records[len(old):]] == [q.id for q in pipeline.read_features(qrys)]
+
+
 def test_repeated_filter_seed_exit_3(filled_copy, capsys):
     idx, qrys = filled_copy
     blob = bytearray((idx / "filter.bin").read_bytes())
@@ -495,10 +520,15 @@ def test_train_refuses_model_beyond_float32(workspace, capsys):
 
 
 def _signature_bytes_3(blob):
-    # the first record's L1 signature byte count, after its label, its
-    # vector width and its 8 floats: 3 bytes do not fit 16 bits
-    at = blob.index(b"class-000") + len(b"class-000") + 4 + 4 * 8
-    return blob[:at] + struct.pack("<H", 3) + blob[at + 2:]
+    # records.bin v2: magic, v2 mark, version, layer count and record count
+    # (24 bytes), then per layer a u32 vector width and a u32 signature byte
+    # width; L1's becomes 3, which does not fit 16 bits
+    return blob[:28] + struct.pack("<I", 3) + blob[32:]
+
+
+def _records_version_3(blob):
+    # after the magic and the v2 mark, the u16 version
+    return blob[:12] + struct.pack("<H", 3) + blob[14:]
 
 
 def _pca_one_dim_short(blob):
@@ -525,12 +555,13 @@ def _feature_file_version_2(blob):
     "part, edit, code, message",
     [
         ("records.bin", _signature_bytes_3, 3, "signature byte width 3 does not fit 16 bits"),
+        ("records.bin", _records_version_3, 2, "unsupported records file version 3"),
         ("pca-L2.bin", _pca_one_dim_short, 3, "PCA target dim 7 != configured 8"),
         ("filter.bin", _filter_without_l3, 3, "filter layers ('L1', 'L2') != configured"),
         ("config.json", _calibrated_without_l3, 3, "calibrated thresholds missing"),
         ("queries", _feature_file_version_2, 2, "unsupported feature file version 2"),
     ],
-    ids=["record-signature-bytes", "pca-target-dim", "filter-layers", "calibrated-layer", "mlhc-version"],
+    ids=["record-signature-bytes", "records-version", "pca-target-dim", "filter-layers", "calibrated-layer", "mlhc-version"],
 )
 def test_cross_check_exit_code(filled_copy, capsys, part, edit, code, message):
     idx, qrys = filled_copy

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from bloomretrieval.errors import (
     DuplicateIdError,
     InconsistentDimsError,
     InvalidVectorError,
+    TruncatedFileError,
 )
 from bloomretrieval.index import (
     THRESHOLD_FLOOR,
@@ -25,7 +28,7 @@ from bloomretrieval.index import (
     unit_rows,
 )
 
-from oracles import cosine_distance, mean_same_class_cosine_distance
+from oracles import cosine_distance, mean_same_class_cosine_distance, write_records_v1
 
 LAYERS3 = ("L1", "L2", "L3")
 
@@ -251,6 +254,29 @@ class TestQueries:
         idx.add(new)
         for fn in (query_hierarchical, brute_force_scan):
             assert fn(idx, new.compressed, 1) == [("b", 0.0)]
+
+
+    def test_frozen_rows_are_unit_rows_in_bucket_order(self):
+        # more rows than freeze() gathers at once, under three L3 signatures
+        # whose first insertions are not in their byte order
+        rng = np.random.default_rng(12)
+        sigs = [BinarySignature(width=8, data=bytes([b])) for b in (0x40, 0x02, 0x10)]
+        recs = [
+            FeatureRecord(
+                f"r{i:04d}", "c", {l: rng.normal(size=6) for l in LAYERS3},
+                {l: sigs[int(rng.integers(3))] if l == "L3" else sigs[0] for l in LAYERS3},
+            )
+            for i in range(700)
+        ]
+        idx = build_index(recs, ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+        idx.freeze()
+        first_seen = list(dict.fromkeys(r.signatures["L3"] for r in recs))
+        assert first_seen != sorted(first_seen, key=lambda sig: sig.data)
+        in_buckets = sorted(recs, key=lambda r: first_seen.index(r.signatures["L3"]))
+        assert idx._row_ids == [r.id for r in in_buckets]
+        for l in LAYERS3:
+            want = unit_rows([r.compressed[l].astype(np.float32) for r in in_buckets])
+            assert np.array_equal(idx._rows[l], want)
 
 
 class TestEquivalence:
@@ -805,8 +831,8 @@ class TestRecordsFile:
         path = tmp_path / "records.bin"
         save_records(path, idx)
         blob = bytearray(path.read_bytes())
-        # magic, count, id "a", label "c", L1 dim: the L1 vector starts at 22
-        blob[22:22 + 16] = bytes(16)
+        # v2: a 24-byte header and two u32 widths per layer, then the L1 matrix
+        blob[48:48 + 16] = bytes(16)
         path.write_bytes(bytes(blob))
         with pytest.raises(InvalidVectorError):
             load_records(path, HierarchicalIndex(LAYERS3, ts), 4, 16)
@@ -830,6 +856,193 @@ class TestRecordsFile:
         ts = ThresholdSet(thresholds={l: 1.0 for l in LAYERS3})
         with pytest.raises(BadMagicError):
             load_records(p, HierarchicalIndex(LAYERS3, ts), 4, 16)
+
+
+def stored(records):
+    """Each record as (id, label, vector bytes, signature bytes per layer)."""
+    return [
+        (
+            r.id,
+            r.label,
+            [np.asarray(r.compressed[l], dtype=np.float32).tobytes() for l in LAYERS3],
+            [r.signatures[l].data for l in LAYERS3],
+        )
+        for r in records
+    ]
+
+
+def store_index(n=6, dim=4, seed=7):
+    """n records with 16-bit signatures from a pool of two per layer."""
+    rng = np.random.default_rng(seed)
+    pool = [BinarySignature(width=16, data=rng.bytes(2)) for _ in range(2)]
+    recs = [
+        FeatureRecord(
+            f"rec-{i:04d}",
+            f"lab-{i % 3}",
+            {l: rng.normal(size=dim).astype(np.float32) for l in LAYERS3},
+            {l: pool[int(rng.integers(2))] for l in LAYERS3},
+        )
+        for i in range(n)
+    ]
+    return build_index(recs, ThresholdSet(thresholds={"L1": 0.8, "L2": 0.6, "L3": 0.4}))
+
+
+WRITERS = {
+    "v1": lambda path, idx: write_records_v1(path, idx.records, idx.layers),
+    "v2": save_records,
+}
+
+
+def reload(path, idx, dim=4, sig_width=16, layers=LAYERS3):
+    return load_records(path, HierarchicalIndex(layers, idx.thresholds), dim, sig_width)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+class TestRecordsFileVersions:
+    """Both versions of records.bin load through the same checks."""
+
+    def written(self, tmp_path, version, idx):
+        path = tmp_path / "records.bin"
+        WRITERS[version](path, idx)
+        return path
+
+    def test_loads_as_written(self, tmp_path, version):
+        idx = store_index(n=40)
+        back = reload(self.written(tmp_path, version, idx), idx)
+        assert stored(back.records) == stored(idx.records)
+        again = reload(self.written(tmp_path, "v2", back), idx)
+        assert stored(again.records) == stored(idx.records)
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            q = {l: rng.normal(size=4) for l in LAYERS3}
+            k = int(rng.integers(1, 12))
+            want = query_hierarchical(idx, q, k)
+            assert query_hierarchical(back, q, k) == want == query_hierarchical(again, q, k)
+            assert brute_force_scan(back, q, k) == want
+
+    def test_every_cut_is_truncated(self, tmp_path, version):
+        path = self.written(tmp_path, version, store_index(n=3))
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(TruncatedFileError):
+                reload(path, store_index())
+
+    def test_trailing_bytes(self, tmp_path, version):
+        path = self.written(tmp_path, version, store_index())
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataFormatError, match="trailing bytes"):
+            reload(path, store_index())
+
+    @pytest.mark.parametrize(
+        "dim, sig_width, message",
+        [
+            (5, 16, "L1 vector is 4 wide, not 5"),
+            (4, 24, "signature byte width 2 does not fit 24 bits"),
+        ],
+    )
+    def test_other_width(self, tmp_path, version, dim, sig_width, message):
+        path = self.written(tmp_path, version, store_index())
+        with pytest.raises(ConfigMismatchError, match=message):
+            reload(path, store_index(), dim=dim, sig_width=sig_width)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_poisoned_row(self, tmp_path, version, value):
+        idx = store_index()
+        path = self.written(tmp_path, version, idx)
+        vec = idx.records[2].compressed["L2"]
+        blob = path.read_bytes()
+        assert blob.count(vec.tobytes()) == 1
+        bad = np.full(4, value, dtype=np.float32) if value == 0.0 else vec.copy()
+        bad[1] = value
+        path.write_bytes(blob.replace(vec.tobytes(), bad.tobytes()))
+        with pytest.raises(InvalidVectorError, match="record 'rec-0002' layer L2"):
+            reload(path, idx)
+
+    def test_duplicate_id(self, tmp_path, version):
+        path = self.written(tmp_path, version, store_index())
+        blob = path.read_bytes()
+        assert blob.count(b"rec-0003") == 1
+        path.write_bytes(blob.replace(b"rec-0003", b"rec-0001"))
+        with pytest.raises(DuplicateIdError, match="rec-0001"):
+            reload(path, store_index())
+
+    def test_empty_store(self, tmp_path, version):
+        empty = HierarchicalIndex(LAYERS3, store_index().thresholds)
+        back = reload(self.written(tmp_path, version, empty), empty)
+        assert len(back) == 0 and list(back.records) == []
+        # the first record sets the widths, as in a new index
+        back.add(make_record("a", "c", {l: [1.0, 2.0] for l in LAYERS3}))
+        hits = query_hierarchical(back, {l: np.array([1.0, 2.0]) for l in LAYERS3}, 1)
+        assert [rid for rid, _ in hits] == ["a"]
+
+
+class TestRecordsFileV2:
+    def test_header(self, tmp_path):
+        idx = store_index(n=5)
+        save_records(tmp_path / "records.bin", idx)
+        blob = (tmp_path / "records.bin").read_bytes()
+        assert blob[:24] == b"MHIX" + b"\xff" * 8 + struct.pack("<HHQ", 2, 3, 5)
+        assert struct.unpack_from("<6I", blob, 24) == (4, 2) * 3
+        # the arrays of 4-byte values come first, the id and label bytes last
+        assert blob.endswith(b"".join(r.id.encode() for r in idx.records) + b"lab-0lab-1lab-2lab-0lab-1")
+
+    def test_unknown_version(self, tmp_path):
+        path = tmp_path / "records.bin"
+        save_records(path, store_index())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:12] + struct.pack("<H", 3) + blob[14:])
+        with pytest.raises(DataFormatError, match="unsupported records file version 3"):
+            reload(path, store_index())
+
+    def test_other_layer_count(self, tmp_path):
+        path = tmp_path / "records.bin"
+        save_records(path, store_index())
+        with pytest.raises(ConfigMismatchError, match="holds 3 layers, the index 2"):
+            reload(path, store_index(), layers=("L1", "L2"))
+
+    def test_decreasing_text_offsets(self, tmp_path):
+        idx = store_index(n=3)
+        path = tmp_path / "records.bin"
+        save_records(path, idx)
+        blob = bytearray(path.read_bytes())
+        at = 48 + 3 * 3 * 4 * 4  # after the header and the three vector matrices
+        assert struct.unpack_from("<3I", blob, at) == (8, 16, 24)
+        struct.pack_into("<I", blob, at, 17)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match="offsets decrease"):
+            reload(path, idx)
+
+    @pytest.mark.parametrize("field", ["id", "label"])
+    def test_long_text_raises_before_the_file_is_opened(self, tmp_path, field):
+        idx = store_index()
+        text = "x" * 70_000
+        rec = idx.records[0]
+        idx.add(FeatureRecord(
+            text if field == "id" else "long", text if field == "label" else "c",
+            {l: np.ones(4) for l in LAYERS3}, rec.signatures,
+        ))
+        path = tmp_path / "records.bin"
+        with pytest.raises(DataFormatError, match=f"{field} is 70000 UTF-8 bytes"):
+            save_records(path, idx)
+        assert not path.exists()
+
+    def test_records_are_a_snapshot_in_insertion_order(self):
+        idx = store_index(n=4)
+        records = idx.records
+        first = records[0]
+        idx.add(FeatureRecord("rec-0004", "c", {l: np.ones(4) for l in LAYERS3}, first.signatures))
+        assert len(records) == 4 and len(idx.records) == 5
+        assert [r.id for r in records[1:3]] == ["rec-0001", "rec-0002"]
+        assert records[-1].id == "rec-0003" and idx.records[-1].id == "rec-0004"
+        with pytest.raises(IndexError):
+            records[4]
+        assert stored(idx.records)[:4] == stored(records)
+
+    def test_records_are_read_only(self):
+        idx = store_index()
+        with pytest.raises(ValueError, match="read-only"):
+            idx.records[0].compressed["L1"][0] = 1.0
 
 
 @pytest.mark.parametrize(
