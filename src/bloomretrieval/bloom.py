@@ -8,12 +8,19 @@ the standard formulas:
 
     P = (1 - (1 - 1/m)^(n*k))^k
     m_opt = ceil(k * n * ln 2)
+
+A query probes its layers coarse to fine, L3 → L2 → L1, and stops at the
+first clear bit. Membership is the AND of the k bits, so the order changes
+no verdict and leaves Eq. 1 as it is. What it changes is the work: a query
+that misses at L3 hashes one signature, and the pipeline, which signs a
+layer only when its signature is read, signs one.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .binseq import BinarySignature
@@ -93,13 +100,13 @@ class LayeredBloomFilter:
         low, _ = murmur3_x64_128(sig.data, seed)
         return low % self.m
 
-    def _check_layers(self, sigs: dict) -> None:
+    def _check_layers(self, sigs: Mapping) -> None:
         if set(sigs) != set(self.layers):
             raise ConfigMismatchError(
                 f"expected layers {sorted(self.layers)}, got {sorted(sigs)}"
             )
 
-    def insert(self, sigs: dict[str, BinarySignature]) -> None:
+    def insert(self, sigs: Mapping[str, BinarySignature]) -> None:
         """Set one bit per active layer; exactly the active layers required."""
         self._check_layers(sigs)
         for layer in self.layers:
@@ -107,10 +114,11 @@ class LayeredBloomFilter:
             self.bits[pos >> 3] |= 1 << (pos & 7)
         self.inserted_count += 1
 
-    def query(self, sigs: dict[str, BinarySignature]) -> bool:
-        """True = maybe-present; False = definitely absent."""
+    def query(self, sigs: Mapping[str, BinarySignature]) -> bool:
+        """True = maybe-present; False = definitely absent. Probes L3 → L1
+        and returns at the first clear bit, reading no signature past it."""
         self._check_layers(sigs)
-        for layer in self.layers:
+        for layer in reversed(self.layers):
             pos = self.position_for(layer, sigs[layer])
             if not (self.bits[pos >> 3] >> (pos & 7)) & 1:
                 return False

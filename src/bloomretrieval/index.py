@@ -103,7 +103,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,7 +203,7 @@ class FeatureRecord:
     id: str
     label: str
     compressed: dict[str, np.ndarray]
-    signatures: dict[str, BinarySignature]
+    signatures: Mapping[str, BinarySignature]
 
 
 @dataclass

@@ -3,8 +3,10 @@ evaluation, and synthetic data generation.
 
 Training fits one PCA model and one centroid dictionary per active layer,
 calibrates per-layer cosine thresholds from class labels, and sizes the
-bloom filter from the training-set size. Queries are compressed, binary
-sequenced, and checked against the filter before any index work happens.
+bloom filter from the training-set size. A query is projected on every
+layer, so a bad vector is refused before the filter sees it. A layer is
+signed only when the filter's probe reads it, L3 first, so a query the
+filter rules out at L3 is signed and hashed once and does no index work.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import struct
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -239,21 +242,49 @@ class TrainedBundle:
         return HierarchicalIndex(self.config.active_layers, self.thresholds)
 
 
-def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
-    """PCA-compress and binary-sequence one raw record.
+class LazySignatures(Mapping):
+    """A record's signatures, each layer signed by `binseq.encode_signature`
+    the first time it is read and kept: the filter's probe reads only the
+    layers it reaches, and `add_record`'s index and filter share one
+    signature per layer."""
 
-    Compressed vectors are held as float32, so in-memory state matches what
-    the record store persists.
+    def __init__(self, dictionaries: dict[str, CentroidDictionary], compressed: dict):
+        self._dictionaries = dictionaries
+        self._compressed = compressed
+        self._signed: dict[str, binseq.BinarySignature] = {}
+
+    def __getitem__(self, layer: str) -> binseq.BinarySignature:
+        sig = self._signed.get(layer)
+        if sig is None:
+            sig = binseq.encode_signature(self._dictionaries[layer], self._compressed[layer])
+            self._signed[layer] = sig
+        return sig
+
+    def __contains__(self, layer) -> bool:  # Mapping's would sign the layer
+        return layer in self._compressed
+
+    def __iter__(self):
+        return iter(self._compressed)
+
+    def __len__(self) -> int:
+        return len(self._compressed)
+
+
+def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
+    """PCA-compress one raw record; its signatures are `LazySignatures`.
+
+    Every active layer is projected here, so each error a raw vector can
+    raise (a missing layer, a NaN or Inf, a projection beyond float32) comes
+    before any signature is read. Compressed vectors are held as float32, so
+    in-memory state matches what the record store persists.
     """
     compressed = {}
-    signatures = {}
     for layer in bundle.config.active_layers:
         if layer not in raw.features:
             raise ConfigMismatchError(f"record {raw.id!r} missing layer {layer}")
         vec = pca.project(bundle.pca_models[layer], raw.features[layer])
-        vec = vec.astype(np.float32)
-        compressed[layer] = vec
-        signatures[layer] = binseq.encode_signature(bundle.dictionaries[layer], vec)
+        compressed[layer] = vec.astype(np.float32)
+    signatures = LazySignatures(bundle.dictionaries, compressed)
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
 
 
@@ -307,7 +338,8 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress, sign, append to the index, and insert into the filter."""
+    """Compress, append to the index, and insert into the filter. Each layer
+    is signed once, when the index reads it, and the filter reuses that."""
     rec = compress_record(bundle, raw)
     index.add(rec)  # first: a record the index rejects must not reach the filter
     bundle.filter.insert(rec.signatures)
@@ -330,14 +362,17 @@ def gated_query(
     top_k: int | None = None,
 ) -> QueryResult:
     """Bloom-gated retrieval: definitely-absent queries never touch the index.
-    Raises `ValueError` for a top_k other than an int >= 1, and
+    Raises `ValueError` for a top_k other than an int >= 1,
+    `ConfigMismatchError` for a query missing an active layer, and
     `InvalidVectorError` for a query that compresses to zero on a layer, as
-    `HierarchicalIndex.add` does for such a record; both even when the
-    filter would reject the query."""
+    `HierarchicalIndex.add` does for such a record; all of them, and every
+    error of `compress_record`, even when the filter would reject the query."""
     k = bundle.config.top_k if top_k is None else top_k
     check_top_k(k)
-    raw = RawRecord("__query__", "", dict(features))
-    rec = compress_record(bundle, raw)
+    for layer in bundle.config.active_layers:
+        if layer not in features:
+            raise ConfigMismatchError(f"query missing layer {layer}")
+    rec = compress_record(bundle, RawRecord("", "", features))
     for layer, vec in rec.compressed.items():
         if not np.count_nonzero(vec):
             raise InvalidVectorError(f"query layer {layer} vector is non-finite or zero")

@@ -1,5 +1,6 @@
-"""Mutation check: every derived rounding margin, and the bucket code built
-on the index's columns, must have a test that fails when it is broken.
+"""Mutation check: every derived rounding margin, the bucket code built on
+the index's columns, and the gate's early exit and signature cache must have
+a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -46,6 +47,7 @@ class Mutant:
 BINSEQ = ("tests/test_binseq.py",)
 INDEX = ("tests/test_index.py", "tests/test_lifecycle.py")
 PCA = ("tests/test_pca.py",)
+GATE = ("tests/test_pipeline.py", "tests/test_lifecycle.py")
 
 MUTANTS = [
     Mutant("binseq: margin 0", "binseq.py", BINSEQ_MARGIN, "margin = 0.0", BINSEQ),
@@ -99,6 +101,15 @@ MUTANTS = [
     Mutant(
         "index: every block gathers the first rows", "index.py",
         "block[...] = matrix[order[start:start + _BLOCK]]", "block[...] = matrix[order[:len(block)]]", INDEX,
+    ),
+    Mutant(
+        "gate: probe passes at the first set bit", "bloom.py",
+        "                return False\n        return True",
+        "                return False\n            return True\n        return True", GATE,
+    ),
+    Mutant(
+        "gate: signature cache keyed without the layer", "pipeline.py",
+        "sig = self._signed.get(layer)", "sig = next(iter(self._signed.values()), None)", GATE,
     ),
     Mutant("pca: floor 0", "pca.py", PCA_FLOOR, "null = eig <= 0.0", PCA),
     Mutant("pca: floor x 1e6", "pca.py", PCA_FLOOR, f"null = eig <= 1e6 * ({PCA_FLOOR.split('<= ', 1)[1]})", PCA),

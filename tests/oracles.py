@@ -9,13 +9,18 @@ threshold is a mean over explicitly enumerated pairs, a cosine distance is
 one dot product over two norms, a signature's bits are read byte by byte,
 a signature is the L2 distance to every centroid at once, as
 `np.linalg.norm` computes it, a reconstruction is the textbook
-mean + basisᵀy, and a v1 record store is written record by record, as the
-store was before v2.
+mean + basisᵀy, a v1 record store is written record by record, as the
+store was before v2, and a filter's verdict on a query signs every layer
+first and then ANDs its bits, as the gate did before it probed L3 first.
 """
 
 import struct
 
 import numpy as np
+
+from bloomretrieval import binseq, pca
+from bloomretrieval.bloom import LAYER_SEEDS
+from bloomretrieval.murmur3 import murmur3_x64_128
 
 
 def jacobi_eigh(A, tol=1e-12, max_sweeps=100):
@@ -179,3 +184,25 @@ def write_records_v1(path, records, layers):
                 sig = rec.signatures[layer].data
                 fh.write(struct.pack("<I", len(vec)) + vec.tobytes())
                 fh.write(struct.pack("<H", len(sig)) + sig)
+
+
+def filter_positions(bundle, features):
+    """Each active layer's bit position for raw query features: projected,
+    rounded to float32, signed by `encode_signature` and hashed with the
+    layer's seed, every layer before any bit is read."""
+    positions = {}
+    for layer in bundle.config.active_layers:
+        vec = pca.project(bundle.pca_models[layer], features[layer]).astype(np.float32)
+        sig = binseq.encode_signature(bundle.dictionaries[layer], vec)
+        low, _ = murmur3_x64_128(sig.data, LAYER_SEEDS[layer])
+        positions[layer] = low % bundle.filter.m
+    return positions
+
+
+def eager_rejected(bundle, features):
+    """Whether the bundle's filter rules the query out: the AND of the bits
+    at every active layer's position, read straight from the bit array."""
+    bits = bundle.filter.bits
+    return not all(
+        (bits[pos >> 3] >> (pos & 7)) & 1 for pos in filter_positions(bundle, features).values()
+    )

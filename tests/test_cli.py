@@ -626,6 +626,35 @@ def test_query_at_pca_mean_exit_2_whatever_the_filter(gated, tmp_path, capsys, c
     assert re.match(r"data error: query layer L[123] vector is non-finite or zero", err), err
 
 
+@pytest.mark.parametrize(
+    "bad, code, message",
+    [
+        ("nan-L1", 2, "data error: "),
+        ("only-L1", 3, "config mismatch: query missing layer L2\n"),
+        ("L1-at-mean", 2, "data error: query layer L1 vector is non-finite or zero\n"),
+    ],
+)
+def test_bad_query_refused_before_the_filter_rejects_it(tmp_path, capsys, bad, code, message):
+    # an index trained and never added to: its empty filter rules every query
+    # out at L3, its first probe, yet a bad L1 or a missing layer still fails
+    idx = trained_index(tmp_path / "ws")
+    qrys = tmp_path / "ws" / "qrys.mlhc"
+    capsys.readouterr()
+    assert cli.main(["query", "--index", str(idx), "--features", str(qrys), "--json"]) == 0
+    assert all(e["rejected_by_filter"] for e in json.loads(capsys.readouterr().out))
+    raw = pipeline.read_features(qrys)[0]
+    l1 = raw.features["L1"].astype(np.float64)
+    if bad == "nan-L1":
+        l1[0] = math.nan
+    elif bad == "L1-at-mean":
+        l1 = PcaModel.from_bytes((idx / "pca-L1.bin").read_bytes()).mean
+    features = {"L1": l1} if bad == "only-L1" else {**raw.features, "L1": l1}
+    pipeline.write_features(tmp_path / "bad.mlhc", [pipeline.RawRecord("q", "class-000", features)])
+    rc, err = run(capsys, "query", "--index", idx, "--features", tmp_path / "bad.mlhc")
+    assert rc == code, err
+    assert err.startswith(message), err
+
+
 def test_query_rejected_in_full_builds_no_index(gated, capsys, monkeypatch):
     idx, _, foreign = gated[1.0]
     assert not any(passes_filter(idx, raw) for raw in pipeline.read_features(foreign))

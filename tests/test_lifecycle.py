@@ -9,7 +9,9 @@ buckets of identical and nearly identical rows.
 
 `PipelineLifecycle` drives a trained bundle: `add_record`, `gated_query`, a
 threshold-scale change and a `save_index_dir` / `load_index_dir` round trip,
-and checks that every stored record passes the filter.
+and checks that every stored record passes the filter. Its gate rule queries
+a stored record, a perturbed one or a foreign one, and checks the filter's
+verdict against one that signs every layer first.
 
 Both run derandomized and with no example database, so a run is
 reproducible and writes nothing into the repository.
@@ -38,6 +40,8 @@ from bloomretrieval.index import (
     query_hierarchical,
     save_records,
 )
+
+from oracles import eager_rejected
 
 LAYERS3 = ("L1", "L2", "L3")
 DIM = 6
@@ -150,21 +154,24 @@ TestIndexLifecycle.settings = STATEFUL
 
 
 def _trained():
-    """A bundle trained on 5 classes of 20 records, and the 60 held-out and
-    indexable raw records its pipeline rules draw from."""
+    """A bundle trained on 5 classes of 20 records, the 60 held-out and
+    indexable raw records its pipeline rules draw from, and 12 records from
+    other centres, never indexed."""
     root = Path(tempfile.mkdtemp())
     try:
-        feats, extra = root / "feats.mlhc", root / "extra.mlhc"
+        feats, extra, foreign = root / "feats.mlhc", root / "extra.mlhc", root / "foreign.mlhc"
         pl.synth_generate(5, 20, (24, 24, 24), 0.1, 11, feats, 12, extra)
+        pl.synth_generate(3, 4, (24, 24, 24), 0.1, 99, foreign)
         config = pl.PipelineConfig(
             pca_dim=8, centroid_count=16, binseq_threshold=10.0, rng_seed=123, top_k=10
         )
-        return pl.train(config, pl.read_features(feats)), pl.read_features(extra)
+        bundle = pl.train(config, pl.read_features(feats))
+        return bundle, pl.read_features(extra), pl.read_features(foreign)
     finally:
         shutil.rmtree(root)
 
 
-BUNDLE, RAWS = _trained()
+BUNDLE, RAWS, FOREIGN = _trained()
 
 
 class PipelineLifecycle(RuleBasedStateMachine):
@@ -216,6 +223,19 @@ class PipelineLifecycle(RuleBasedStateMachine):
             assert result.results == query_hierarchical(self.index, q, top_k)
         key = (which, top_k)
         assert self.answers.setdefault(key, result) == result
+
+    @rule(data=st.data(), noise=st.sampled_from([0.0, 1e-3, 0.3, 3.0]), top_k=st.integers(1, 12))
+    def gate(self, data, noise, top_k):
+        # noise 0 on a stored record queries it as stored
+        added = set(self.added)
+        raw = data.draw(st.sampled_from(FOREIGN + [r for r in RAWS if r.id in added]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        features = {l: v + noise * rng.normal(size=v.shape) for l, v in raw.features.items()}
+        result = pl.gated_query(self.bundle, self.index, features, top_k)
+        assert result.rejected == eager_rejected(self.bundle, features)
+        if not result.rejected:
+            q = pl.compress_record(self.bundle, pl.RawRecord("q", "", features)).compressed
+            assert result.results == query_hierarchical(self.index, q, top_k)
 
     @invariant()
     def every_stored_record_passes_the_filter(self):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from bloomretrieval import pipeline as pl
+from bloomretrieval import binseq, bloom, pipeline as pl
 from bloomretrieval.bloom import BloomParams, fp_probability
 from bloomretrieval.errors import (
     BadMagicError,
@@ -17,7 +17,9 @@ from bloomretrieval.errors import (
 )
 from bloomretrieval.index import save_records
 
-from oracles import average_precision_oracle, evaluation_oracle
+from oracles import average_precision_oracle, eager_rejected, evaluation_oracle, filter_positions
+
+LAYERS = ("L1", "L2", "L3")
 
 
 def small_config(layers=("L1", "L2", "L3"), **kw):
@@ -333,6 +335,118 @@ class TestAddAndQuery:
         bundle, index, _ = system
         with pytest.raises(ConfigMismatchError):
             pl.gated_query(bundle, index, {"L1": np.zeros(24)})
+
+
+def gate_system(tmp_path, layers):
+    """A bundle at binseq threshold 5.0, its index holding 5 classes of 20
+    records, those records, and queries: 20 held out from those classes and
+    12 from other centres, of which the filter rules some out."""
+    records, held_out = synth_records(tmp_path, queries_per_class=4)
+    pl.synth_generate(3, 4, (24, 24, 24), 0.1, 99, tmp_path / "foreign.mlhc")
+    foreign = pl.read_features(tmp_path / "foreign.mlhc")
+    bundle = pl.train(small_config(layers, binseq_threshold=5.0), records)
+    index = bundle.new_index()
+    for r in records:
+        pl.add_record(bundle, index, r)
+    return bundle, index, records, held_out + foreign
+
+
+def clear_bit(bundle, pos):
+    bundle.filter.bits[pos >> 3] &= ~(1 << (pos & 7)) & 0xFF
+
+
+class Calls:
+    """From construction on, the layer each `encode_signature` call signs
+    and the seed of each Murmur3 call, in call order."""
+
+    def __init__(self, monkeypatch, bundle):
+        layer_of = {id(d): layer for layer, d in bundle.dictionaries.items()}
+        encode, hash_ = binseq.encode_signature, bloom.murmur3_x64_128
+        self.signed, self.hashed = [], []
+
+        def counted_encode(dictionary, x):
+            self.signed.append(layer_of[id(dictionary)])
+            return encode(dictionary, x)
+
+        def counted_hash(data, seed):
+            self.hashed.append(seed)
+            return hash_(data, seed)
+
+        monkeypatch.setattr(binseq, "encode_signature", counted_encode)
+        monkeypatch.setattr(bloom, "murmur3_x64_128", counted_hash)
+
+
+class TestCoarseToFineGate:
+    @pytest.mark.parametrize("layers", [LAYERS[:1], LAYERS[:2], LAYERS])
+    def test_verdict_equals_eager_oracle(self, tmp_path, layers):
+        bundle, index, _, queries = gate_system(tmp_path, layers)
+        verdicts = [pl.gated_query(bundle, index, q.features).rejected for q in queries]
+        assert verdicts == [eager_rejected(bundle, q.features) for q in queries]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("layers", [LAYERS[:2], LAYERS])
+    def test_a_miss_at_any_one_layer_rejects(self, tmp_path, layers):
+        # a stored record whose layers hash to distinct bits; each bit in
+        # turn cleared, so exactly that layer misses
+        bundle, index, records, _ = gate_system(tmp_path, layers)
+        for raw in records:
+            positions = filter_positions(bundle, raw.features)
+            if len(set(positions.values())) == len(layers):
+                break
+        else:
+            pytest.fail("no record hashes its layers to distinct bits")
+        full = bytes(bundle.filter.bits)
+        assert not pl.gated_query(bundle, index, raw.features).rejected
+        for pos in positions.values():
+            bundle.filter.bits[:] = full
+            clear_bit(bundle, pos)
+            assert eager_rejected(bundle, raw.features)
+            assert pl.gated_query(bundle, index, raw.features).rejected
+
+    def test_rejected_at_l3_signs_and_hashes_once(self, tmp_path, monkeypatch):
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        clear_bit(bundle, filter_positions(bundle, records[0].features)["L3"])
+        calls = Calls(monkeypatch, bundle)
+        assert pl.gated_query(bundle, index, records[0].features).rejected
+        assert (calls.signed, calls.hashed) == (["L3"], [3])
+
+    def test_passing_query_signs_each_layer_once(self, tmp_path, monkeypatch):
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        calls = Calls(monkeypatch, bundle)
+        res = pl.gated_query(bundle, index, records[0].features)
+        assert not res.rejected and res.results[0][0] == records[0].id
+        assert (calls.signed, calls.hashed) == (["L3", "L2", "L1"], [3, 2, 1])
+
+    def test_add_record_signs_each_layer_once(self, tmp_path, monkeypatch):
+        # the index and the filter share one signature per layer, and it is
+        # the layer's own
+        bundle, index, _, queries = gate_system(tmp_path, LAYERS)
+        raw = queries[0]  # held out, so not yet stored
+        calls = Calls(monkeypatch, bundle)
+        pl.add_record(bundle, index, raw)
+        assert sorted(calls.signed) == list(LAYERS) and sorted(calls.hashed) == [1, 2, 3]
+        monkeypatch.undo()
+        rec = index.records[-1]
+        for layer in LAYERS:
+            expected = binseq.encode_signature(bundle.dictionaries[layer], rec.compressed[layer])
+            assert rec.signatures[layer] == expected
+        assert not eager_rejected(bundle, raw.features)
+
+    def test_errors_come_before_the_verdict(self, tmp_path):
+        # an empty filter rules every query out at L3, its first probe
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        bundle.filter.bits[:] = bytes(len(bundle.filter.bits))
+        good = records[0].features
+        assert pl.gated_query(bundle, index, good).rejected
+        nan = {**good, "L1": good["L1"].copy()}
+        nan["L1"][0] = np.nan
+        with pytest.raises(InvalidVectorError):
+            pl.gated_query(bundle, index, nan)
+        with pytest.raises(ConfigMismatchError, match="^query missing layer L1$"):
+            pl.gated_query(bundle, index, {"L2": good["L2"], "L3": good["L3"]})
+        at_mean = {**good, "L1": bundle.pca_models["L1"].mean}
+        with pytest.raises(InvalidVectorError, match="query layer L1 vector is non-finite or zero"):
+            pl.gated_query(bundle, index, at_mean)
 
 
 class TestAveragePrecision:
