@@ -9,11 +9,12 @@ the standard formulas:
     P = (1 - (1 - 1/m)^(n*k))^k
     m_opt = ceil(k * n * ln 2)
 
-A query probes its layers coarse to fine, L3 → L2 → L1, and stops at the
-first clear bit. Membership is the AND of the k bits, so the order changes
-no verdict and leaves Eq. 1 as it is. What it changes is the work: a query
-that misses at L3 hashes one signature, and the pipeline, which signs a
-layer only when its signature is read, signs one.
+A query probes its layers coarse to fine, L3 → L2 → L1, whatever order the
+filter was built with, and stops at the first clear bit. Membership is the
+AND of the k bits, so the order changes no verdict and leaves Eq. 1 as it
+is. What it changes is the work: a query that misses at L3 hashes one
+signature, and the pipeline, which signs a layer only when its signature is
+read, signs one.
 """
 
 from __future__ import annotations
@@ -30,6 +31,22 @@ from .murmur3 import murmur3_x64_128
 
 LAYERS = ("L1", "L2", "L3")
 LAYER_SEEDS = {"L1": 1, "L2": 2, "L3": 3}
+
+
+def coarse_to_fine(layers) -> tuple[str, ...]:
+    """`layers` in the order the paper's hierarchy searches them, L3 first:
+    the filter's probe order, the index's stages and the key its frozen rows
+    are sorted by. `ValueError` for an unknown or repeated layer, or for
+    other than 1 to 3 layers."""
+    layers = tuple(layers)
+    bad = [l for l in layers if l not in LAYER_SEEDS]
+    if bad:
+        raise ValueError(f"unknown layers: {bad}")
+    if not 1 <= len(layers) <= len(LAYERS):
+        raise ValueError(f"need 1 to 3 layers, got {len(layers)}")
+    if len(set(layers)) != len(layers):
+        raise ValueError(f"repeated layer in {layers}")
+    return tuple(l for l in reversed(LAYERS) if l in layers)
 
 _MAGIC = b"MBF1"
 # The largest filter allocated: 2^34 bits, 2 GiB of memory. Eq. 2 sizes a
@@ -73,17 +90,12 @@ class LayeredBloomFilter:
     layers: tuple[str, ...]
     bits: bytearray = field(default=None)  # type: ignore[assignment]
     inserted_count: int = 0
+    _probe: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_BITS:
             raise ValueError(f"filter size must be 1..2^34 bits (2 GiB), got {self.m}")
-        bad = [l for l in self.layers if l not in LAYER_SEEDS]
-        if bad:
-            raise ValueError(f"unknown layers: {bad}")
-        if not 1 <= len(self.layers) <= 3:
-            raise ValueError("filter needs 1 to 3 layers")
-        if len(set(self.layers)) != len(self.layers):
-            raise ValueError(f"repeated layer in {self.layers}")
+        self._probe = coarse_to_fine(self.layers)
         if self.bits is None:
             self.bits = bytearray((self.m + 7) // 8)
 
@@ -118,7 +130,7 @@ class LayeredBloomFilter:
         """True = maybe-present; False = definitely absent. Probes L3 → L1
         and returns at the first clear bit, reading no signature past it."""
         self._check_layers(sigs)
-        for layer in reversed(self.layers):
+        for layer in self._probe:
             pos = self.position_for(layer, sigs[layer])
             if not (self.bits[pos >> 3] >> (pos & 7)) & 1:
                 return False

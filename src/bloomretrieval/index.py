@@ -28,14 +28,14 @@ keeps the distance accumulation stable, and the bound below is for it.
 Buckets. Each layer's signature is the paper's neural hash of that layer,
 and coarse to fine the hashes nest: `freeze()` groups the rows by their
 signature prefix at each stage, (L3), then (L3, L2), then (L3, L2, L1), one
-level of buckets per stage. Every layer's matrix is laid out so that each
-level's buckets are contiguous runs nested inside the runs of the level
-above: L3 buckets in order of first insertion, the buckets inside a parent
-in the order their own stage's signature was first inserted, rows within a
-deepest bucket in insertion order. A bucket holds a centre c, the mean of
-its unit rows on its own stage's layer, and a radius r >= max |u - c| on
-that layer. For unit rows the kernel's distance 1 - u.q equals
-|u - q|^2 / 2, and |u - q| >= |q - c| - r for every row u of the bucket.
+level of buckets per stage. It sorts the rows once, stably, by their packed
+signatures read in stage order (`bloom.coarse_to_fine`), so each level's
+buckets are the runs of rows whose prefix bytes are equal, nested inside the
+runs of the level above, and the rows of a deepest bucket stay in insertion
+order. A bucket holds a centre c, the mean of its unit rows on its own
+stage's layer, and a radius r >= max |u - c| on that layer. For unit rows
+the kernel's distance 1 - u.q equals |u - q|^2 / 2, and
+|u - q| >= |q - c| - r for every row u of the bucket.
 So a bucket with
 
     |q - c| - r > sqrt(2 (t + eps))
@@ -50,14 +50,12 @@ dropped. t is read at query time, so a threshold scale changed after
 `freeze()` is obeyed. A stage with more than sqrt(n) distinct prefixes adds
 no level, and neither does any later one: the per-bucket bounds would cost
 about as much as the scan they save. An index with more than sqrt(n)
-distinct L3 signatures therefore keeps one bucket in insertion order, and a
-one-bucket index runs the same code. When no bucket is skipped the first
-stage scores its whole matrix as one view. The columns and the record store
-keep insertion order; only the unit-row matrices and the row-to-id list are
-in bucket order, and ranking ties break by id, so the order changes no
-answer. `freeze()` groups rows on the packed signature matrices: each
-distinct signature is numbered by its first row, and one stable argsort of
-the deepest level's prefix ranks gives the bucket order.
+distinct L3 signatures therefore keeps one bucket over the same sorted rows,
+and a one-bucket index runs the same code. When no bucket is skipped the
+first stage scores its whole matrix as one view. The columns and the record
+store keep insertion order; only the unit-row matrices and the row-to-id
+list are in bucket order, and ranking ties break by id, so the order
+changes no answer.
 
 eps bounds the rounding of the kernel and of c and r on one level's layer;
 nothing in it depends on the layer but the width d of its rows, so each
@@ -111,6 +109,7 @@ import numpy as np
 
 from .binio import MAX_TEXT, Reader, too_long
 from .binseq import BinarySignature
+from .bloom import coarse_to_fine
 from .errors import (
     ConfigMismatchError,
     DataFormatError,
@@ -165,18 +164,6 @@ def _unit_gather(matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
         block[...] = matrix[order[start:start + _BLOCK]]
         _normalise(block)
     return out
-
-
-def _first_seen(rows: np.ndarray) -> np.ndarray:
-    """Each row of a uint8 matrix numbered by the order in which its value
-    first occurs."""
-    if not rows.shape[1]:
-        return np.zeros(len(rows), dtype=np.int64)
-    whole = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(whole, return_index=True, return_inverse=True)
-    number = np.empty_like(first)
-    number[np.argsort(first)] = np.arange(len(first))
-    return number[inverse]
 
 
 def l2_normalize(a) -> np.ndarray:
@@ -292,7 +279,7 @@ class Records(Sequence):
         self._n = len(index)
         self._ids, self._labels = index._ids, index._labels  # appended to only
         self._columns = []
-        for layer, (_, bits) in index._widths.items():
+        for layer, bits in index._bits.items():
             vectors = index._vectors[layer][:self._n].view()
             vectors.flags.writeable = False
             self._columns.append((layer, vectors, index._signatures[layer][:self._n], bits))
@@ -319,16 +306,16 @@ class HierarchicalIndex:
 
     def __init__(self, layers, thresholds: ThresholdSet):
         self.layers = tuple(layers)
+        self._stages = coarse_to_fine(self.layers)
         self.thresholds = thresholds
         self._ids: list[str] = []
         self._labels: list[str] = []
         self._id_set: set[str] = set()
-        # per layer, from the first record: vector shape and signature bits
-        self._widths: dict[str, tuple[tuple[int, ...], int]] = {}
+        # per layer, from the first record: signature bits; the vector width
+        # is the matrix's
+        self._bits: dict[str, int] = {}
         self._vectors: dict[str, np.ndarray] = {}
         self._signatures: dict[str, np.ndarray] = {}
-        # each signature matrix as flat bytes, which `add` writes cheaply
-        self._signature_bytes: dict[str, memoryview] = {}
         self._rows: dict[str, np.ndarray] | None = None
         self._row_ids: list[str] = []
         self._levels: tuple[Buckets, ...] = ()
@@ -360,13 +347,11 @@ class HierarchicalIndex:
                 f"record vector layers {sorted(record.compressed)} and signature "
                 f"layers {sorted(record.signatures)} != index layers {sorted(self.layers)}"
             )
-        widths = self._widths or {
-            layer: (np.shape(record.compressed[layer]), record.signatures[layer].width)
-            for layer in self.layers
-        }
         vectors = {}
-        for layer, (shape, bits) in widths.items():
+        for layer in self.layers:
             vec = np.asarray(record.compressed[layer], dtype=np.float32)
+            shape = self._vectors[layer].shape[1:] if self._bits else vec.shape
+            bits = self._bits.get(layer, record.signatures[layer].width)
             if vec.ndim != 1 or vec.shape != shape:
                 raise InconsistentDimsError(
                     f"record {record.id!r} layer {layer} shape {vec.shape} != {shape}"
@@ -384,17 +369,16 @@ class HierarchicalIndex:
                 )
             vectors[layer] = vec
         n = len(self)
-        if not self._widths:
-            self._widths = widths
-            for layer, (shape, bits) in widths.items():
-                self._vectors[layer] = np.empty((0, *shape), np.float32)
+        if not self._bits:
+            for layer, vec in vectors.items():
+                self._bits[layer] = bits = record.signatures[layer].width
+                self._vectors[layer] = np.empty((0, len(vec)), np.float32)
                 self._signatures[layer] = np.empty((0, (bits + 7) // 8), np.uint8)
         if n == len(self._vectors[self.layers[0]]):
             self._reserve(n + 1)
         for layer, vec in vectors.items():
             self._vectors[layer][n] = vec
-            data = record.signatures[layer].data
-            self._signature_bytes[layer][n * len(data):(n + 1) * len(data)] = data
+            self._signatures[layer][n] = np.frombuffer(record.signatures[layer].data, np.uint8)
         self._ids.append(record.id)
         self._labels.append(record.label)
         self._id_set.add(record.id)
@@ -408,9 +392,6 @@ class HierarchicalIndex:
                 grown = np.empty((max(rows, 2 * len(m)), m.shape[1]), m.dtype)
                 grown[:n] = m[:n]
                 store[layer] = grown
-        self._signature_bytes = {
-            layer: memoryview(m.reshape(-1)) for layer, m in self._signatures.items()
-        }
 
     def _fill(self, ids: list[str], labels: list[str], vectors, signatures, sig_width: int):
         """Take a record store's columns, as `load_records` reads them, into
@@ -432,7 +413,7 @@ class HierarchicalIndex:
                     "non-finite or has zero norm"
                 )
         if ids:  # an empty store leaves the widths to the first record added
-            self._widths = {layer: (m.shape[1:], sig_width) for layer, m in vectors.items()}
+            self._bits = dict.fromkeys(vectors, sig_width)
             self._vectors, self._signatures = dict(vectors), dict(signatures)
         self._ids, self._labels, self._id_set = list(ids), list(labels), seen
         self._rows = None
@@ -443,29 +424,28 @@ class HierarchicalIndex:
         afterwards are read-only."""
         if self._rows is not None or not len(self):
             return
-        stages, n = self.stage_layers(), len(self)
-        # per level, each row's bucket: the rank of its signature prefix,
-        # each signature numbered in order of first insertion; a prefix
-        # ranks among its parent's, so sorting by the last level's buckets
-        # nests every level's runs in the one above. A level of more than
-        # sqrt(n) buckets ends the levels
-        keys, key = [], np.zeros(n, dtype=np.int64)
-        for layer in stages:
-            sig = _first_seen(self._signatures[layer][:n])
-            prefixes, key = np.unique(key * (sig.max() + 1) + sig, return_inverse=True)
-            if len(prefixes) ** 2 > n:
-                break
-            keys.append(key)
-        keys = keys or [np.zeros(n, dtype=np.int64)]
-        perm = np.argsort(keys[-1], kind="stable")
+        stages, n = self._stages, len(self)
+        # each row's signature bytes coarse to fine, one column a byte: one
+        # stable sort by them lays every level's buckets out as runs nested
+        # in the runs of the level above, ties in insertion order
+        keys = np.concatenate([self._signatures[layer][:n] for layer in stages], axis=1)
+        perm = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n)
         rows = {layer: _unit_gather(self._vectors[layer], perm) for layer in self.layers}
         self._row_ids = [self._ids[i] for i in perm.tolist()]
+        # a level splits where its prefix changes; one of more than sqrt(n)
+        # buckets ends the levels, and if the first does, one bucket is left
+        keys = keys[perm]
+        split, stop = np.zeros(n - 1, dtype=bool), 0
         levels, above = [], np.array([0, n])
-        for key, layer in zip(keys, stages):
-            bounds = np.concatenate(([0], np.cumsum(np.bincount(key))))
+        for layer in stages:
+            start, stop = stop, stop + self._signatures[layer].shape[1]
+            split |= (keys[1:, start:stop] != keys[:-1, start:stop]).any(axis=1)
+            bounds = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
+            if (len(bounds) - 1) ** 2 > n:
+                break
             levels.append(Buckets.build(rows[layer], bounds, above))
             above = bounds
-        self._levels = tuple(levels)
+        self._levels = tuple(levels) or (Buckets.build(rows[stages[0]], above, above),)
         self._rows = rows  # last: a query that sees it sees the ids and buckets
 
     def _spans(self, qn: dict[str, np.ndarray]):
@@ -485,7 +465,7 @@ class HierarchicalIndex:
 
     def stage_layers(self) -> tuple[str, ...]:
         """The active layers in retrieval order: coarse to fine."""
-        return tuple(l for l in ("L3", "L2", "L1") if l in self.layers)
+        return self._stages
 
 
 def check_top_k(top_k) -> None:

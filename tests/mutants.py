@@ -1,6 +1,6 @@
 """Mutation check: every derived rounding margin, the bucket code built on
-the index's columns, and the gate's early exit and signature cache must have
-a test that fails when they are broken.
+the index's columns (its sort key and its level cuts), and the gate's early
+exit and signature cache must have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -95,8 +95,13 @@ MUTANTS = [
         INDEX,
     ),
     Mutant(
-        "index: signatures numbered in byte order", "index.py",
-        "number[np.argsort(first)] = np.arange(len(first))", "number[:] = np.arange(len(first))", INDEX,
+        "index: each level split on the whole tuple", "index.py",
+        "(keys[1:, start:stop] != keys[:-1, start:stop])", "(keys[1:] != keys[:-1])", INDEX,
+    ),
+    Mutant(
+        "index: signatures concatenated fine to coarse", "index.py",
+        "[self._signatures[layer][:n] for layer in stages]", "[self._signatures[layer][:n] for layer in stages[::-1]]",
+        INDEX,
     ),
     Mutant(
         "index: every block gathers the first rows", "index.py",

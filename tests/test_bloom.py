@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bloomretrieval import bloom
 from bloomretrieval.binseq import BinarySignature
 from bloomretrieval.bloom import (
     MAX_BITS,
@@ -124,6 +126,40 @@ class TestInsertQuery:
         expected = 1 - (1 - 1 / m) ** (n * k)
         observed = f.set_bit_count() / m
         assert observed == pytest.approx(expected, rel=0.05)
+
+
+class TestProbeOrder:
+    @pytest.mark.parametrize("layers", list(itertools.permutations(("L1", "L2", "L3"))))
+    def test_coarse_to_fine_whatever_the_construction_order(self, layers, monkeypatch):
+        # the same record stored, then probed whole and with L3, L2 or L1
+        # swapped for a signature whose bit is clear: the probe reads seeds
+        # 3, 2, 1 and stops at the first clear bit
+        f = LayeredBloomFilter(m=1 << 16, layers=layers)
+        rng = np.random.default_rng(11)
+        stored = rand_sigs(rng, layers)
+        f.insert(stored)
+        swapped = {}
+        for layer in ("L3", "L2", "L1"):
+            sig = rand_sig(rng)
+            while f.position_for(layer, sig) == f.position_for(layer, stored[layer]):
+                sig = rand_sig(rng)
+            swapped[layer] = {**stored, layer: sig}
+        seeds, hash_ = [], bloom.murmur3_x64_128
+
+        def counted_hash(data, seed):
+            seeds.append(seed)
+            return hash_(data, seed)
+
+        monkeypatch.setattr(bloom, "murmur3_x64_128", counted_hash)
+        for sigs, verdict, read in [
+            (stored, True, [3, 2, 1]),
+            (swapped["L3"], False, [3]),
+            (swapped["L2"], False, [3, 2]),
+            (swapped["L1"], False, [3, 2, 1]),
+        ]:
+            seeds.clear()
+            assert f.query(sigs) is verdict
+            assert seeds == read
 
 
 class TestFormulas:

@@ -61,6 +61,12 @@ def build_index(records, thresholds, layers=LAYERS3):
     return idx
 
 
+def tuple_sorted(records):
+    """The records in the order `freeze()` lays them out: by their
+    signatures' bytes read coarse to fine, ties in insertion order."""
+    return sorted(records, key=lambda r: tuple(r.signatures[l].data for l in ("L3", "L2", "L1")))
+
+
 class TestCalibration:
     def test_identical_pair_clamped_to_floor(self):
         recs = [
@@ -167,6 +173,17 @@ class TestQueries:
         with pytest.raises(ConfigMismatchError):
             query_hierarchical(idx, {"L1": np.ones(3)}, top_k=1)
 
+    @pytest.mark.parametrize(
+        "layers, message",
+        [(("X",), r"unknown layers: \['X'\]"), (("L1", "L1"), "repeated layer"), ((), "1 to 3 layers")],
+        ids=["unknown", "repeated", "none"],
+    )
+    def test_layers_checked_at_construction(self, layers, message):
+        # as the filter checks them; a query would otherwise fail on a
+        # missing stage or count a layer twice
+        with pytest.raises(ValueError, match=message):
+            HierarchicalIndex(layers, ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+
     @pytest.mark.parametrize("search", [query_hierarchical, brute_force_scan])
     def test_query_of_other_width_rejected(self, search):
         rng = np.random.default_rng(2)
@@ -258,7 +275,8 @@ class TestQueries:
 
     def test_frozen_rows_are_unit_rows_in_bucket_order(self):
         # more rows than freeze() gathers at once, under three L3 signatures
-        # whose first insertions are not in their byte order
+        # whose first insertions are not in their byte order: the rows are
+        # in byte order, each bucket's in insertion order
         rng = np.random.default_rng(12)
         sigs = [BinarySignature(width=8, data=bytes([b])) for b in (0x40, 0x02, 0x10)]
         recs = [
@@ -272,7 +290,7 @@ class TestQueries:
         idx.freeze()
         first_seen = list(dict.fromkeys(r.signatures["L3"] for r in recs))
         assert first_seen != sorted(first_seen, key=lambda sig: sig.data)
-        in_buckets = sorted(recs, key=lambda r: first_seen.index(r.signatures["L3"]))
+        in_buckets = tuple_sorted(recs)
         assert idx._row_ids == [r.id for r in in_buckets]
         for l in LAYERS3:
             want = unit_rows([r.compressed[l].astype(np.float32) for r in in_buckets])
@@ -560,7 +578,8 @@ class TestBucketPruning:
     @pytest.mark.parametrize("signatures, buckets", [(4, 4), (5, 1)])
     def test_sqrt_n_cut(self, signatures, buckets):
         # 16 rows: 4 distinct signatures is sqrt(n) and keeps its buckets,
-        # 5 is above it and falls back to one bucket in insertion order
+        # 5 is above it and falls back to one bucket; either way the rows
+        # are sorted by their signatures
         rng = np.random.default_rng(27)
         recs, centres = clustered_records(rng, clusters=signatures, per=4)
         recs = recs[:16]
@@ -571,8 +590,7 @@ class TestBucketPruning:
         # every layer shares the cluster's signature, so every stage adds a
         # level or none does
         assert len(idx._levels) == (3 if buckets > 1 else 1)
-        if buckets == 1:
-            assert idx._row_ids == [r.id for r in recs]
+        assert idx._row_ids == [r.id for r in tuple_sorted(recs)]
         skipped = 0
         for c in range(signatures):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
@@ -582,8 +600,8 @@ class TestBucketPruning:
 
     def test_sqrt_n_cut_at_a_later_stage(self):
         # 16 rows under 2 L3 signatures but 6 (L3, L2) prefixes, more than
-        # sqrt(16): the L3 level stays alone, its buckets in order of first
-        # insertion and each bucket's rows in insertion order
+        # sqrt(16): the L3 level stays alone, and each of its buckets keeps
+        # its rows sorted by the signatures the cut levels would have split on
         rng = np.random.default_rng(30)
         recs, centres = clustered_records(rng, clusters=2, per=8)
         recs = [
@@ -594,16 +612,33 @@ class TestBucketPruning:
         idx = build_index(recs, ts)
         idx.freeze()
         assert [len(level.radii) for level in idx._levels] == [2]
-        first = recs[0].signatures["L3"]
-        assert idx._row_ids == [r.id for r in recs if r.signatures["L3"] == first] + [
-            r.id for r in recs if r.signatures["L3"] != first
-        ]
+        assert idx._row_ids == [r.id for r in tuple_sorted(recs)]
         for c in range(2):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
             for t2 in (0.01, 2.0):
                 ts.thresholds["L2"] = t2
                 assert query_hierarchical(idx, q, 20) == brute_force_scan(idx, q, 20)
                 assert rows_scored(idx, q) == 8
+
+    def test_zero_bit_signatures(self):
+        # every signature is empty, so every prefix is equal: each stage adds
+        # one bucket over the rows in insertion order, and nothing is skipped
+        # that a scan would pass
+        rng = np.random.default_rng(36)
+        empty = BinarySignature(0, b"")
+        recs = [
+            FeatureRecord(f"z{i:02d}", "c", {l: rng.normal(size=6) for l in LAYERS3}, {l: empty for l in LAYERS3})
+            for i in range(20)
+        ]
+        ts = self.open_later_stages(0.3)
+        idx = build_index(recs, ts)
+        idx.freeze()
+        assert [len(level.radii) for level in idx._levels] == [1, 1, 1]
+        assert idx._row_ids == [r.id for r in recs]
+        for _ in range(10):
+            q = {l: rng.normal(size=6) for l in LAYERS3}
+            assert query_hierarchical(idx, q, 20) == brute_force_scan(idx, q, 20)
+        assert query_hierarchical(idx, recs[3].compressed, 1) == [("z03", 0.0)]
 
     def test_bucket_order_keeps_record_order(self, tmp_path):
         rng = np.random.default_rng(28)
@@ -682,9 +717,12 @@ class TestNestedPruning:
                 if depth == 2:  # each deepest bucket's rows in insertion order
                     ids = [r.id for r in rows[start:stop]]
                     assert ids == [r.id for r in recs if r.id in set(ids)]
-            if depth == 0:  # L3 buckets in order of first insertion
-                firsts = [rows[start].signatures["L3"] for start in level.bounds[:-1]]
-                assert firsts == list(dict.fromkeys(r.signatures["L3"] for r in recs))
+            # buckets in the byte order of their prefixes, read coarse to fine
+            firsts = [
+                tuple(rows[start].signatures[l].data for l in ("L3", "L2", "L1")[:depth + 1])
+                for start in level.bounds[:-1]
+            ]
+            assert firsts == sorted(set(firsts))
             above = level.bounds
         assert [r.id for r in idx.records] == [r.id for r in recs]
 
