@@ -13,8 +13,8 @@ A query probes its layers coarse to fine, L3 → L2 → L1, whatever order the
 filter was built with, and stops at the first clear bit. Membership is the
 AND of the k bits, so the order changes no verdict and leaves Eq. 1 as it
 is. What it changes is the work: a query that misses at L3 hashes one
-signature, and the pipeline, which signs a layer only when its signature is
-read, signs one.
+signature, and the pipeline, which projects and signs a layer only when its
+signature is read, projects and signs one.
 """
 
 from __future__ import annotations
@@ -90,12 +90,13 @@ class LayeredBloomFilter:
     layers: tuple[str, ...]
     bits: bytearray = field(default=None)  # type: ignore[assignment]
     inserted_count: int = 0
-    _probe: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # `coarse_to_fine(layers)`: the order `query` reads the layers in
+    probe_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.m <= MAX_BITS:
             raise ValueError(f"filter size must be 1..2^34 bits (2 GiB), got {self.m}")
-        self._probe = coarse_to_fine(self.layers)
+        self.probe_order = coarse_to_fine(self.layers)
         if self.bits is None:
             self.bits = bytearray((self.m + 7) // 8)
 
@@ -130,7 +131,7 @@ class LayeredBloomFilter:
         """True = maybe-present; False = definitely absent. Probes L3 → L1
         and returns at the first clear bit, reading no signature past it."""
         self._check_layers(sigs)
-        for layer in self._probe:
+        for layer in self.probe_order:
             pos = self.position_for(layer, sigs[layer])
             if not (self.bits[pos >> 3] >> (pos & 7)) & 1:
                 return False

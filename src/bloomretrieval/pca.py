@@ -13,12 +13,38 @@ directions, and eigh moves each by at most N u |S| <= k u tr S (Golub & Van
 Loan, 8.1). f doubles the sum for second-order terms; it scales as x^2 does.
 Each of its terms is scaled down by u before it is multiplied, so f is finite
 wherever S is; an S that overflows float64 raises `InvalidVectorError`.
+
+`proven_storable(model, x)` proves, without projecting, that `project(model,
+x)` raises nothing and that its float32 cast has a nonzero entry, so a query
+layer the filter never reaches need not be projected. Let eta = 2^-1074, D
+the input width, b_i the basis rows, beta = max |b_i|, mu the mean, and
+R = beta (X + |mu|) the reach, X >= |x|. A dot product of length D in any
+order errs by at most D u sum |a_j c_j| <= D u |a| |c| to first order, and
+by eta / 2 a product for underflow (Higham 2002, 3.1); x - mu rounds each
+entry by u relatively (a subnormal difference is exact). So each computed
+y_i = b_i.(x - mu) is within (D + 1) u R + D eta of the exact one, which is
+at most R in size. With p = b_0.x per call and q = b_0.mu once, p - q is
+within D u R + D eta of the exact y_0 and its rounding adds u |p - q|: the
+pre-test's y_0 is within (2D + 1) u R + 2D eta + u |p - q| of project's. A
+float64 rounds to a nonzero float32 iff it exceeds 2^-150 in size: that is
+half the least float32 subnormal, and it ties to 0. The pre-test takes
+X = sqrt(x.x + D eta), at least |x| to first order (x.x errs by D u |x|^2
+and D eta / 2), the margin e = 4 (D + 4) (u R + eta), over twice the sum
+of the R and eta terms, which covers the second-order terms and the
+rounding of X, R, beta, |mu| and e, and the floor 2^-149. It holds when
+R + e < F32_MAX, so every |y_i| fits float32, and |p - q| > e + 2^-149: then
+project's |y_0| exceeds (1 - u) (e + 2^-149) - e / 2 > 2^-150, so y_0 rounds
+to a nonzero float32. x.x is then finite, so x holds no NaN or Inf and no
+float64 step of `project` can overflow. A NaN or Inf in x makes x.x, and
+with it R, NaN or Inf, and both comparisons fail; so do x at or near the
+mean and an x near float32's limit.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +52,41 @@ from .binio import Reader
 from .errors import DimensionMismatchError, InvalidVectorError
 
 _U = 2.0**-53
+_ETA = 2.0**-1074
 _F32_MAX = float(np.finfo(np.float32).max)
+# the pre-test's floor, the least float32 subnormal: a float64 above half of
+# it in size rounds to a nonzero float32
+_F32_TINY = 2.0**-149
 
 
 @dataclass(frozen=True)
 class PcaModel:
+    """`mean` and `basis` are stored as read-only float64 copies, so the
+    constants cached from them for `proven_storable` cannot go stale."""
+
     mean: np.ndarray         # (D,)
     basis: np.ndarray        # (d, D), orthonormal rows, descending eigenvalue
     eigenvalues: np.ndarray  # (d,), non-increasing, >= 0
+    # b_0, beta, |mean| and b_0.mean of the module docstring; b_0 is 0 for
+    # a model of no rows, which the pre-test then never passes
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
+    _max_row_norm: float = field(init=False, repr=False, compare=False)
+    _mean_norm: float = field(init=False, repr=False, compare=False)
+    _row_mean: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("mean", "basis"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        mean, basis = self.mean, self.basis
+        row = basis[0] if len(basis) else np.zeros_like(mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            max_row_sq = np.einsum("ij,ij->i", basis, basis).max(initial=0.0)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_max_row_norm", math.sqrt(max_row_sq))
+        object.__setattr__(self, "_mean_norm", math.sqrt(np.vdot(mean, mean)))
+        object.__setattr__(self, "_row_mean", float(np.vdot(row, mean)))
 
     @property
     def input_dim(self) -> int:
@@ -132,3 +185,20 @@ def project_many(model: PcaModel, X) -> np.ndarray:
             f"PCA model takes rows of {model.input_dim} values, got shape {X.shape}"
         )
     return _storable((X - model.mean) @ model.basis.T)
+
+
+def proven_storable(model: PcaModel, x) -> bool:
+    """True only when `project(model, x)` is proven, by the pre-test of the
+    module docstring, to return values within float32 whose float32 cast has
+    a nonzero entry; False in every other case, including a wrong shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != model.mean.shape:
+        return False
+    dim = x.shape[0]
+    # Python floats: numpy scalar arithmetic here costs as much as the dot products
+    reach = model._max_row_norm * (math.sqrt(float(np.vdot(x, x)) + dim * _ETA) + model._mean_norm)
+    margin = 4 * (dim + 4) * (_U * reach + _ETA)
+    return (
+        reach + margin < _F32_MAX
+        and abs(float(np.vdot(model._row, x)) - model._row_mean) > margin + _F32_TINY
+    )

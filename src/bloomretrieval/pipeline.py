@@ -3,10 +3,12 @@ evaluation, and synthetic data generation.
 
 Training fits one PCA model and one centroid dictionary per active layer,
 calibrates per-layer cosine thresholds from class labels, and sizes the
-bloom filter from the training-set size. A query is projected on every
-layer, so a bad vector is refused before the filter sees it. A layer is
-signed only when the filter's probe reads it, L3 first, so a query the
-filter rules out at L3 is signed and hashed once and does no index work.
+bloom filter from the training-set size. A record's layers are projected
+and signed when first read. The filter's probe reads them L3 first, so a
+query it rules out at L3 is projected, signed and hashed once and does no
+index work. Every layer of a query is still checked before the probe,
+either by a pre-test that proves its projection sound or by projecting it,
+so a bad vector is refused whatever the filter would say.
 """
 
 from __future__ import annotations
@@ -242,49 +244,60 @@ class TrainedBundle:
         return HierarchicalIndex(self.config.active_layers, self.thresholds)
 
 
-class LazySignatures(Mapping):
-    """A record's signatures, each layer signed by `binseq.encode_signature`
-    the first time it is read and kept: the filter's probe reads only the
-    layers it reaches, and `add_record`'s index and filter share one
-    signature per layer."""
+class _PerLayer(Mapping):
+    """Per-layer values, each made by `make(layer)` the first time it is read
+    and kept; iterating or testing membership makes none."""
 
-    def __init__(self, dictionaries: dict[str, CentroidDictionary], compressed: dict):
-        self._dictionaries = dictionaries
-        self._compressed = compressed
-        self._signed: dict[str, binseq.BinarySignature] = {}
+    __slots__ = ("_layers", "_make", "_made")
 
-    def __getitem__(self, layer: str) -> binseq.BinarySignature:
-        sig = self._signed.get(layer)
-        if sig is None:
-            sig = binseq.encode_signature(self._dictionaries[layer], self._compressed[layer])
-            self._signed[layer] = sig
-        return sig
+    def __init__(self, layers: tuple[str, ...], make):
+        self._layers = layers
+        self._make = make
+        self._made: dict = {}
 
-    def __contains__(self, layer) -> bool:  # Mapping's would sign the layer
-        return layer in self._compressed
+    def __getitem__(self, layer: str):
+        value = self._made.get(layer)
+        if value is None:
+            if layer not in self._layers:
+                raise KeyError(layer)
+            value = self._made[layer] = self._make(layer)
+        return value
+
+    def __contains__(self, layer) -> bool:  # Mapping's would make the layer
+        return layer in self._layers
 
     def __iter__(self):
-        return iter(self._compressed)
+        return iter(self._layers)
 
     def __len__(self) -> int:
-        return len(self._compressed)
+        return len(self._layers)
 
 
 def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
-    """PCA-compress one raw record; its signatures are `LazySignatures`.
+    """One raw record as the index and the filter read it. Each active layer
+    is computed the first time it is read, and kept: its compressed vector
+    by `pca.project` and a float32 cast, so in-memory state matches what the
+    record store persists, and its signature by `binseq.encode_signature`
+    of that vector. Insert and query share this one kernel, and a reader
+    does the work of only the layers it reads.
 
-    Every active layer is projected here, so each error a raw vector can
-    raise (a missing layer, a NaN or Inf, a projection beyond float32) comes
-    before any signature is read. Compressed vectors are held as float32, so
-    in-memory state matches what the record store persists.
+    A missing active layer raises `ConfigMismatchError` here. Every other
+    error of a raw vector (a wrong shape, a NaN or Inf, a projection beyond
+    float32) is raised when its layer is first read.
     """
-    compressed = {}
-    for layer in bundle.config.active_layers:
+    layers = bundle.config.active_layers
+    for layer in layers:
         if layer not in raw.features:
-            raise ConfigMismatchError(f"record {raw.id!r} missing layer {layer}")
-        vec = pca.project(bundle.pca_models[layer], raw.features[layer])
-        compressed[layer] = vec.astype(np.float32)
-    signatures = LazySignatures(bundle.dictionaries, compressed)
+            # the record `gated_query` builds has no id
+            who = f"record {raw.id!r}" if raw.id else "query"
+            raise ConfigMismatchError(f"{who} missing layer {layer}")
+    models, features, dictionaries = bundle.pca_models, raw.features, bundle.dictionaries
+    compressed = _PerLayer(
+        layers, lambda layer: pca.project(models[layer], features[layer]).astype(np.float32)
+    )
+    signatures = _PerLayer(
+        layers, lambda layer: binseq.encode_signature(dictionaries[layer], compressed[layer])
+    )
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
 
 
@@ -338,9 +351,12 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress, append to the index, and insert into the filter. Each layer
-    is signed once, when the index reads it, and the filter reuses that."""
+    """Compress, append to the index, and insert into the filter. Every layer
+    is projected first, so a bad raw vector raises before any of the index's
+    checks. Each layer is signed once, when the index reads it, and the
+    filter reuses that."""
     rec = compress_record(bundle, raw)
+    list(rec.compressed.values())
     index.add(rec)  # first: a record the index rejects must not reach the filter
     bundle.filter.insert(rec.signatures)
 
@@ -362,18 +378,29 @@ def gated_query(
     top_k: int | None = None,
 ) -> QueryResult:
     """Bloom-gated retrieval: definitely-absent queries never touch the index.
-    Raises `ValueError` for a top_k other than an int >= 1,
-    `ConfigMismatchError` for a query missing an active layer, and
-    `InvalidVectorError` for a query that compresses to zero on a layer, as
-    `HierarchicalIndex.add` does for such a record; all of them, and every
-    error of `compress_record`, even when the filter would reject the query."""
+
+    Every error a query can raise comes before the filter's verdict, whatever
+    layer the filter would rule it out at: `ValueError` for a top_k other
+    than an int >= 1, `ConfigMismatchError` for a missing active layer, and
+    `InvalidVectorError` for a layer that holds a NaN or Inf, projects beyond
+    float32 or compresses to zero, as `HierarchicalIndex.add` refuses such a
+    record. The probe's first layer is projected and checked. Every other
+    layer is either settled by `pca.proven_storable`, which proves that its
+    projection raises none of these, or projected and checked now, in layer
+    order, so the first error is the one a query projected in full raises.
+    Only the layers the probe reaches are then projected and signed: a query
+    ruled out at L3 projects and signs L3 alone, and one that passes reads
+    every layer, with the same bits."""
     k = bundle.config.top_k if top_k is None else top_k
     check_top_k(k)
-    for layer in bundle.config.active_layers:
-        if layer not in features:
-            raise ConfigMismatchError(f"query missing layer {layer}")
     rec = compress_record(bundle, RawRecord("", "", features))
-    for layer, vec in rec.compressed.items():
+    first = bundle.filter.probe_order[0]
+    checked = [
+        (layer, rec.compressed[layer])
+        for layer in bundle.config.active_layers
+        if layer == first or not pca.proven_storable(bundle.pca_models[layer], features[layer])
+    ]
+    for layer, vec in checked:
         if not np.count_nonzero(vec):
             raise InvalidVectorError(f"query layer {layer} vector is non-finite or zero")
     if not bundle.filter.query(rec.signatures):

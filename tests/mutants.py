@@ -1,6 +1,8 @@
-"""Mutation check: every derived rounding margin, the bucket code built on
-the index's columns (its sort key and its level cuts), and the gate's early
-exit and signature cache must have a test that fails when they are broken.
+"""Mutation check: every derived rounding margin (pca's pre-test among them:
+its margin, its float32 bound and its float32 zero floor), the bucket code
+built on the index's columns (its sort key and its level cuts), and the
+gate's early exit and per-layer cache must have a test that fails when they
+are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -28,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 BINSEQ_MARGIN = "margin = (2 * x.size + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
+PCA_PRETEST = "def proven_storable(model: PcaModel, x) -> bool:\n"
 PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
 INDEX_EPS = "eps = 8 * (rows.shape[1] + 8) * 2.0**-53"
 INDEX_RADIUS = "np.sqrt(np.maximum(reach, 0.0) + eps)"
@@ -48,6 +51,7 @@ BINSEQ = ("tests/test_binseq.py",)
 INDEX = ("tests/test_index.py", "tests/test_lifecycle.py")
 PCA = ("tests/test_pca.py",)
 GATE = ("tests/test_pipeline.py", "tests/test_lifecycle.py")
+PRETEST = ("tests/test_pca.py", "tests/test_pipeline.py")
 
 MUTANTS = [
     Mutant("binseq: margin 0", "binseq.py", BINSEQ_MARGIN, "margin = 0.0", BINSEQ),
@@ -113,9 +117,22 @@ MUTANTS = [
         "                return False\n            return True\n        return True", GATE,
     ),
     Mutant(
-        "gate: signature cache keyed without the layer", "pipeline.py",
-        "sig = self._signed.get(layer)", "sig = next(iter(self._signed.values()), None)", GATE,
+        "gate: per-layer cache keyed without the layer", "pipeline.py",
+        "value = self._made.get(layer)", "value = next(iter(self._made.values()), None)", GATE,
     ),
+    Mutant(
+        "pca: pre-test margin 0", "pca.py",
+        "margin = 4 * (dim + 4) * (_U * reach + _ETA)", "margin = 0.0", PRETEST,
+    ),
+    Mutant(
+        "pca: pre-test without the float32 bound", "pca.py",
+        "reach + margin < _F32_MAX\n        and ", "", PRETEST,
+    ),
+    Mutant(
+        "pca: pre-test without the float32 zero floor", "pca.py",
+        "> margin + _F32_TINY", "> margin", PRETEST,
+    ),
+    Mutant("pca: pre-test always passes", "pca.py", PCA_PRETEST, PCA_PRETEST + "    return True\n", PRETEST),
     Mutant("pca: floor 0", "pca.py", PCA_FLOOR, "null = eig <= 0.0", PCA),
     Mutant("pca: floor x 1e6", "pca.py", PCA_FLOOR, f"null = eig <= 1e6 * ({PCA_FLOOR.split('<= ', 1)[1]})", PCA),
     Mutant(

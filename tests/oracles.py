@@ -20,6 +20,7 @@ import numpy as np
 
 from bloomretrieval import binseq, pca
 from bloomretrieval.bloom import LAYER_SEEDS
+from bloomretrieval.errors import InvalidVectorError
 from bloomretrieval.murmur3 import murmur3_x64_128
 
 
@@ -206,3 +207,20 @@ def eager_rejected(bundle, features):
     return not all(
         (bits[pos >> 3] >> (pos & 7)) & 1 for pos in filter_positions(bundle, features).values()
     )
+
+
+def eager_error(bundle, features):
+    """(type, message) of the error a query with every active layer raises
+    when all its layers are projected, in layer order, before any is checked
+    for a float32 zero; None when it raises none."""
+    try:
+        vectors = {
+            layer: pca.project(bundle.pca_models[layer], features[layer]).astype(np.float32)
+            for layer in bundle.config.active_layers
+        }
+    except ValueError as exc:  # both errors of `project` are ValueErrors
+        return type(exc), str(exc)
+    for layer, vec in vectors.items():
+        if not np.count_nonzero(vec):
+            return InvalidVectorError, f"query layer {layer} vector is non-finite or zero"
+    return None

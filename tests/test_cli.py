@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from bloomretrieval import cli, pipeline
+from bloomretrieval import cli, pca, pipeline
 from bloomretrieval.index import HierarchicalIndex
 from bloomretrieval.pca import PcaModel
 
@@ -290,6 +290,35 @@ def test_repeated_filter_seed_exit_3(filled_copy, capsys):
     rc, err = run(capsys, "query", "--index", idx, "--features", qrys)
     assert rc == 3, err
     assert err.startswith("config mismatch: repeated layer seed 1")
+
+
+def test_bench_projects_every_query_before_its_timed_calls(filled, capsys, monkeypatch):
+    # a record's layers are projected when first read: bench must read them
+    # all up front, or its index times would include the projections
+    idx, _, qrys = filled
+    projected, timed = [], []
+    project = pca.project
+
+    def counted_project(model, x):
+        projected.append(model)
+        return project(model, x)
+
+    def timing(fn):
+        def call(index, vectors, top_k):
+            before = len(projected)
+            result = fn(index, vectors, top_k)
+            timed.append(len(projected) - before)
+            return result
+        return call
+
+    monkeypatch.setattr(pca, "project", counted_project)
+    for name in ("query_hierarchical", "brute_force_scan"):
+        monkeypatch.setattr(cli, name, timing(getattr(cli, name)))
+    rc, err = run(capsys, "bench", "--index", idx, "--queries", qrys)
+    assert rc == 0, err
+    n = len(pipeline.read_features(qrys))
+    assert len(projected) == 3 * n
+    assert timed == [0] * (2 * n)
 
 
 def test_bench_compresses_each_query_once(filled, capsys, monkeypatch):
@@ -632,11 +661,14 @@ def test_query_at_pca_mean_exit_2_whatever_the_filter(gated, tmp_path, capsys, c
         ("nan-L1", 2, "data error: "),
         ("only-L1", 3, "config mismatch: query missing layer L2\n"),
         ("L1-at-mean", 2, "data error: query layer L1 vector is non-finite or zero\n"),
+        ("L1-beyond-float32", 2, "data error: raw features hold a NaN or Inf, or project beyond float32\n"),
+        ("L2-at-mean", 2, "data error: query layer L2 vector is non-finite or zero\n"),
     ],
 )
 def test_bad_query_refused_before_the_filter_rejects_it(tmp_path, capsys, bad, code, message):
     # an index trained and never added to: its empty filter rules every query
-    # out at L3, its first probe, yet a bad L1 or a missing layer still fails
+    # out at L3, its first probe, yet a bad L1 or L2 or a missing layer still
+    # fails
     idx = trained_index(tmp_path / "ws")
     qrys = tmp_path / "ws" / "qrys.mlhc"
     capsys.readouterr()
@@ -648,7 +680,14 @@ def test_bad_query_refused_before_the_filter_rejects_it(tmp_path, capsys, bad, c
         l1[0] = math.nan
     elif bad == "L1-at-mean":
         l1 = PcaModel.from_bytes((idx / "pca-L1.bin").read_bytes()).mean
+    elif bad == "L1-beyond-float32":
+        # every value within float32, and the first component about
+        # |b_0|_1 times beyond it
+        basis = PcaModel.from_bytes((idx / "pca-L1.bin").read_bytes()).basis
+        l1 = np.sign(basis[0]) * float(np.finfo(np.float32).max)
     features = {"L1": l1} if bad == "only-L1" else {**raw.features, "L1": l1}
+    if bad == "L2-at-mean":
+        features["L2"] = PcaModel.from_bytes((idx / "pca-L2.bin").read_bytes()).mean
     pipeline.write_features(tmp_path / "bad.mlhc", [pipeline.RawRecord("q", "class-000", features)])
     rc, err = run(capsys, "query", "--index", idx, "--features", tmp_path / "bad.mlhc")
     assert rc == code, err

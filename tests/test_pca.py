@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bloomretrieval.errors import DataFormatError, DimensionMismatchError, InvalidVectorError
-from bloomretrieval.pca import PcaModel, fit_pca, project, project_many
+from bloomretrieval.pca import PcaModel, fit_pca, project, project_many, proven_storable
 
 from oracles import covariance_pca, jacobi_eigh, reconstruct
 
@@ -173,9 +174,11 @@ def test_projection_beyond_float32_rejected():
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_model_rejected(field, value):
     model = fit_pca(np.random.default_rng(53).normal(size=(20, 6)), target_dim=3)
-    getattr(model, field).flat[1] = value
+    # a model's mean and basis are read-only: poison writable copies
+    fields = {f: getattr(model, f).copy() for f in ("mean", "basis", "eigenvalues")}
+    fields[field].flat[1] = value
     with pytest.raises(DataFormatError, match="NaN or Inf"):
-        PcaModel.from_bytes(model.to_bytes())
+        PcaModel.from_bytes(PcaModel(**fields).to_bytes())
 
 
 def test_input_validation():
@@ -288,3 +291,148 @@ def test_project_many_of_other_width_rejected():
     for rows in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4))):
         with pytest.raises(DimensionMismatchError, match="rows of 4 values"):
             project_many(model, rows)
+
+
+# ---------------------------------------------------------------------------
+# The pre-test: `proven_storable` passes only projections that fit float32
+# and have a nonzero float32 cast
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def projects_soundly(model, x) -> bool:
+    """`project` returns values within float32 whose float32 cast has a
+    nonzero entry."""
+    try:
+        y = project(model, x)
+    except InvalidVectorError:
+        return False
+    return bool(np.count_nonzero(y.astype(np.float32)))
+
+
+_FULL = fit_pca(np.random.default_rng(89).normal(size=(60, 8)), 5)
+PRETEST_MODELS = {
+    "full": _FULL,
+    "stored": PcaModel.from_bytes(_FULL.to_bytes()),
+    "covariance-rank-2": fit_pca(_rank_r(97, 40, 2, 8, 3.0), 6),
+    "gram-rank-2": fit_pca(_rank_r(101, 6, 2, 8, 1e3), 5),
+    "zero-mean": PcaModel(np.zeros(8), _FULL.basis, _FULL.eigenvalues),
+    "far-mean": PcaModel(_FULL.mean + 1e30, _FULL.basis, _FULL.eigenvalues),
+}
+
+
+@st.composite
+def pretest_cases(draw):
+    """(model, x): x around the model's mean, or around 0, at any scale from
+    float64's subnormals to past float32's limit / sqrt(D), along a random
+    direction or a basis row; x at the mean or a few ulps from it; float32
+    or float64; with or without a NaN or Inf at any position."""
+    model = PRETEST_MODELS[draw(st.sampled_from(sorted(PRETEST_MODELS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(st.sampled_from([(-1074, -100), (-30, 30), (118, 132)]))
+    scale = 2.0 ** int(rng.integers(low, high + 1)) * rng.uniform(1.0, 2.0)
+    kind = draw(st.sampled_from(["random", "row", "origin", "at-mean", "near-mean"]))
+    dim = model.input_dim
+    if kind == "random":
+        x = model.mean + scale * rng.normal(size=dim)
+    elif kind == "row":
+        x = model.mean + scale * model.basis[rng.integers(model.target_dim)]
+    elif kind == "origin":
+        x = scale * rng.normal(size=dim)
+    else:
+        x = model.mean.copy()
+        if kind == "near-mean":
+            for j in rng.choice(dim, size=rng.integers(1, 4), replace=False):
+                for _ in range(rng.integers(1, 4)):
+                    x[j] = np.nextafter(x[j], rng.choice([-np.inf, np.inf]))
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):
+            x = x.astype(np.float32)
+    poison = draw(st.sampled_from([None, None, None, math.nan, math.inf, -math.inf]))
+    if poison is not None:
+        x[draw(st.integers(0, dim - 1))] = poison
+    return model, x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(pretest_cases())
+def test_pretest_passes_only_sound_projections(case):
+    model, x = case
+    if proven_storable(model, x):
+        assert projects_soundly(model, x)
+
+
+def test_pretest_near_the_mean_at_tiny_scale():
+    # x one ulp from a mean near 2^-95 on the coordinate b_0 weighs most:
+    # every projection rounds to a float32 zero, but b_0.x - b_0.mean can
+    # round a few ulps of 2^-148 away from 0, above the floor without a margin
+    rng = np.random.default_rng(103)
+    j = int(np.argmax(abs(_FULL.basis[0])))
+    for _ in range(500):
+        mean = rng.normal(size=8) * 2.0**-95
+        mean[j] = 2.0**-99
+        model = PcaModel(mean, _FULL.basis, _FULL.eigenvalues)
+        x = mean.copy()
+        x[j] = np.nextafter(x[j], rng.choice([-np.inf, np.inf]))
+        assert not projects_soundly(model, x)
+        assert not proven_storable(model, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pretest_subnormal_around_a_zero_mean(dtype):
+    # x of every size from float64's least subnormal up: a projection that
+    # rounds to a float32 zero is never passed, however far above the
+    # margin b_0.x lies
+    model = PRETEST_MODELS["zero-mean"]
+    direction = np.random.default_rng(107).normal(size=model.input_dim)
+    passed = 0
+    for exponent in range(-1074, -60):
+        with np.errstate(under="ignore"):
+            x = (2.0**exponent * direction).astype(dtype)
+        if proven_storable(model, x):
+            passed += 1
+            assert projects_soundly(model, x)
+    assert passed  # the largest of them are passed
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(PRETEST_MODELS))
+def test_pretest_refuses_what_project_refuses(name, dtype):
+    model = PRETEST_MODELS[name]
+    at_mean = model.mean.astype(dtype)
+    if np.array_equal(at_mean, model.mean):  # float32 holds the mean exactly
+        assert not projects_soundly(model, at_mean) and not proven_storable(model, at_mean)
+    x = (model.mean + model.basis[0]).astype(dtype)
+    for position in range(model.input_dim):
+        for value in (math.nan, math.inf, -math.inf):
+            bad = x.copy()
+            bad[position] = value
+            assert not proven_storable(model, bad)
+    assert not proven_storable(model, np.zeros(model.input_dim + 1, dtype))
+    beyond = model.mean + 1.01 * F32_MAX * model.basis[0]
+    assert not projects_soundly(model, beyond) and not proven_storable(model, beyond)
+
+
+@pytest.mark.parametrize("dim, target", [(24, 6), (256, 128)])
+def test_pretest_settles_held_out_queries(dim, target):
+    # class blobs as `synth` draws them: the pre-test, not the projection,
+    # must settle ordinary queries, or the gate projects every layer anyway
+    rng = np.random.default_rng(dim)
+    centres = rng.normal(size=(8, dim))
+    draw = lambda n: centres[rng.integers(8, size=n)] + 0.3 * rng.normal(size=(n, dim))
+    model = PcaModel.from_bytes(fit_pca(draw(400), target).to_bytes())
+    queries = draw(200)
+    assert all(proven_storable(model, q.astype(np.float32)) for q in queries)
+    assert all(projects_soundly(model, q) for q in queries)
+
+
+def test_model_arrays_are_read_only_copies():
+    mean, basis = _FULL.mean.copy(), _FULL.basis.copy()
+    model = PcaModel(mean, basis, _FULL.eigenvalues)
+    mean[0] += 1.0
+    basis[0, 0] += 1.0
+    assert np.array_equal(model.mean, _FULL.mean) and np.array_equal(model.basis, _FULL.basis)
+    for array in (model.mean, model.basis):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0

@@ -1,10 +1,11 @@
+import itertools
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from bloomretrieval import binseq, bloom, pipeline as pl
+from bloomretrieval import binseq, bloom, pca, pipeline as pl
 from bloomretrieval.bloom import BloomParams, fp_probability
 from bloomretrieval.errors import (
     BadMagicError,
@@ -17,7 +18,13 @@ from bloomretrieval.errors import (
 )
 from bloomretrieval.index import save_records
 
-from oracles import average_precision_oracle, eager_rejected, evaluation_oracle, filter_positions
+from oracles import (
+    average_precision_oracle,
+    eager_error,
+    eager_rejected,
+    evaluation_oracle,
+    filter_positions,
+)
 
 LAYERS = ("L1", "L2", "L3")
 
@@ -356,13 +363,19 @@ def clear_bit(bundle, pos):
 
 
 class Calls:
-    """From construction on, the layer each `encode_signature` call signs
-    and the seed of each Murmur3 call, in call order."""
+    """From construction on, the layer each `pca.project` call projects, the
+    layer each `encode_signature` call signs and the seed of each Murmur3
+    call, in call order."""
 
     def __init__(self, monkeypatch, bundle):
         layer_of = {id(d): layer for layer, d in bundle.dictionaries.items()}
-        encode, hash_ = binseq.encode_signature, bloom.murmur3_x64_128
-        self.signed, self.hashed = [], []
+        layer_of.update({id(m): layer for layer, m in bundle.pca_models.items()})
+        project, encode, hash_ = pca.project, binseq.encode_signature, bloom.murmur3_x64_128
+        self.projected, self.signed, self.hashed = [], [], []
+
+        def counted_project(model, x):
+            self.projected.append(layer_of[id(model)])
+            return project(model, x)
 
         def counted_encode(dictionary, x):
             self.signed.append(layer_of[id(dictionary)])
@@ -372,6 +385,7 @@ class Calls:
             self.hashed.append(seed)
             return hash_(data, seed)
 
+        monkeypatch.setattr(pca, "project", counted_project)
         monkeypatch.setattr(binseq, "encode_signature", counted_encode)
         monkeypatch.setattr(bloom, "murmur3_x64_128", counted_hash)
 
@@ -431,6 +445,65 @@ class TestCoarseToFineGate:
             expected = binseq.encode_signature(bundle.dictionaries[layer], rec.compressed[layer])
             assert rec.signatures[layer] == expected
         assert not eager_rejected(bundle, raw.features)
+
+    def test_rejected_at_l3_projects_l3_alone(self, tmp_path, monkeypatch):
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        clear_bit(bundle, filter_positions(bundle, records[0].features)["L3"])
+        calls = Calls(monkeypatch, bundle)
+        assert pl.gated_query(bundle, index, records[0].features).rejected
+        assert calls.projected == ["L3"]
+
+    def test_passing_query_projects_each_layer_once(self, tmp_path, monkeypatch):
+        # L3 before the probe, L2 and L1 when the probe signs them
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        calls = Calls(monkeypatch, bundle)
+        res = pl.gated_query(bundle, index, records[0].features)
+        assert not res.rejected and res.results[0][0] == records[0].id
+        assert calls.projected == ["L3", "L2", "L1"]
+
+    def test_add_record_projects_each_layer_once(self, tmp_path, monkeypatch):
+        bundle, index, _, queries = gate_system(tmp_path, LAYERS)
+        calls = Calls(monkeypatch, bundle)
+        pl.add_record(bundle, index, queries[0])
+        assert calls.projected == list(LAYERS)
+
+    def test_add_record_projects_before_the_index_checks(self, tmp_path):
+        # a stored id, which the index refuses, with a NaN in L2: the NaN is
+        # reported, as when every layer was projected up front
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        bad = {**records[0].features, "L2": records[0].features["L2"].copy()}
+        bad["L2"][0] = np.nan
+        inserted = bundle.filter.inserted_count
+        with pytest.raises(InvalidVectorError, match="NaN or Inf"):
+            pl.add_record(bundle, index, pl.RawRecord(records[0].id, "x", bad))
+        assert (len(index), bundle.filter.inserted_count) == (len(records), inserted)
+
+    @pytest.mark.parametrize("rejects", [True, False], ids=["filter-rejects", "filter-passes"])
+    def test_errors_equal_a_query_projected_in_full(self, tmp_path, rejects):
+        # every mix of a good, NaN, beyond-float32, at-mean or short vector on
+        # each layer raises what projecting every layer first raised
+        bundle, index, records, _ = gate_system(tmp_path, LAYERS)
+        if rejects:
+            bundle.filter.bits[:] = bytes(len(bundle.filter.bits))
+        good = records[0].features
+        f32_max = float(np.finfo(np.float32).max)
+
+        def variants(layer):
+            model, x = bundle.pca_models[layer], good[layer]
+            nan = x.astype(np.float64)
+            nan[3] = np.nan
+            beyond = np.sign(model.basis[0]) * f32_max
+            return [x, nan, beyond, model.mean, x[:-1]]
+
+        for vectors in itertools.product(*map(variants, LAYERS)):
+            features = dict(zip(LAYERS, vectors))
+            want = eager_error(bundle, features)
+            if want is None:
+                assert pl.gated_query(bundle, index, features).rejected == rejects
+                continue
+            with pytest.raises(want[0]) as raised:
+                pl.gated_query(bundle, index, features)
+            assert str(raised.value) == want[1]
 
     def test_errors_come_before_the_verdict(self, tmp_path):
         # an empty filter rules every query out at L3, its first probe
