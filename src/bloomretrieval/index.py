@@ -6,21 +6,22 @@ precision the record store persists) and one packed uint8 matrix of binary
 signatures, grown by doubling as records are added. `records` builds
 `FeatureRecord`s from these columns only when it is read. Freezing the
 index gathers, in blocks of rows, one contiguous float64 matrix of unit
-rows per layer from the float32 one. Retrieval
-filters candidates layer by layer, coarse to fine as the paper orders the
-hierarchy (L3 first, L1 last), against calibrated cosine thresholds: the
-first stage scores the rows of the buckets no stage can skip (below), each
-later stage only the rows that survived the stage before. The survivors are
-ranked by the finest (L1) distance.
+rows per layer from the float32 one. Retrieval filters candidates layer by
+layer, coarse to fine as the paper orders the hierarchy (L3 first, L1
+last), against calibrated cosine thresholds: a row is a hit when it passes
+every stage, and the hits are ranked by the finest (L1) distance.
 
-The staged path is a pruning strategy only: its output is exactly equal to
-a full brute-force scan applying the same thresholds, which doubles as its
-test oracle and timing baseline. Both paths score through one distance
-kernel, `unit_cosine_distances`, often over different blocks of the same
-rows. Its einsum takes each row's dot product on its own, so a row gets the
-same bits in any block; a BLAS product would not (its blocking changes the
-summation order), and the two paths would disagree in the last bit at a
-threshold. `unit_rows` takes its norms from the same per-row einsum, so a
+Both retrieval paths are one scan over spans of rows: each stage scores
+each span as a view of its layer's matrix, and the stage masks are ANDed.
+The brute-force path, the staged path's test oracle and timing baseline,
+scans the one span of every row; the staged path scans only the rows of
+the buckets no stage can skip (below). So the staged output is exactly the
+brute-force output, and their identity tests the pruning alone. That holds
+because the one distance kernel, `unit_cosine_distances`, gives a row the
+same bits in a span as in the whole matrix: its einsum takes each row's dot
+product on its own, where a BLAS product would not (its blocking changes
+the summation order), and the two paths would disagree in the last bit at
+a threshold. `unit_rows` takes its norms from the same per-row einsum, so a
 vector normalised alone or inside a matrix gets the same bits. Both compute
 in float64 although the record store holds float32: the extra precision
 keeps the distance accumulation stable, and the bound below is for it.
@@ -42,20 +43,19 @@ So a bucket with
 
 holds no row within its stage's effective threshold t: none of its rows
 survives that stage. A bucket is live when its own bound passes and the
-bucket holding it a level up is live, and the first stage scores, as views,
-only the runs of the deepest level's live buckets. Every later stage then
-scores only the rows that survived the stage before, as when no bucket is
-skipped, so a row the first stage skipped is one a later stage would have
-dropped. t is read at query time, so a threshold scale changed after
-`freeze()` is obeyed. A stage with more than sqrt(n) distinct prefixes adds
-no level, and neither does any later one: the per-bucket bounds would cost
-about as much as the scan they save. An index with more than sqrt(n)
-distinct L3 signatures therefore keeps one bucket over the same sorted rows,
-and a one-bucket index runs the same code. When no bucket is skipped the
-first stage scores its whole matrix as one view. The columns and the record
-store keep insertion order; only the unit-row matrices and the row-to-id
-list are in bucket order, and ranking ties break by id, so the order
-changes no answer.
+bucket holding it a level up is live, and the staged path scans the runs of
+the deepest level's live buckets, every stage on each run. A row it skips
+fails some stage, so the full scan would not have kept it either. t is read
+at query time, so a threshold scale changed after `freeze()` is obeyed. A
+stage with more than sqrt(n) distinct prefixes adds no level, and neither
+does any later one: the per-bucket bounds would cost about as much as the
+scan they save. An index with more than sqrt(n) distinct L3 signatures
+therefore keeps one bucket over the same sorted rows, and a one-bucket
+index runs the same code. When no bucket is skipped the staged path scans
+the one span of every row, as the brute-force path does. The columns and
+the record store keep insertion order; only the unit-row matrices and the
+row-to-id list are in bucket order, and ranking ties break by id, so the
+order changes no answer.
 
 eps bounds the rounding of the kernel and of c and r on one level's layer;
 nothing in it depends on the layer but the width d of its rows, so each
@@ -449,7 +449,7 @@ class HierarchicalIndex:
         self._rows = rows  # last: a query that sees it sees the ids and buckets
 
     def _spans(self, qn: dict[str, np.ndarray]):
-        """(starts, stops) of the row ranges the first stage must score for
+        """(starts, stops) of the row ranges the staged scan must score for
         unit query vectors `qn`: the runs of the deepest level's buckets
         that are live at every level, each at its stage's effective
         threshold, read now."""
@@ -474,9 +474,9 @@ def check_top_k(top_k) -> None:
         raise ValueError(f"top_k must be an int >= 1, got {top_k!r}")
 
 
-def _prepare(index: HierarchicalIndex, q: dict, top_k):
-    """Check a query and top_k against the index: (stages, unit matrices,
-    unit query vector per stage). A query vector with no direction raises
+def _prepare(index: HierarchicalIndex, q: dict, top_k) -> dict[str, np.ndarray]:
+    """Check a query and top_k against the index, frozen first: the unit
+    query vector per stage. A query vector with no direction raises
     `InvalidVectorError` naming its layer."""
     check_top_k(top_k)
     if set(q) != set(index.layers):
@@ -487,9 +487,8 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k):
     # spans in the benchmark's trace a real build, not a per-query no-op
     if index._rows is None:
         index.freeze()
-    stages = index.stage_layers()
     qn = {}
-    for layer in stages:
+    for layer in index.stage_layers():
         try:
             qn[layer] = l2_normalize(q[layer])
         except InvalidVectorError:
@@ -503,11 +502,29 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k):
                     f"query layer {layer} vector is {len(vec)} wide, "
                     f"the index's is {index._rows[layer].shape[1]}"
                 )
-    return stages, index._rows, qn
+    return qn
 
 
-def _ranked(index: HierarchicalIndex, hits: np.ndarray, dists: np.ndarray, top_k: int):
-    """(id, distance) of the hit rows, nearest first, ties by id; at most top_k."""
+def _scan(index: HierarchicalIndex, qn: dict[str, np.ndarray], spans, top_k: int):
+    """(id, distance) of the rows of the (start, stop) `spans` that pass
+    every stage, nearest by the finest stage first, ties by id; at most
+    top_k. Each stage scores each span as a view; the masks are ANDed."""
+    stages = [
+        (index._rows[layer], qn[layer], index.thresholds.effective(layer))
+        for layer in index.stage_layers()
+    ]
+    kept, dists = [], []
+    for start, stop in spans:
+        passed = np.ones(stop - start, dtype=bool)
+        for rows, qv, t in stages:
+            d = unit_cosine_distances(rows[start:stop], qv)
+            passed &= d <= t
+        hits = np.flatnonzero(passed)
+        kept.append(hits + start)
+        dists.append(d[hits])
+    if not kept:
+        return []
+    hits, dists = np.concatenate(kept), np.concatenate(dists)
     if top_k < len(dists):
         # only hits as near as the top_k-th nearest can rank, ties included
         near = dists <= np.partition(dists, top_k - 1)[top_k - 1]
@@ -521,27 +538,10 @@ def query_hierarchical(
     q: dict[str, np.ndarray],
     top_k: int,
 ) -> list[tuple[str, float]]:
-    """Staged filter-then-rank retrieval; at most top_k (id, distance) pairs."""
-    stages, rows, qn = _prepare(index, q, top_k)
-    if not len(index):
-        return []
-    first = stages[0]
-    t = index.thresholds.effective(first)
-    kept, dists = [], []
-    for start, stop in zip(*index._spans(qn)):
-        d = unit_cosine_distances(rows[first][start:stop], qn[first])
-        passed = np.flatnonzero(d <= t)
-        kept.append(passed + start)
-        dists.append(d[passed])
-    if not kept:
-        return []
-    kept, d = np.concatenate(kept), np.concatenate(dists)
-    for layer in stages[1:]:
-        d = unit_cosine_distances(rows[layer][kept], qn[layer])
-        passed = np.flatnonzero(d <= index.thresholds.effective(layer))
-        kept = kept[passed]
-        d = d[passed]
-    return _ranked(index, kept, d, top_k)
+    """Staged filter-then-rank retrieval, the scan over the live spans only;
+    at most top_k (id, distance) pairs."""
+    qn = _prepare(index, q, top_k)
+    return _scan(index, qn, zip(*index._spans(qn)), top_k) if len(index) else []
 
 
 def brute_force_scan(
@@ -549,16 +549,9 @@ def brute_force_scan(
     q: dict[str, np.ndarray],
     top_k: int,
 ) -> list[tuple[str, float]]:
-    """Unpruned oracle: every record scored on every layer, same thresholds."""
-    stages, rows, qn = _prepare(index, q, top_k)
-    if not len(index):
-        return []
-    dists = [unit_cosine_distances(rows[layer], qn[layer]) for layer in stages]
-    passed = np.logical_and.reduce(
-        [d <= index.thresholds.effective(layer) for d, layer in zip(dists, stages)]
-    )
-    hits = np.flatnonzero(passed)
-    return _ranked(index, hits, dists[-1][hits], top_k)
+    """Unpruned oracle: the same scan over every row, same thresholds."""
+    qn = _prepare(index, q, top_k)
+    return _scan(index, qn, [(0, len(index))], top_k) if len(index) else []
 
 
 def save_records(path, index: HierarchicalIndex) -> None:

@@ -546,11 +546,13 @@ def synth_generate(
 
 
 def save_index_dir(path, bundle: TrainedBundle, index: HierarchicalIndex) -> None:
-    """Write the index directory; a save that fails leaves it as it was.
+    """Write the index directory, atomically per file, not as a whole.
 
     Every part is first written under a temporary name in `path` (the small
     parts from memory, the record store by `save_records`), and only then
-    renamed over the old files. No temporary file is left behind.
+    renamed over its old file, one by one, `records.bin` last; a save
+    stopped between two renames leaves parts of both saves. No temporary
+    file is left behind.
     """
     os.makedirs(path, exist_ok=True)
     doc = bundle.config.to_dict()

@@ -1,8 +1,9 @@
 """Mutation check: every derived rounding margin (pca's pre-test among them:
 its margin, its float32 bound and its float32 zero floor), the bucket code
-built on the index's columns (its sort key and its level cuts), and the
-gate's early exit and per-layer cache must have a test that fails when they
-are broken.
+built on the index's columns (its sort key and its level cuts), the one
+scan both retrieval paths share (its span offset, its AND of the stage
+masks and its ranking by the finest stage), and the gate's early exit and
+per-layer cache must have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -10,9 +11,9 @@ are broken.
 Each mutant is one exact source substitution in one file under
 src/bloomretrieval/, paired with the test files that must catch it. For
 each, src/ is copied to a temporary directory, the substitution applied,
-and the paired tests run with that copy first on the import path, under the
-tier-1 flags and with -x. The unmutated copy must pass every paired test
-file first. The check fails when that baseline fails, when a substitution's
+and the paired tests run with that copy first on the import path, under
+CI's tier-1 flags and with -x. The unmutated copy must pass every paired
+test file first. The check fails when that baseline fails, when a substitution's
 target text is missing or not unique, or when a mutant's tests all pass.
 pytest does not collect this file: its name does not start with "test".
 """
@@ -28,12 +29,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# hypothesis's failure report imports a module that raises this warning;
+# under -W error it would end pytest in INTERNALERROR and lose the example
+TYPEDDICT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
 BINSEQ_MARGIN = "margin = (2 * x.size + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
 PCA_PRETEST = "def proven_storable(model: PcaModel, x) -> bool:\n"
 PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
 INDEX_EPS = "eps = 8 * (rows.shape[1] + 8) * 2.0**-53"
 INDEX_RADIUS = "np.sqrt(np.maximum(reach, 0.0) + eps)"
+INDEX_STAGES = "for layer in index.stage_layers()\n    ]"
 INDEX_LEVELS = """        for level, layer in zip(self._levels, self.stage_layers()):
             live = level.live(qn[layer], self.thresholds.effective(layer), live)"""
 
@@ -83,9 +88,11 @@ MUTANTS = [
         "index: r^2 short by 1e-12", "index.py", INDEX_RADIUS,
         INDEX_RADIUS.replace("reach,", "reach - 1e-12,"), INDEX,
     ),
+    Mutant("index: missing slice offset", "index.py", "kept.append(hits + start)", "kept.append(hits)", INDEX),
+    Mutant("index: stage masks ORed", "index.py", "passed &= d <= t", "passed |= d <= t", INDEX),
     Mutant(
-        "index: missing slice offset", "index.py",
-        "kept.append(passed + start)", "kept.append(passed)", INDEX,
+        "index: ranked by the first stage's distance", "index.py", INDEX_STAGES,
+        INDEX_STAGES.replace("stage_layers()", "stage_layers()[::-1]"), INDEX,
     ),
     Mutant(
         "index: every level on the first stage's layer", "index.py",
@@ -149,7 +156,7 @@ def run_tests(src: Path, tests: tuple[str, ...]) -> bool:
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-X", "dev", "-m", "pytest", "-q", "-x", "-W", "error",
-            "-p", "no:cacheprovider", *tests]
+            "-W", TYPEDDICT_WARNING, "-p", "no:cacheprovider", *tests]
     done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return done.returncode == 0
 

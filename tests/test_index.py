@@ -387,8 +387,8 @@ def clustered_records(rng, clusters, per, dim=6, spread=0.05, copies=1):
 
 
 def rows_scored(idx, q):
-    """How many rows the first stage scores for q: the rows of the deepest
-    level's buckets that no level skips."""
+    """How many rows the staged scan covers for q, each scored at every
+    stage: the rows of the deepest level's buckets that no level skips."""
     idx.freeze()
     starts, stops = idx._spans({l: l2_normalize(q[l]) for l in idx.stage_layers()})
     return int(np.sum(stops - starts))
