@@ -3,28 +3,40 @@
 The store is columnar and keeps insertion order: ids and labels as lists,
 and per active layer one float32 matrix of compressed vectors (the
 precision the record store persists) and one packed uint8 matrix of binary
-signatures, grown by doubling as records are added. `records` builds
-`FeatureRecord`s from these columns only when it is read. Freezing the
-index gathers, in blocks of rows, one contiguous float64 matrix of unit
-rows per layer from the float32 one. Retrieval filters candidates layer by
-layer, coarse to fine as the paper orders the hierarchy (L3 first, L1
-last), against calibrated cosine thresholds: a row is a hit when it passes
-every stage, and the hits are ranked by the finest (L1) distance.
+signatures, grown by doubling as records are added. Every layer has one
+vector width and one signature width, the widths the record store reads
+back. `records` builds `FeatureRecord`s from these columns only when it is
+read. Freezing the index gathers, in blocks of rows, one contiguous float64
+matrix of unit rows per layer from the float32 one. Retrieval filters
+candidates layer by layer, coarse to fine as the paper orders the hierarchy
+(L3 first, L1 last), against calibrated cosine thresholds: a row is a hit
+when it passes every stage, and the hits are ranked by the finest (L1)
+distance.
 
-Both retrieval paths are one scan over spans of rows: each stage scores
-each span as a view of its layer's matrix, and the stage masks are ANDed.
-The brute-force path, the staged path's test oracle and timing baseline,
-scans the one span of every row; the staged path scans only the rows of
-the buckets no stage can skip (below). So the staged output is exactly the
-brute-force output, and their identity tests the pruning alone. That holds
-because the one distance kernel, `unit_cosine_distances`, gives a row the
-same bits in a span as in the whole matrix: its einsum takes each row's dot
+Both retrieval paths are one scan over spans of rows. It ranks on the
+finest stage first: the L1 stage scores each span as a view of its
+layer's matrix and keeps the rows within its threshold. Those candidates
+are then taken nearest first, in batches cut at a distance: first every
+row at or under the 2 top_k-th smallest L1 distance, ties included, then
+batches twice as deep. Only a batch's rows are scored at the coarser
+stages (L3, L2), each row once per stage, and the scan stops as soon as
+top_k rows have passed every stage or no candidate is left. That is exact:
+every row outside the batches taken is farther on L1 than every row inside
+them, so it ranks after the top_k rows already found, and a tie at a cut
+falls inside the batch. The brute-force path, the staged path's test oracle
+and timing baseline, scans the one span of every row; the staged path scans
+only the rows of the buckets no stage can skip (below). So the staged
+output is exactly the brute-force output, and their identity tests the
+pruning alone. That holds because the one distance kernel,
+`unit_cosine_distances`, gives a row the same bits in a span, or gathered
+into a batch, as in the whole matrix: its einsum takes each row's dot
 product on its own, where a BLAS product would not (its blocking changes
 the summation order), and the two paths would disagree in the last bit at
 a threshold. `unit_rows` takes its norms from the same per-row einsum, so a
-vector normalised alone or inside a matrix gets the same bits. Both compute
-in float64 although the record store holds float32: the extra precision
-keeps the distance accumulation stable, and the bound below is for it.
+vector normalised alone or inside a matrix gets the same bits; a query's
+stages are normalised as one matrix. Both compute in float64 although the
+record store holds float32: the extra precision keeps the distance
+accumulation stable, and the bound below is for it.
 
 Buckets. Each layer's signature is the paper's neural hash of that layer,
 and coarse to fine the hashes nest: `freeze()` groups the rows by their
@@ -43,8 +55,9 @@ So a bucket with
 
 holds no row within its stage's effective threshold t: none of its rows
 survives that stage. A bucket is live when its own bound passes and the
-bucket holding it a level up is live, and the staged path scans the runs of
-the deepest level's live buckets, every stage on each run. A row it skips
+bucket holding it a level up is live; every level's bound is tested in one
+pass over a table of all the buckets that `freeze()` builds. The staged
+path scans the runs of the deepest level's live buckets. A row it skips
 fails some stage, so the full scan would not have kept it either. t is read
 at query time, so a threshold scale changed after `freeze()` is obeyed. A
 stage with more than sqrt(n) distinct prefixes adds no level, and neither
@@ -143,14 +156,15 @@ def unit_rows(rows) -> np.ndarray:
     return _normalise(m)
 
 
-def _normalise(m: np.ndarray) -> np.ndarray:
+def _normalise(m: np.ndarray, name=lambda i: f"row {i}") -> np.ndarray:
     """`unit_rows` in place on a float64 matrix; each norm is its own row's
-    einsum, so a row gets the same bits in any block of rows."""
+    einsum, so a row gets the same bits in any block of rows. The error
+    names the first bad row by `name(i)`."""
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
     usable = (norms > 0.0) & (norms < np.inf)  # False for NaN
     if not usable.all():
         bad = int(np.argmin(usable))
-        raise InvalidVectorError(f"row {bad} is non-finite or zero, or its norm overflows")
+        raise InvalidVectorError(f"{name(bad)} is non-finite or zero, or its norm overflows")
     m /= norms[:, None]
     return m
 
@@ -261,13 +275,32 @@ class Buckets:
         parent = np.searchsorted(above, bounds[:-1], side="right") - 1
         return cls(bounds, centres, np.sqrt(np.maximum(reach, 0.0) + eps), parent, eps)
 
-    def live(self, qn: np.ndarray, t: float, above: np.ndarray) -> np.ndarray:
-        """Which buckets a unit query must score at threshold t: those the
-        bound cannot skip whose parent is live in `above`."""
-        diff = self.centres - qn
-        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - self.radii
-        # a t below -eps keeps no row; the kernel's distances are >= 0
-        return (gap <= math.sqrt(max(2.0 * (t + self.eps), 0.0))) & above[self.parent]
+
+@dataclass(frozen=True)
+class BucketTable:
+    """Every level's buckets in one table, level after level, so one pass
+    tests every bound: their `centres` and `radii`, each bucket's `stage`
+    (its level's index), and per level after the first its (start, stop) in
+    the table and its buckets' parents as table rows (`chain`)."""
+
+    centres: np.ndarray
+    radii: np.ndarray
+    stage: np.ndarray
+    chain: tuple[tuple[int, int, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, levels: Sequence[Buckets]) -> "BucketTable":
+        sizes = [len(level.radii) for level in levels]
+        starts = np.cumsum([0] + sizes).tolist()
+        return cls(
+            np.concatenate([level.centres for level in levels]),
+            np.concatenate([level.radii for level in levels]),
+            np.repeat(np.arange(len(levels)), sizes),
+            tuple(
+                (starts[i], starts[i + 1], levels[i].parent + starts[i - 1])
+                for i in range(1, len(levels))
+            ),
+        )
 
 
 class Records(Sequence):
@@ -319,6 +352,7 @@ class HierarchicalIndex:
         self._rows: dict[str, np.ndarray] | None = None
         self._row_ids: list[str] = []
         self._levels: tuple[Buckets, ...] = ()
+        self._table: BucketTable | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -338,7 +372,8 @@ class HierarchicalIndex:
 
     def add(self, record: FeatureRecord) -> None:
         """Append a record, its vectors cast to float32 as the record store
-        holds them; rejects one that would poison a layer matrix or the store."""
+        holds them; rejects one that would poison a layer matrix or the store,
+        or whose layers differ in vector or signature width."""
         if record.id in self._id_set:
             raise DuplicateIdError(f"duplicate record id {record.id!r}")
         layers = set(self.layers)
@@ -347,11 +382,16 @@ class HierarchicalIndex:
                 f"record vector layers {sorted(record.compressed)} and signature "
                 f"layers {sorted(record.signatures)} != index layers {sorted(self.layers)}"
             )
+        # one vector width and one signature width for every layer: the
+        # index's, or the first layer's of the first record
+        first = self.layers[0]
+        if self._bits:
+            shape, bits = self._vectors[first].shape[1:], self._bits[first]
+        else:
+            shape, bits = np.shape(record.compressed[first]), record.signatures[first].width
         vectors = {}
         for layer in self.layers:
             vec = np.asarray(record.compressed[layer], dtype=np.float32)
-            shape = self._vectors[layer].shape[1:] if self._bits else vec.shape
-            bits = self._bits.get(layer, record.signatures[layer].width)
             if vec.ndim != 1 or vec.shape != shape:
                 raise InconsistentDimsError(
                     f"record {record.id!r} layer {layer} shape {vec.shape} != {shape}"
@@ -446,21 +486,30 @@ class HierarchicalIndex:
             levels.append(Buckets.build(rows[layer], bounds, above))
             above = bounds
         self._levels = tuple(levels) or (Buckets.build(rows[stages[0]], above, above),)
+        self._table = BucketTable.build(self._levels)
         self._rows = rows  # last: a query that sees it sees the ids and buckets
 
-    def _spans(self, qn: dict[str, np.ndarray]):
+    def _spans(self, qn: np.ndarray):
         """(starts, stops) of the row ranges the staged scan must score for
-        unit query vectors `qn`: the runs of the deepest level's buckets
-        that are live at every level, each at its stage's effective
-        threshold, read now."""
-        live = np.array([True])  # the first level's parent: every row
-        for level, layer in zip(self._levels, self.stage_layers()):
-            live = level.live(qn[layer], self.thresholds.effective(layer), live)
-        # a run starts or ends where `live` flips; padding it with False is
-        # faster than np.diff's prepend and append
-        padded = np.zeros(len(live) + 2, dtype=bool)
-        padded[1:-1] = live
-        edges = self._levels[-1].bounds[np.flatnonzero(padded[1:] != padded[:-1])]
+        the unit query matrix `qn`, one row per stage: the runs of the
+        deepest level's buckets that are live at every level, each at its
+        stage's effective threshold, read now."""
+        table, bounds = self._table, self._levels[-1].bounds
+        # a t below -eps keeps no row; the kernel's distances are >= 0
+        bound = np.array([
+            math.sqrt(max(2.0 * (self.thresholds.effective(layer) + level.eps), 0.0))
+            for layer, level in zip(self._stages, self._levels)
+        ])
+        diff = table.centres - qn[table.stage]
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - table.radii
+        live = gap <= bound[table.stage]
+        for start, stop, parent in table.chain:
+            live[start:stop] &= live[parent]
+        # a run starts or ends where the deepest level's `live` flips;
+        # padding it with False is faster than np.diff's prepend and append
+        padded = np.zeros(len(bounds) + 1, dtype=bool)
+        padded[1:-1] = live[len(live) + 1 - len(bounds):]
+        edges = bounds[np.flatnonzero(padded[1:] != padded[:-1])]
         return edges[0::2], edges[1::2]
 
     def stage_layers(self) -> tuple[str, ...]:
@@ -474,10 +523,14 @@ def check_top_k(top_k) -> None:
         raise ValueError(f"top_k must be an int >= 1, got {top_k!r}")
 
 
-def _prepare(index: HierarchicalIndex, q: dict, top_k) -> dict[str, np.ndarray]:
+def _prepare(index: HierarchicalIndex, q: dict, top_k) -> np.ndarray:
     """Check a query and top_k against the index, frozen first: the unit
-    query vector per stage. A query vector with no direction raises
-    `InvalidVectorError` naming its layer."""
+    query matrix, one row per stage, normalised at once. Checked in this
+    order, each error naming the first stage's layer that fails it: a query
+    vector that is not 1-D raises `ValueError`, one of another width than
+    the index's (on an empty index, the first stage's) raises
+    `DimensionMismatchError`, and one with no direction raises
+    `InvalidVectorError`."""
     check_top_k(top_k)
     if set(q) != set(index.layers):
         raise ConfigMismatchError(
@@ -487,49 +540,58 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k) -> dict[str, np.ndarray]:
     # spans in the benchmark's trace a real build, not a per-query no-op
     if index._rows is None:
         index.freeze()
-    qn = {}
-    for layer in index.stage_layers():
-        try:
-            qn[layer] = l2_normalize(q[layer])
-        except InvalidVectorError:
-            raise InvalidVectorError(
-                f"query layer {layer} vector is non-finite or zero, or its norm overflows"
-            ) from None
-    if index._rows is not None:  # None: no record to be as wide as
-        for layer, vec in qn.items():
-            if len(vec) != index._rows[layer].shape[1]:
-                raise DimensionMismatchError(
-                    f"query layer {layer} vector is {len(vec)} wide, "
-                    f"the index's is {index._rows[layer].shape[1]}"
-                )
-    return qn
+    stages = index.stage_layers()
+    shapes = [np.shape(q[layer]) for layer in stages]
+    for layer, shape in zip(stages, shapes):
+        if len(shape) != 1:
+            raise ValueError(f"query layer {layer}: expected a 1-D vector, got shape {shape}")
+    # None: no record to be as wide as
+    width = shapes[0][0] if index._rows is None else index._rows[stages[0]].shape[1]
+    for layer, (wide,) in zip(stages, shapes):
+        if wide != width:
+            raise DimensionMismatchError(f"query layer {layer} vector is {wide} wide, not {width}")
+    qn = np.array([q[layer] for layer in stages], dtype=np.float64)
+    return _normalise(qn, lambda i: f"query layer {stages[i]} vector")
 
 
-def _scan(index: HierarchicalIndex, qn: dict[str, np.ndarray], spans, top_k: int):
+def _scan(index: HierarchicalIndex, qn: np.ndarray, spans, top_k: int):
     """(id, distance) of the rows of the (start, stop) `spans` that pass
     every stage, nearest by the finest stage first, ties by id; at most
-    top_k. Each stage scores each span as a view; the masks are ANDed."""
-    stages = [
-        (index._rows[layer], qn[layer], index.thresholds.effective(layer))
-        for layer in index.stage_layers()
+    top_k. The finest stage scores each span as a view; its candidates are
+    then taken in batches nearest first, and a batch's rows are scored at
+    each coarser stage and their masks ANDed (module docstring)."""
+    *coarse, (fine, qf, tf) = [
+        (index._rows[layer], qv, index.thresholds.effective(layer))
+        for layer, qv in zip(index.stage_layers(), qn)
     ]
-    kept, dists = [], []
+    rows, dists = [], []
     for start, stop in spans:
-        passed = np.ones(stop - start, dtype=bool)
-        for rows, qv, t in stages:
-            d = unit_cosine_distances(rows[start:stop], qv)
-            passed &= d <= t
-        hits = np.flatnonzero(passed)
-        kept.append(hits + start)
-        dists.append(d[hits])
-    if not kept:
+        d = unit_cosine_distances(fine[start:stop], qf)
+        near = np.flatnonzero(d <= tf)
+        rows.append(near + start)
+        dists.append(d[near])
+    if not rows:
         return []
-    hits, dists = np.concatenate(kept), np.concatenate(dists)
+    rows, dists = np.concatenate(rows), np.concatenate(dists)
+    hits, found, depth, below = [], 0, 2 * top_k, -1.0  # no distance is below 0
+    while found < top_k and below < np.inf:
+        # the next batch: every candidate farther than the last cut and at
+        # or under this one, so a tie at a cut is in the batch
+        cut = np.partition(dists, depth - 1)[depth - 1] if depth < len(dists) else np.inf
+        batch = np.flatnonzero((dists > below) & (dists <= cut))
+        passed, batch_rows = np.ones(len(batch), dtype=bool), rows[batch]
+        for layer_rows, qv, t in coarse:
+            passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t
+        hits.append(batch[passed])
+        found += int(np.count_nonzero(passed))
+        depth, below = 2 * depth, cut
+    hits = np.concatenate(hits)
+    rows, dists = rows[hits], dists[hits]
     if top_k < len(dists):
         # only hits as near as the top_k-th nearest can rank, ties included
         near = dists <= np.partition(dists, top_k - 1)[top_k - 1]
-        hits, dists = hits[near], dists[near]
-    ranked = sorted(zip(dists.tolist(), (index._row_ids[i] for i in hits.tolist())))
+        rows, dists = rows[near], dists[near]
+    ranked = sorted(zip(dists.tolist(), (index._row_ids[i] for i in rows.tolist())))
     return [(rid, d) for d, rid in ranked[:top_k]]
 
 

@@ -1,9 +1,10 @@
 """Mutation check: every derived rounding margin (pca's pre-test among them:
 its margin, its float32 bound and its float32 zero floor), the bucket code
 built on the index's columns (its sort key and its level cuts), the one
-scan both retrieval paths share (its span offset, its AND of the stage
-masks and its ranking by the finest stage), and the gate's early exit and
-per-layer cache must have a test that fails when they are broken.
+scan both retrieval paths share (its span offset, its ranking by the finest
+stage, its batch cut with ties included, its stop at top_k hits and its AND
+of every coarse stage's mask), and the gate's early exit and per-layer
+cache must have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -38,9 +39,10 @@ PCA_PRETEST = "def proven_storable(model: PcaModel, x) -> bool:\n"
 PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
 INDEX_EPS = "eps = 8 * (rows.shape[1] + 8) * 2.0**-53"
 INDEX_RADIUS = "np.sqrt(np.maximum(reach, 0.0) + eps)"
-INDEX_STAGES = "for layer in index.stage_layers()\n    ]"
-INDEX_LEVELS = """        for level, layer in zip(self._levels, self.stage_layers()):
-            live = level.live(qn[layer], self.thresholds.effective(layer), live)"""
+INDEX_STAGES = "for layer, qv in zip(index.stage_layers(), qn)\n    ]"
+INDEX_BOUND = "math.sqrt(max(2.0 * (self.thresholds.effective(layer) + level.eps), 0.0))"
+INDEX_LEVELS = "for layer, level in zip(self._stages, self._levels)"
+INDEX_COARSE = "passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t"
 
 
 @dataclass(frozen=True)
@@ -81,18 +83,31 @@ MUTANTS = [
     ),
     Mutant(
         "index: bound sqrt(t + eps)", "index.py",
-        "math.sqrt(max(2.0 * (t + self.eps), 0.0))", "math.sqrt(max(t + self.eps, 0.0))", INDEX,
+        INDEX_BOUND, INDEX_BOUND.replace("2.0 * (self.thresholds.effective(layer) + level.eps)",
+                                         "self.thresholds.effective(layer) + level.eps"), INDEX,
     ),
     Mutant("index: half radii", "index.py", INDEX_RADIUS, f"{INDEX_RADIUS} / 2", INDEX),
     Mutant(
         "index: r^2 short by 1e-12", "index.py", INDEX_RADIUS,
         INDEX_RADIUS.replace("reach,", "reach - 1e-12,"), INDEX,
     ),
-    Mutant("index: missing slice offset", "index.py", "kept.append(hits + start)", "kept.append(hits)", INDEX),
-    Mutant("index: stage masks ORed", "index.py", "passed &= d <= t", "passed |= d <= t", INDEX),
+    Mutant("index: missing slice offset", "index.py", "rows.append(near + start)", "rows.append(near)", INDEX),
+    Mutant("index: stage masks ORed", "index.py", INDEX_COARSE, INDEX_COARSE.replace("&=", "|="), INDEX),
     Mutant(
         "index: ranked by the first stage's distance", "index.py", INDEX_STAGES,
-        INDEX_STAGES.replace("stage_layers()", "stage_layers()[::-1]"), INDEX,
+        INDEX_STAGES.replace("stage_layers(), qn)", "stage_layers()[::-1], qn[::-1])"), INDEX,
+    ),
+    Mutant(
+        "index: batch cut with < (drops ties)", "index.py",
+        "(dists > below) & (dists <= cut)", "(dists > below) & (dists < cut)", INDEX,
+    ),
+    Mutant(
+        "index: stops before top_k rows pass", "index.py",
+        "while found < top_k and", "while 2 * found < top_k and", INDEX,
+    ),
+    Mutant(
+        "index: a coarse stage skipped", "index.py",
+        "for layer_rows, qv, t in coarse:", "for layer_rows, qv, t in coarse[1:]:", INDEX,
     ),
     Mutant(
         "index: every level on the first stage's layer", "index.py",
@@ -100,10 +115,7 @@ MUTANTS = [
     ),
     Mutant(
         "index: each level at the threshold of the stage above", "index.py", INDEX_LEVELS,
-        """        stages = self.stage_layers()
-        for level, layer, up in zip(self._levels, stages, stages[:1] + stages):
-            live = level.live(qn[layer], self.thresholds.effective(up), live)""",
-        INDEX,
+        INDEX_LEVELS.replace("zip(self._stages,", "zip(self._stages[:1] + self._stages,"), INDEX,
     ),
     Mutant(
         "index: each level split on the whole tuple", "index.py",

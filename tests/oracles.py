@@ -10,8 +10,10 @@ one dot product over two norms, a signature's bits are read byte by byte,
 a signature is the L2 distance to every centroid at once, as
 `np.linalg.norm` computes it, a reconstruction is the textbook
 mean + basisᵀy, a v1 record store is written record by record, as the
-store was before v2, and a filter's verdict on a query signs every layer
-first and then ANDs its bits, as the gate did before it probed L3 first.
+store was before v2, a filter's verdict on a query signs every layer
+first and then ANDs its bits, as the gate did before it probed L3 first,
+and a retrieval scores every row at every stage, with no bucket skipped
+and no batch, and sorts every hit.
 """
 
 import struct
@@ -21,6 +23,7 @@ import numpy as np
 from bloomretrieval import binseq, pca
 from bloomretrieval.bloom import LAYER_SEEDS
 from bloomretrieval.errors import InvalidVectorError
+from bloomretrieval.index import l2_normalize, unit_cosine_distances
 from bloomretrieval.murmur3 import murmur3_x64_128
 
 
@@ -224,3 +227,19 @@ def eager_error(bundle, features):
         if not np.count_nonzero(vec):
             return InvalidVectorError, f"query layer {layer} vector is non-finite or zero"
     return None
+
+
+def naive_retrieval(index, q, top_k):
+    """(id, distance) pairs from the definition of retrieval: every row of
+    the frozen index scored at every stage by the one distance kernel over
+    the whole layer matrix, the stage masks ANDed, and every hit sorted by
+    (finest-stage distance, id); the first top_k."""
+    index.freeze()
+    if not len(index):
+        return []
+    passed = np.ones(len(index), dtype=bool)
+    for layer in index.stage_layers():  # coarse to fine: d ends on the finest
+        d = unit_cosine_distances(index._rows[layer], l2_normalize(q[layer]))
+        passed &= d <= index.thresholds.effective(layer)
+    hits = sorted((float(d[i]), index._row_ids[i]) for i in range(len(index)) if passed[i])
+    return [(rid, dist) for dist, rid in hits[:top_k]]

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from bloomretrieval import index as index_module
 from bloomretrieval.binseq import BinarySignature
 from bloomretrieval.errors import (
     ConfigMismatchError,
@@ -28,7 +29,7 @@ from bloomretrieval.index import (
     unit_rows,
 )
 
-from oracles import cosine_distance, mean_same_class_cosine_distance, write_records_v1
+from oracles import cosine_distance, mean_same_class_cosine_distance, naive_retrieval, write_records_v1
 
 LAYERS3 = ("L1", "L2", "L3")
 
@@ -227,6 +228,26 @@ class TestQueries:
             idx.add(wide)
         assert len(idx) == 1 and [r.id for r in idx.records] == ["a"]
 
+    @pytest.mark.parametrize("part", ["vector", "signature"])
+    def test_first_record_of_mixed_widths_rejected(self, tmp_path, part):
+        # records.bin is read back at one vector width and one signature
+        # width, so an index whose layers differed could be saved but never
+        # loaded; later records are held to the first one's widths
+        rng = np.random.default_rng(2)
+        idx = HierarchicalIndex(LAYERS3, ThresholdSet(thresholds={l: 1.0 for l in LAYERS3}))
+        mixed = random_record(rng, "b", "c")
+        if part == "vector":
+            mixed.compressed["L2"] = rng.normal(size=4).astype(np.float32)
+        else:
+            mixed.signatures["L2"] = BinarySignature(width=16, data=bytes(2))
+        with pytest.raises(InconsistentDimsError, match="layer L2"):
+            idx.add(mixed)
+        assert len(idx) == 0
+        idx.add(random_record(rng, "a", "c"))
+        save_records(tmp_path / "records.bin", idx)
+        back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, idx.thresholds), 6, 8)
+        assert back.ids == ("a",)
+
     @pytest.mark.parametrize(
         "vector, error",
         [
@@ -312,7 +333,9 @@ class TestEquivalence:
             for _ in range(20):
                 q = {l: rng.normal(size=6) for l in LAYERS3}
                 k = int(rng.integers(1, n + 5))
-                assert query_hierarchical(idx, q, k) == brute_force_scan(idx, q, k)
+                want = naive_retrieval(idx, q, k)
+                assert query_hierarchical(idx, q, k) == want
+                assert brute_force_scan(idx, q, k) == want
 
     def test_survivors_shrink_across_stages(self):
         rng = np.random.default_rng(4)
@@ -371,6 +394,121 @@ class TestEquivalence:
         assert got_small <= got_big
 
 
+def same_as_naive(idx, q, ks):
+    """Whether both retrieval paths equal the naive oracle at every top_k
+    in `ks`, at zero tolerance."""
+    return all(
+        query_hierarchical(idx, q, k) == brute_force_scan(idx, q, k) == naive_retrieval(idx, q, k)
+        for k in ks
+    )
+
+
+def counted_search(monkeypatch, search, idx, q, top_k):
+    """(answer, rows the index's distance kernel scored per stage) of one
+    search: a kernel call counts for the layer whose unit query vector it
+    is given."""
+    units = {l: l2_normalize(q[l]) for l in idx.stage_layers()}
+    rows = dict.fromkeys(units, 0)
+    kernel = index_module.unit_cosine_distances
+
+    def counted(matrix, qn):
+        rows[next(l for l, u in units.items() if np.array_equal(u, qn))] += len(matrix)
+        return kernel(matrix, qn)
+
+    with monkeypatch.context() as m:
+        m.setattr(index_module, "unit_cosine_distances", counted)
+        return search(idx, q, top_k), rows
+
+
+class TestFinestStageFirst:
+    """The scan ranks the finest stage's candidates and scores the coarser
+    stages in batches of the nearest; both paths must equal the naive
+    oracle, which scores every row at every stage and sorts every hit."""
+
+    @pytest.mark.parametrize("layers", [LAYERS3, ("L1", "L3"), ("L2",)])
+    def test_every_top_k(self, layers):
+        # each stage's threshold at the 16th nearest row of 40 on its layer,
+        # so with more than one stage every stage drops rows the others keep
+        rng = np.random.default_rng(41)
+        recs, centres = clustered_records(rng, clusters=4, per=10, spread=0.3)
+        recs = [
+            FeatureRecord(r.id, r.label, {l: r.compressed[l] for l in layers}, {l: r.signatures[l] for l in layers})
+            for r in recs
+        ]
+        ts = ThresholdSet(thresholds={l: 2.0 for l in layers})
+        idx = build_index(recs, ts, layers)
+        dropped = 0
+        for c in range(4):
+            q = {l: centres[c] + 0.3 * rng.normal(size=6) for l in layers}
+            for layer in layers:
+                ts.thresholds[layer] = float(np.sort(distances(idx, q, layer))[15])
+            assert same_as_naive(idx, q, range(1, len(idx) + 2))
+            dropped += len(naive_retrieval(idx, q, len(idx))) < 16
+        assert dropped == (4 if len(layers) > 1 else 0)
+
+    def test_ties_at_a_batch_cut(self):
+        # each vector three times under other ids: every cut at the
+        # 2 top_k-th nearest distance falls inside a group of tied rows,
+        # and the ids, not the row order, break the tie
+        rng = np.random.default_rng(42)
+        recs, centres = clustered_records(rng, clusters=3, per=6, copies=3)
+        ts = ThresholdSet(thresholds={l: 2.0 for l in LAYERS3})
+        idx = build_index(recs, ts)
+        for c in range(3):
+            q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
+            for t3 in (2.0, float(np.sort(distances(idx, q))[20])):
+                ts.thresholds["L3"] = t3
+                assert same_as_naive(idx, q, range(1, len(idx) + 1))
+            first = naive_retrieval(idx, q, 3)
+            assert len({d for _, d in first}) == 1 and first == sorted(first)
+
+    @pytest.mark.parametrize("layer", ["L3", "L2"])
+    def test_batches_grow_past_rows_a_coarse_stage_drops(self, layer):
+        # the 12 rows nearest the query on L1 point away from it on `layer`,
+        # so the first batches hold no hit and the scan must go deeper
+        rng = np.random.default_rng(43)
+        q = {l: rng.normal(size=6) for l in LAYERS3}
+        recs = []
+        for i in range(40):
+            near = i < 12
+            vecs = {l: q[l] + 0.1 * rng.normal(size=6) for l in LAYERS3}
+            vecs["L1"] = q["L1"] + (0.01 if near else 0.5) * rng.normal(size=6)
+            vecs[layer] = (-1.0 if near else 1.0) * vecs[layer]
+            recs.append(make_record(f"r{i:02d}", "c", vecs))
+        idx = build_index(recs, open_but(layer, 0.5))
+        assert same_as_naive(idx, q, range(1, 41))
+        got = query_hierarchical(idx, q, 5)
+        assert len(got) == 5 and all(int(rid[1:]) >= 12 for rid, _ in got)
+
+    def test_no_candidates(self):
+        rng = np.random.default_rng(44)
+        recs, centres = clustered_records(rng, clusters=2, per=10)
+        ts = ThresholdSet(thresholds={l: 2.0 for l in LAYERS3})
+        idx = build_index(recs, ts)
+        q = {l: centres[0] for l in LAYERS3}
+        # no row within the finest threshold, then none past a coarse stage
+        for thresholds in ({"L1": -1.0}, {"L1": 2.0, "L3": -1.0}, {"L3": 2.0, "L2": -1.0}):
+            ts.thresholds.update(thresholds)
+            assert same_as_naive(idx, q, (1, 5, len(idx)))
+            assert query_hierarchical(idx, q, len(idx)) == []
+
+    @pytest.mark.parametrize("top_k", [1, 3, 10])
+    @pytest.mark.parametrize("search", [query_hierarchical, brute_force_scan])
+    def test_coarse_stages_score_only_rows_that_could_rank(self, monkeypatch, search, top_k):
+        # every stage open, so every candidate passes: the finest stage
+        # scores every row it covers, and the coarser ones only the first
+        # batch of 2 top_k rows
+        rng = np.random.default_rng(45)
+        recs, centres = clustered_records(rng, clusters=4, per=25)
+        idx = build_index(recs, ThresholdSet(thresholds={l: 2.0 for l in LAYERS3}))
+        for c in range(4):
+            q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
+            covered = rows_scored(idx, q) if search is query_hierarchical else len(idx)
+            got, rows = counted_search(monkeypatch, search, idx, q, top_k)
+            assert len(got) == top_k
+            assert rows == {"L1": covered, "L2": 2 * top_k, "L3": 2 * top_k}
+
+
 def clustered_records(rng, clusters, per, dim=6, spread=0.05, copies=1):
     """`per` records around each of `clusters` random directions, each
     cluster under its own L3 signature, inserted in shuffled order; each
@@ -387,10 +525,11 @@ def clustered_records(rng, clusters, per, dim=6, spread=0.05, copies=1):
 
 
 def rows_scored(idx, q):
-    """How many rows the staged scan covers for q, each scored at every
-    stage: the rows of the deepest level's buckets that no level skips."""
+    """How many rows the staged scan covers for q: the rows of the deepest
+    level's buckets that no level skips. The finest stage scores each of
+    them; a coarser stage scores only those that could rank."""
     idx.freeze()
-    starts, stops = idx._spans({l: l2_normalize(q[l]) for l in idx.stage_layers()})
+    starts, stops = idx._spans(unit_rows([q[l] for l in idx.stage_layers()]))
     return int(np.sum(stops - starts))
 
 
