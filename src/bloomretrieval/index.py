@@ -55,36 +55,37 @@ So a bucket with
 
 holds no row within its stage's effective threshold t: none of its rows
 survives that stage. A bucket is live when its own bound passes and the
-bucket holding it a level up is live; every level's bound is tested in one
-pass over a table of all the buckets that `freeze()` builds. The staged
-path scans the runs of the deepest level's live buckets. A row it skips
-fails some stage, so the full scan would not have kept it either. t is read
-at query time, so a threshold scale changed after `freeze()` is obeyed. A
-stage with more than sqrt(n) distinct prefixes adds no level, and neither
-does any later one: the per-bucket bounds would cost about as much as the
-scan they save. An index with more than sqrt(n) distinct L3 signatures
-therefore keeps one bucket over the same sorted rows, and a one-bucket
-index runs the same code. When no bucket is skipped the staged path scans
-the one span of every row, as the brute-force path does. The columns and
-the record store keep insertion order; only the unit-row matrices and the
-row-to-id list are in bucket order, and ranking ties break by id, so the
-order changes no answer.
+bucket holding it a level up is live. `freeze()` builds one table of every
+level's buckets straight from the level cuts: each level's cuts, every
+bucket's c, r and stage, and each bucket's parent, and one pass over it
+tests every bound at once. The staged path scans the runs of the deepest
+level's live buckets. A row it skips fails some stage, so the full scan
+would not have kept it either. t is read at query time, so a threshold
+scale changed after `freeze()` is obeyed. A stage with more than sqrt(n)
+distinct prefixes adds no level, and neither does any later one: the
+per-bucket bounds would cost about as much as the scan they save. An index
+with more than sqrt(n) distinct L3 signatures therefore keeps one level of
+one bucket, cut at [0, n], over the same sorted rows, and runs the same
+code. When no bucket is skipped the staged path scans the one span of
+every row, as the brute-force path does. The columns and the record store
+keep insertion order; only the unit-row matrices and the row-to-id list
+are in bucket order, and ranking ties break by id, so the order changes no
+answer.
 
-eps bounds the rounding of the kernel and of c and r on one level's layer;
-nothing in it depends on the layer but the width d of its rows, so each
-level takes eps from its own layer's d. Let u = 2^-53. `unit_rows` leaves
-|u.u - 1| <= (d + 5)u, so the exact 1 - u.q is at least
+eps bounds the rounding of the kernel and of c and r on a level's layer;
+nothing in it depends on the layer but the width d of its rows, and every
+layer has the one width d, so one eps serves every level. Let u = 2^-53.
+`unit_rows` leaves |u.u - 1| <= (d + 5)u, so the exact 1 - u.q is at least
 |u - q|^2 / 2 - (d + 5)u, and the kernel's dot product and subtraction lose
 at most (2d + 3)u more. The skip test's own terms (|q - c|, r and the
 square root, each at most about 2) carry at most (d + 17)u of error, which
 costs at most 2(d + 17)u in |u - q|^2 / 2. The sum, (5d + 42)u, is below
 eps = 8(d + 8)u, about 1.2e-13 at d = 128. The radius is taken as
-sqrt(1 + c.c - 2 min u.c + eps) for the stored c, whatever its rounding;
-the expansion errs by at most (4d + 20)u in any summation order of the
-d-term dot products, so BLAS may compute c and u.c, and the added eps
-makes r an upper bound. For t >= 2 the bound
-exceeds 2 by more than |q - c| - r can, so no bucket is skipped where the
-kernel's clip at 2 would pass every row.
+sqrt(1 + c.c - 2 min u.c + eps) for the stored c, whatever its rounding; the
+expansion errs by at most (4d + 20)u in any summation order of the d-term
+dot products, so BLAS may compute c and u.c, and the added eps makes r an
+upper bound. For t >= 2 the bound exceeds 2 by more than |q - c| - r can,
+so no bucket is skipped where the kernel's clip at 2 would pass every row.
 
 Each layer's threshold is calibrated as the mean cosine distance over all
 same-class pairs of training vectors. It is computed in closed form from
@@ -245,62 +246,46 @@ def calibrate_thresholds(labels, vectors) -> ThresholdSet:
 
 @dataclass(frozen=True)
 class Buckets:
-    """One level of buckets on one stage's layer: row `bounds[b]` up to
-    `bounds[b + 1]` of each layer matrix, their `centres` and `radii` on
-    that layer, the bucket of the level above that holds each one
-    (`parent`; 0 at the first level), and the skip test's rounding bound
-    `eps` for the layer's width (see the module docstring)."""
-
-    bounds: np.ndarray
-    centres: np.ndarray
-    radii: np.ndarray
-    parent: np.ndarray
-    eps: float
-
-    @classmethod
-    def build(cls, rows: np.ndarray, bounds: np.ndarray, above: np.ndarray) -> "Buckets":
-        """Buckets of unit `rows` split at `bounds`, nested in the runs
-        split at `above`; each radius comes from one dot product per row,
-        with no n x d temporary."""
-        centres, nearest = [], []
-        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            # two BLAS products while the block is in cache; r is a bound for
-            # any c, and their summation order is within eps (module docstring)
-            block = rows[start:stop]
-            centres.append(np.full(stop - start, 1.0 / (stop - start)) @ block)
-            nearest.append((block @ centres[-1]).min())
-        centres = np.array(centres)
-        eps = 8 * (rows.shape[1] + 8) * 2.0**-53
-        reach = 1.0 + np.einsum("ij,ij->i", centres, centres) - 2.0 * np.array(nearest)
-        parent = np.searchsorted(above, bounds[:-1], side="right") - 1
-        return cls(bounds, centres, np.sqrt(np.maximum(reach, 0.0) + eps), parent, eps)
-
-
-@dataclass(frozen=True)
-class BucketTable:
     """Every level's buckets in one table, level after level, so one pass
-    tests every bound: their `centres` and `radii`, each bucket's `stage`
-    (its level's index), and per level after the first its (start, stop) in
-    the table and its buckets' parents as table rows (`chain`)."""
+    tests every bound: each level's `cuts` (its bucket b is row cuts[b] up
+    to cuts[b + 1] of each layer matrix), every bucket's `centres` and
+    `radii` on its stage's layer and its `stage` (its level's index), per
+    level after the first its (start, stop) in the table and its buckets'
+    parents as table rows (`chain`), and the skip test's rounding bound
+    `eps` for the one row width d (see the module docstring)."""
 
+    cuts: tuple[np.ndarray, ...]
     centres: np.ndarray
     radii: np.ndarray
     stage: np.ndarray
     chain: tuple[tuple[int, int, np.ndarray], ...]
+    eps: float
 
     @classmethod
-    def build(cls, levels: Sequence[Buckets]) -> "BucketTable":
-        sizes = [len(level.radii) for level in levels]
+    def build(cls, rows: Sequence[np.ndarray], cuts: Sequence[np.ndarray]) -> "Buckets":
+        """Level i's buckets of the unit rows `rows[i]` split at `cuts[i]`,
+        each level nested in the one above; each radius comes from one dot
+        product per row, with no n x d temporary."""
+        centres, nearest = [], []
+        for layer_rows, bounds in zip(rows, cuts):
+            for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                # two BLAS products while the block is in cache; r bounds any
+                # c, and their summation order is within eps (module docstring)
+                block = layer_rows[start:stop]
+                centres.append(np.full(stop - start, 1.0 / (stop - start)) @ block)
+                nearest.append((block @ centres[-1]).min())
+        centres = np.array(centres)
+        eps = 8 * (rows[0].shape[1] + 8) * 2.0**-53
+        reach = 1.0 + np.einsum("ij,ij->i", centres, centres) - 2.0 * np.array(nearest)
+        sizes = [len(bounds) - 1 for bounds in cuts]
         starts = np.cumsum([0] + sizes).tolist()
-        return cls(
-            np.concatenate([level.centres for level in levels]),
-            np.concatenate([level.radii for level in levels]),
-            np.repeat(np.arange(len(levels)), sizes),
-            tuple(
-                (starts[i], starts[i + 1], levels[i].parent + starts[i - 1])
-                for i in range(1, len(levels))
-            ),
+        chain = tuple(
+            (starts[i], starts[i + 1],
+             np.searchsorted(cuts[i - 1], cuts[i][:-1], side="right") - 1 + starts[i - 1])
+            for i in range(1, len(cuts))
         )
+        radii = np.sqrt(np.maximum(reach, 0.0) + eps)
+        return cls(tuple(cuts), centres, radii, np.repeat(np.arange(len(cuts)), sizes), chain, eps)
 
 
 class Records(Sequence):
@@ -311,11 +296,11 @@ class Records(Sequence):
     def __init__(self, index: "HierarchicalIndex"):
         self._n = len(index)
         self._ids, self._labels = index._ids, index._labels  # appended to only
-        self._columns = []
-        for layer, bits in index._bits.items():
-            vectors = index._vectors[layer][:self._n].view()
+        self._bits, self._columns = index._sig_bits, []
+        for layer, vectors in index._vectors.items():
+            vectors = vectors[:self._n].view()
             vectors.flags.writeable = False
-            self._columns.append((layer, vectors, index._signatures[layer][:self._n], bits))
+            self._columns.append((layer, vectors, index._signatures[layer][:self._n]))
 
     def __len__(self) -> int:
         return self._n
@@ -325,9 +310,9 @@ class Records(Sequence):
             return [self[j] for j in range(*i.indices(self._n))]
         i = range(self._n)[i]
         vectors, signatures = {}, {}
-        for layer, matrix, sigs, bits in self._columns:
+        for layer, matrix, sigs in self._columns:
             vectors[layer] = matrix[i]
-            signatures[layer] = BinarySignature(bits, sigs[i].tobytes())
+            signatures[layer] = BinarySignature(self._bits, sigs[i].tobytes())
         return FeatureRecord(self._ids[i], self._labels[i], vectors, signatures)
 
 
@@ -344,15 +329,14 @@ class HierarchicalIndex:
         self._ids: list[str] = []
         self._labels: list[str] = []
         self._id_set: set[str] = set()
-        # per layer, from the first record: signature bits; the vector width
-        # is the matrix's
-        self._bits: dict[str, int] = {}
+        # from the first record: every layer's signature bits; the vector
+        # width is the matrices'
+        self._sig_bits = 0
         self._vectors: dict[str, np.ndarray] = {}
         self._signatures: dict[str, np.ndarray] = {}
         self._rows: dict[str, np.ndarray] | None = None
         self._row_ids: list[str] = []
-        self._levels: tuple[Buckets, ...] = ()
-        self._table: BucketTable | None = None
+        self._buckets: Buckets | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -385,8 +369,8 @@ class HierarchicalIndex:
         # one vector width and one signature width for every layer: the
         # index's, or the first layer's of the first record
         first = self.layers[0]
-        if self._bits:
-            shape, bits = self._vectors[first].shape[1:], self._bits[first]
+        if self._vectors:
+            shape, bits = self._vectors[first].shape[1:], self._sig_bits
         else:
             shape, bits = np.shape(record.compressed[first]), record.signatures[first].width
         vectors = {}
@@ -409,9 +393,9 @@ class HierarchicalIndex:
                 )
             vectors[layer] = vec
         n = len(self)
-        if not self._bits:
+        if not self._vectors:
+            self._sig_bits = bits
             for layer, vec in vectors.items():
-                self._bits[layer] = bits = record.signatures[layer].width
                 self._vectors[layer] = np.empty((0, len(vec)), np.float32)
                 self._signatures[layer] = np.empty((0, (bits + 7) // 8), np.uint8)
         if n == len(self._vectors[self.layers[0]]):
@@ -453,14 +437,14 @@ class HierarchicalIndex:
                     "non-finite or has zero norm"
                 )
         if ids:  # an empty store leaves the widths to the first record added
-            self._bits = dict.fromkeys(vectors, sig_width)
+            self._sig_bits = sig_width
             self._vectors, self._signatures = dict(vectors), dict(signatures)
         self._ids, self._labels, self._id_set = list(ids), list(labels), seen
         self._rows = None
 
     def freeze(self) -> None:
         """Build each layer's unit-row matrix in bucket order, the row-to-id
-        list and the bucket levels, once until the next add; queries
+        list and the bucket table, once until the next add; queries
         afterwards are read-only."""
         if self._rows is not None or not len(self):
             return
@@ -475,18 +459,15 @@ class HierarchicalIndex:
         # a level splits where its prefix changes; one of more than sqrt(n)
         # buckets ends the levels, and if the first does, one bucket is left
         keys = keys[perm]
-        split, stop = np.zeros(n - 1, dtype=bool), 0
-        levels, above = [], np.array([0, n])
+        split, stop, cuts = np.zeros(n - 1, dtype=bool), 0, []
         for layer in stages:
             start, stop = stop, stop + self._signatures[layer].shape[1]
             split |= (keys[1:, start:stop] != keys[:-1, start:stop]).any(axis=1)
             bounds = np.concatenate(([0], np.flatnonzero(split) + 1, [n]))
             if (len(bounds) - 1) ** 2 > n:
                 break
-            levels.append(Buckets.build(rows[layer], bounds, above))
-            above = bounds
-        self._levels = tuple(levels) or (Buckets.build(rows[stages[0]], above, above),)
-        self._table = BucketTable.build(self._levels)
+            cuts.append(bounds)
+        self._buckets = Buckets.build([rows[layer] for layer in stages], cuts or [np.array([0, n])])
         self._rows = rows  # last: a query that sees it sees the ids and buckets
 
     def _spans(self, qn: np.ndarray):
@@ -494,11 +475,13 @@ class HierarchicalIndex:
         the unit query matrix `qn`, one row per stage: the runs of the
         deepest level's buckets that are live at every level, each at its
         stage's effective threshold, read now."""
-        table, bounds = self._table, self._levels[-1].bounds
-        # a t below -eps keeps no row; the kernel's distances are >= 0
+        table = self._buckets
+        bounds = table.cuts[-1]
+        # only the stages with a level; a t below -eps keeps no row, and the
+        # kernel's distances are >= 0
         bound = np.array([
-            math.sqrt(max(2.0 * (self.thresholds.effective(layer) + level.eps), 0.0))
-            for layer, level in zip(self._stages, self._levels)
+            math.sqrt(max(2.0 * (self.thresholds.effective(layer) + table.eps), 0.0))
+            for layer in self._stages[:len(table.cuts)]
         ])
         diff = table.centres - qn[table.stage]
         gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - table.radii

@@ -1,10 +1,11 @@
 """Mutation check: every derived rounding margin (pca's pre-test among them:
-its margin, its float32 bound and its float32 zero floor), the bucket code
-built on the index's columns (its sort key and its level cuts), the one
-scan both retrieval paths share (its span offset, its ranking by the finest
-stage, its batch cut with ties included, its stop at top_k hits and its AND
-of every coarse stage's mask), and the gate's early exit and per-layer
-cache must have a test that fails when they are broken.
+its margin, its float32 bound and its float32 zero floor), the bucket table
+built on the index's columns (its sort key, its level cuts, the layer each
+level reads and its parent chain), the one scan both retrieval paths share
+(its span offset, its ranking by the finest stage, its batch cut with ties
+included, its stop at top_k hits and its AND of every coarse stage's mask),
+and the gate's early exit and per-layer cache must have a test that fails
+when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -37,11 +38,11 @@ TYPEDDICT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationW
 BINSEQ_MARGIN = "margin = (2 * x.size + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
 PCA_PRETEST = "def proven_storable(model: PcaModel, x) -> bool:\n"
 PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
-INDEX_EPS = "eps = 8 * (rows.shape[1] + 8) * 2.0**-53"
+INDEX_EPS = "eps = 8 * (rows[0].shape[1] + 8) * 2.0**-53"
 INDEX_RADIUS = "np.sqrt(np.maximum(reach, 0.0) + eps)"
 INDEX_STAGES = "for layer, qv in zip(index.stage_layers(), qn)\n    ]"
-INDEX_BOUND = "math.sqrt(max(2.0 * (self.thresholds.effective(layer) + level.eps), 0.0))"
-INDEX_LEVELS = "for layer, level in zip(self._stages, self._levels)"
+INDEX_BOUND = "math.sqrt(max(2.0 * (self.thresholds.effective(layer) + table.eps), 0.0))"
+INDEX_LEVELS = "for layer in self._stages[:len(table.cuts)]"
 INDEX_COARSE = "passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t"
 
 
@@ -78,13 +79,13 @@ MUTANTS = [
     ),
     Mutant("index: eps 0", "index.py", INDEX_EPS, "eps = 0.0", INDEX),
     Mutant(
-        "index: eps 0 after the first level", "index.py", INDEX_EPS,
-        f"{INDEX_EPS} * (len(above) == 2)", INDEX,
+        "index: eps in no stage's bound but the first", "index.py", INDEX_BOUND,
+        INDEX_BOUND.replace("+ table.eps)", "+ table.eps * (layer == self._stages[0]))"), INDEX,
     ),
     Mutant(
         "index: bound sqrt(t + eps)", "index.py",
-        INDEX_BOUND, INDEX_BOUND.replace("2.0 * (self.thresholds.effective(layer) + level.eps)",
-                                         "self.thresholds.effective(layer) + level.eps"), INDEX,
+        INDEX_BOUND, INDEX_BOUND.replace("2.0 * (self.thresholds.effective(layer) + table.eps)",
+                                         "self.thresholds.effective(layer) + table.eps"), INDEX,
     ),
     Mutant("index: half radii", "index.py", INDEX_RADIUS, f"{INDEX_RADIUS} / 2", INDEX),
     Mutant(
@@ -111,11 +112,20 @@ MUTANTS = [
     ),
     Mutant(
         "index: every level on the first stage's layer", "index.py",
-        "Buckets.build(rows[layer], bounds, above)", "Buckets.build(rows[stages[0]], bounds, above)", INDEX,
+        "Buckets.build([rows[layer] for layer in stages],", "Buckets.build([rows[stages[0]] for layer in stages],",
+        INDEX,
     ),
     Mutant(
         "index: each level at the threshold of the stage above", "index.py", INDEX_LEVELS,
-        INDEX_LEVELS.replace("zip(self._stages,", "zip(self._stages[:1] + self._stages,"), INDEX,
+        INDEX_LEVELS.replace("self._stages[:len", "(self._stages[:1] + self._stages)[:len"), INDEX,
+    ),
+    Mutant(
+        "index: a level not ANDed with its parent", "index.py",
+        "live[start:stop] &= live[parent]", "pass", INDEX,
+    ),
+    Mutant(
+        "index: parents not offset into the table", "index.py",
+        "side=\"right\") - 1 + starts[i - 1])", "side=\"right\") - 1)", INDEX,
     ),
     Mutant(
         "index: each level split on the whole tuple", "index.py",

@@ -12,10 +12,12 @@ a signature is the L2 distance to every centroid at once, as
 mean + basisᵀy, a v1 record store is written record by record, as the
 store was before v2, a filter's verdict on a query signs every layer
 first and then ANDs its bits, as the gate did before it probed L3 first,
-and a retrieval scores every row at every stage, with no bucket skipped
-and no batch, and sorts every hit.
+a retrieval scores every row at every stage, with no bucket skipped
+and no batch, and sorts every hit, and the spans a staged retrieval scans
+come row by row from the rows' signature prefixes, with no bucket table.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -243,3 +245,51 @@ def naive_retrieval(index, q, top_k):
         passed &= d <= index.thresholds.effective(layer)
     hits = sorted((float(d[i]), index._row_ids[i]) for i in range(len(index)) if passed[i])
     return [(rid, dist) for dist, rid in hits[:top_k]]
+
+
+def live_spans(index, qn, geometry):
+    """The (start, stop) row spans the staged scan covers for the unit query
+    matrix `qn` (one row per stage), from the `index.py` docstring. The rows,
+    in the frozen index's row order, must be sorted by their signatures read
+    coarse to fine. Each stage in turn adds a level while its signature
+    prefixes number at most sqrt(n); when the first stage's do not, one
+    bucket on the first stage holds every row. A level's buckets are its
+    runs of equal prefixes. A bucket is skipped when
+    |q - c| - r > sqrt(2 (t + eps)), eps = 8 (d + 8) 2^-53, at its stage's
+    effective threshold t, and live when neither it nor a bucket holding it
+    is skipped; the live deepest buckets' rows, merged into runs, are the
+    spans. `geometry` gives each level's (centres, radii) in row order, the
+    index's own: their bits come from BLAS products, whose summation order
+    only the index reproduces. The distance |q - c| is the kernel's per-row
+    einsum, as the index computes it."""
+    index.freeze()
+    n, stages = len(index), index.stage_layers()
+    by_id = {r.id: r for r in index.records}
+    keys = [tuple(by_id[rid].signatures[l].data for l in stages) for rid in index._row_ids]
+    assert keys == sorted(keys), "rows not sorted by their signature prefixes"
+    depth = 0
+    while depth < len(stages) and len({k[:depth + 1] for k in keys}) ** 2 <= n:
+        depth += 1
+    lengths = list(range(1, depth + 1)) or [0]  # prefix length per level
+    assert len(geometry) == len(lengths), "levels"
+    eps = 8 * (qn.shape[1] + 8) * 2.0**-53
+    live = {(): True}
+    for length, (centres, radii) in zip(lengths, geometry):
+        stage = max(length - 1, 0)
+        firsts = [i for i in range(n) if i == 0 or keys[i][:length] != keys[i - 1][:length]]
+        assert len(firsts) == len(radii), f"buckets at prefix length {length}"
+        diff = centres - qn[stage]
+        gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - radii
+        t = index.thresholds.effective(stages[stage])
+        bound = math.sqrt(max(2.0 * (t + eps), 0.0))
+        for b, i in enumerate(firsts):
+            key = keys[i][:length]
+            live[key] = live[key[:-1]] and bool(gap[b] <= bound)
+    spans = []
+    for i, key in enumerate(keys):
+        if live[key[:lengths[-1]]]:
+            if spans and spans[-1][1] == i:
+                spans[-1][1] = i + 1
+            else:
+                spans.append([i, i + 1])
+    return [tuple(span) for span in spans]

@@ -1,4 +1,6 @@
+import itertools
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from bloomretrieval.index import (
     unit_rows,
 )
 
-from oracles import cosine_distance, mean_same_class_cosine_distance, naive_retrieval, write_records_v1
+from oracles import cosine_distance, live_spans, mean_same_class_cosine_distance, naive_retrieval, write_records_v1
 
 LAYERS3 = ("L1", "L2", "L3")
 
@@ -533,6 +535,27 @@ def rows_scored(idx, q):
     return int(np.sum(stops - starts))
 
 
+def levels(idx):
+    """The frozen index's bucket table read one level at a time, coarse to
+    fine: each level's row `bounds`, its buckets' `centres` and `radii`,
+    the bucket of the level above that holds each one (`parent`, read from
+    the table's `chain`; 0 at the first level), and the table's one `eps`."""
+    idx.freeze()
+    table = idx._buckets
+    sizes = [len(cuts) - 1 for cuts in table.cuts]
+    starts = np.cumsum([0] + sizes).tolist()
+    assert [start for start, _, _ in table.chain] == starts[1:-1]
+    out = []
+    for i, cuts in enumerate(table.cuts):
+        own = slice(starts[i], starts[i + 1])
+        assert np.all(table.stage[own] == i)
+        parent = table.chain[i - 1][2] - starts[i - 1] if i else np.zeros(sizes[0], dtype=int)
+        out.append(SimpleNamespace(
+            bounds=cuts, centres=table.centres[own], radii=table.radii[own], parent=parent, eps=table.eps,
+        ))
+    return out
+
+
 def distances(idx, q, layer="L3"):
     """The kernel's distance on `layer` of every row, in row order."""
     idx.freeze()
@@ -563,12 +586,12 @@ class TestBucketPruning:
         ts = self.open_later_stages()
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._levels[0].radii) == 6
+        assert len(levels(idx)[0].radii) == 6
         skipped = 0
         for c in range(6):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
             qn = l2_normalize(q["L3"])
-            b = idx._levels[0]
+            b = levels(idx)[0]
             diff = b.centres - qn
             gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
             # t where each far bucket's skip decision flips, and each row's
@@ -588,7 +611,7 @@ class TestBucketPruning:
         idx = build_index(recs, ts)
         idx.freeze()
         q = {l: centres[0] for l in LAYERS3}
-        b = idx._levels[0]
+        b = levels(idx)[0]
         diff = b.centres - l2_normalize(q["L3"])
         gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
         far = int(np.argmax(gap))
@@ -626,9 +649,9 @@ class TestBucketPruning:
         ts = self.open_later_stages()
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._levels[0].radii) == 2
+        assert len(levels(idx)[0].radii) == 2
         q = {l: at(rho + alpha) for l in LAYERS3}
-        b = idx._levels[0]
+        b = levels(idx)[0]
         qn = l2_normalize(q["L3"])
         gap = np.linalg.norm(b.centres[0] - qn) - b.radii[0]
         own = float(distances(idx, q)[0])
@@ -649,8 +672,9 @@ class TestBucketPruning:
         ts = self.open_later_stages()
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._levels[0].radii) == 5
-        assert np.all(idx._levels[0].radii <= 2 * np.sqrt(idx._levels[0].eps))
+        first = levels(idx)[0]
+        assert len(first.radii) == 5
+        assert np.all(first.radii <= 2 * np.sqrt(first.eps))
         skipped = 0
         for rec in recs[:10]:
             for angle in (0.0, 1e-9, 1e-8, 1e-7, 1e-4, 1e-2):
@@ -725,10 +749,10 @@ class TestBucketPruning:
         ts = self.open_later_stages(0.01)
         idx = build_index(recs, ts)
         idx.freeze()
-        assert len(idx._levels[0].radii) == buckets
+        assert len(levels(idx)[0].radii) == buckets
         # every layer shares the cluster's signature, so every stage adds a
         # level or none does
-        assert len(idx._levels) == (3 if buckets > 1 else 1)
+        assert len(levels(idx)) == (3 if buckets > 1 else 1)
         assert idx._row_ids == [r.id for r in tuple_sorted(recs)]
         skipped = 0
         for c in range(signatures):
@@ -750,7 +774,7 @@ class TestBucketPruning:
         ts = self.open_later_stages(0.01)
         idx = build_index(recs, ts)
         idx.freeze()
-        assert [len(level.radii) for level in idx._levels] == [2]
+        assert [len(level.radii) for level in levels(idx)] == [2]
         assert idx._row_ids == [r.id for r in tuple_sorted(recs)]
         for c in range(2):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
@@ -772,7 +796,7 @@ class TestBucketPruning:
         ts = self.open_later_stages(0.3)
         idx = build_index(recs, ts)
         idx.freeze()
-        assert [len(level.radii) for level in idx._levels] == [1, 1, 1]
+        assert [len(level.radii) for level in levels(idx)] == [1, 1, 1]
         assert idx._row_ids == [r.id for r in recs]
         for _ in range(10):
             q = {l: rng.normal(size=6) for l in LAYERS3}
@@ -825,8 +849,7 @@ def open_but(layer, t):
 
 
 def level_of(idx, layer):
-    idx.freeze()
-    return idx._levels[idx.stage_layers().index(layer)]
+    return levels(idx)[idx.stage_layers().index(layer)]
 
 
 def gaps(level, qn):
@@ -843,11 +866,11 @@ class TestNestedPruning:
         recs, _ = nested_records(rng)
         idx = build_index(recs, open_but("L3", 2.0))
         idx.freeze()
-        assert [len(level.radii) for level in idx._levels] == [2, 4, 8]
+        assert [len(level.radii) for level in levels(idx)] == [2, 4, 8]
         by_id = {r.id: r for r in recs}
         rows = [by_id[rid] for rid in idx._row_ids]
         above = np.array([0, len(recs)])
-        for depth, (level, layer) in enumerate(zip(idx._levels, ("L3", "L2", "L1"))):
+        for depth, (level, layer) in enumerate(zip(levels(idx), ("L3", "L2", "L1"))):
             assert set(above.tolist()) <= set(level.bounds.tolist())
             for b, (start, stop) in enumerate(zip(level.bounds[:-1], level.bounds[1:])):
                 prefix = {tuple(r.signatures[l].data for l in LAYERS3[2 - depth:]) for r in rows[start:stop]}
@@ -958,6 +981,78 @@ class TestNestedPruning:
                     got = query_hierarchical(idx, q, len(idx))
                     assert got and got == brute_force_scan(idx, q, len(idx))
             ts.scales = {}
+
+
+def only(records, layers):
+    """The records with their vectors and signatures of `layers` alone."""
+    return [
+        FeatureRecord(r.id, r.label, {l: r.compressed[l] for l in layers}, {l: r.signatures[l] for l in layers})
+        for r in records
+    ]
+
+
+class TestLiveSpans:
+    """`_spans` equals the `live_spans` oracle exactly: on 3, 2 and 1
+    layers, with every stage adding a level, a later stage adding none, and
+    one bucket over every row; at thresholds within a few ulps of where each
+    bucket's skip decision flips; and after a scale change with no new
+    freeze."""
+
+    @staticmethod
+    def spans(idx, q):
+        idx.freeze()
+        qn = unit_rows([q[l] for l in idx.stage_layers()])
+        starts, stops = idx._spans(qn)
+        spans = list(zip(starts.tolist(), stops.tolist()))
+        assert spans == live_spans(idx, qn, [(level.centres, level.radii) for level in levels(idx)])
+        return tuple(spans)
+
+    @pytest.mark.parametrize("layers", [LAYERS3, ("L1", "L2"), ("L1",)])
+    @pytest.mark.parametrize("shape, per, depth", [((2, 2, 2), 8, 3), ((2, 4, 4), 2, 2), ((9, 1, 1), 1, 0)])
+    def test_at_each_bucket_flip(self, layers, shape, per, depth):
+        rng = np.random.default_rng(37)
+        recs, directions = nested_records(rng, shape=shape, per=per)
+        ts = ThresholdSet(thresholds=dict.fromkeys(layers, 2.0))
+        idx = build_index(only(recs, layers), ts, layers)
+        stages = idx.stage_layers()
+        if len(layers) == 3:  # the prefixes of the other cases nest differently
+            assert len(levels(idx)) == max(depth, 1) and len(levels(idx)[0].radii) == (shape[0] if depth else 1)
+        seen = set()
+        for key in list(np.ndindex(*shape))[:4]:
+            q = near(rng, directions, key)
+            qn = unit_rows([q[l] for l in stages])
+            # each level's stage at each bucket's flip, the others open
+            for stage, level in zip(stages, levels(idx)):
+                g = gaps(level, qn[stages.index(stage)])
+                for flip in [x * x / 2 - level.eps for x in g if x * x / 2 > level.eps]:
+                    for t in ulps_around(float(flip)):
+                        ts.thresholds[stage] = t
+                        seen.add(self.spans(idx, q))
+                ts.thresholds[stage] = 2.0
+            # every mix of tight and open stages, so a live bucket can sit
+            # under a skipped one
+            for mix in itertools.product((0.02, 0.2, 2.0), repeat=len(layers)):
+                ts.thresholds.update(zip(stages, mix))
+                seen.add(self.spans(idx, q))
+            ts.thresholds.update(dict.fromkeys(layers, 2.0))
+        assert len(seen) > (1 if depth else 0)
+
+    def test_scales_changed_after_freeze(self):
+        rng = np.random.default_rng(38)
+        recs, directions = nested_records(rng)
+        ts = ThresholdSet(thresholds=dict.fromkeys(LAYERS3, 0.05))
+        idx = build_index(recs, ts)
+        q = near(rng, directions, (0, 1, 0))
+        before = self.spans(idx, q)
+        seen = {before}
+        for layers in (["L3"], ["L2"], ["L1"], LAYERS3):
+            for scale in (0.0, 0.5, 4.0, 40.0):
+                # a new scales mapping, the way a caller swaps it
+                ts.scales = dict.fromkeys(layers, scale)
+                seen.add(self.spans(idx, q))
+        ts.scales = {}
+        assert self.spans(idx, q) == before
+        assert len(seen) > 2
 
 
 class TestRecordsFile:
