@@ -196,7 +196,10 @@ def unit_cosine_distances(rows: np.ndarray, qn: np.ndarray) -> np.ndarray:
     that would otherwise push a self-match a few ulps below zero.
     """
     d = 1.0 - np.einsum("ij,j->i", rows, qn)
-    np.clip(d, 0.0, 2.0, out=d)
+    # np.clip's bits, at half its cost: the two differ only at -0.0, which
+    # 1.0 - x never gives
+    np.maximum(d, 0.0, out=d)
+    np.minimum(d, 2.0, out=d)
     return d
 
 
@@ -325,6 +328,7 @@ class HierarchicalIndex:
     def __init__(self, layers, thresholds: ThresholdSet):
         self.layers = tuple(layers)
         self._stages = coarse_to_fine(self.layers)
+        self._layer_set = frozenset(self.layers)  # what `add` compares key views with
         self.thresholds = thresholds
         self._ids: list[str] = []
         self._labels: list[str] = []
@@ -357,11 +361,13 @@ class HierarchicalIndex:
     def add(self, record: FeatureRecord) -> None:
         """Append a record, its vectors cast to float32 as the record store
         holds them; rejects one that would poison a layer matrix or the store,
-        or whose layers differ in vector or signature width."""
+        or whose layers differ in vector or signature width. Each layer's
+        vector and signature are read once, in one loop that checks them and
+        collects the row, and nothing is stored until every layer passes."""
         if record.id in self._id_set:
             raise DuplicateIdError(f"duplicate record id {record.id!r}")
-        layers = set(self.layers)
-        if set(record.compressed) != layers or set(record.signatures) != layers:
+        layers = self._layer_set
+        if record.compressed.keys() != layers or record.signatures.keys() != layers:
             raise ConfigMismatchError(
                 f"record vector layers {sorted(record.compressed)} and signature "
                 f"layers {sorted(record.signatures)} != index layers {sorted(self.layers)}"
@@ -373,17 +379,18 @@ class HierarchicalIndex:
             shape, bits = self._vectors[first].shape[1:], self._sig_bits
         else:
             shape, bits = np.shape(record.compressed[first]), record.signatures[first].width
-        vectors = {}
+        row = []
         for layer in self.layers:
             vec = np.asarray(record.compressed[layer], dtype=np.float32)
             if vec.ndim != 1 or vec.shape != shape:
                 raise InconsistentDimsError(
                     f"record {record.id!r} layer {layer} shape {vec.shape} != {shape}"
                 )
-            if record.signatures[layer].width != bits:
+            sig = record.signatures[layer]
+            if sig.width != bits:
                 raise InconsistentDimsError(
                     f"record {record.id!r} layer {layer} signature is "
-                    f"{record.signatures[layer].width} bits, not {bits}"
+                    f"{sig.width} bits, not {bits}"
                 )
             wide = vec.astype(np.float64)
             if not 0.0 < float(wide @ wide) < math.inf:
@@ -391,18 +398,18 @@ class HierarchicalIndex:
                     f"record {record.id!r} layer {layer} vector is non-finite "
                     "or has zero norm"
                 )
-            vectors[layer] = vec
+            row.append((layer, vec, sig.data))
         n = len(self)
         if not self._vectors:
             self._sig_bits = bits
-            for layer, vec in vectors.items():
+            for layer, vec, _ in row:
                 self._vectors[layer] = np.empty((0, len(vec)), np.float32)
                 self._signatures[layer] = np.empty((0, (bits + 7) // 8), np.uint8)
-        if n == len(self._vectors[self.layers[0]]):
+        if n == len(self._vectors[first]):
             self._reserve(n + 1)
-        for layer, vec in vectors.items():
+        for layer, vec, data in row:
             self._vectors[layer][n] = vec
-            self._signatures[layer][n] = np.frombuffer(record.signatures[layer].data, np.uint8)
+            self._signatures[layer][n] = np.frombuffer(data, np.uint8)
         self._ids.append(record.id)
         self._labels.append(record.label)
         self._id_set.add(record.id)

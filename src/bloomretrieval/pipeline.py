@@ -266,6 +266,11 @@ class _PerLayer(Mapping):
     def __contains__(self, layer) -> bool:  # Mapping's would make the layer
         return layer in self._layers
 
+    def keys(self):
+        """The layers, in order, as a dict's key view: it compares with a set
+        in C, where Mapping's view compares in Python."""
+        return dict.fromkeys(self._layers).keys()
+
     def __iter__(self):
         return iter(self._layers)
 
@@ -273,31 +278,41 @@ class _PerLayer(Mapping):
         return len(self._layers)
 
 
-def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
-    """One raw record as the index and the filter read it. Each active layer
-    is computed the first time it is read, and kept: its compressed vector
-    by `pca.project` and a float32 cast, so in-memory state matches what the
-    record store persists, and its signature by `binseq.encode_signature`
-    of that vector. Insert and query share this one kernel, and a reader
-    does the work of only the layers it reads.
-
-    A missing active layer raises `ConfigMismatchError` here. Every other
-    error of a raw vector (a wrong shape, a NaN or Inf, a projection beyond
-    float32) is raised when its layer is first read.
-    """
-    layers = bundle.config.active_layers
-    for layer in layers:
+def _kernels(bundle: TrainedBundle, raw: RawRecord):
+    """(compress, sign), the per-layer kernels that insert and query share:
+    `compress(layer)` is the layer's compressed vector, by `pca.project` and
+    a float32 cast, so in-memory state matches what the record store
+    persists, and `sign(layer, vector)` its signature, by
+    `binseq.encode_signature`. A missing active layer raises
+    `ConfigMismatchError` here; every other error of a raw vector (a wrong
+    shape, a NaN or Inf, a projection beyond float32) is raised by
+    `compress`."""
+    for layer in bundle.config.active_layers:
         if layer not in raw.features:
             # the record `gated_query` builds has no id
             who = f"record {raw.id!r}" if raw.id else "query"
             raise ConfigMismatchError(f"{who} missing layer {layer}")
     models, features, dictionaries = bundle.pca_models, raw.features, bundle.dictionaries
-    compressed = _PerLayer(
-        layers, lambda layer: pca.project(models[layer], features[layer]).astype(np.float32)
-    )
-    signatures = _PerLayer(
-        layers, lambda layer: binseq.encode_signature(dictionaries[layer], compressed[layer])
-    )
+
+    def compress(layer: str) -> np.ndarray:
+        return pca.project(models[layer], features[layer]).astype(np.float32)
+
+    def sign(layer: str, vector: np.ndarray):
+        return binseq.encode_signature(dictionaries[layer], vector)
+
+    return compress, sign
+
+
+def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
+    """One raw record as the index and the filter read it, by `_kernels`.
+    Each active layer is computed the first time it is read, and kept, so a
+    reader does the work of only the layers it reads. A missing active layer
+    raises here; every other error of a raw vector when its layer is first
+    read."""
+    compress, sign = _kernels(bundle, raw)
+    layers = bundle.config.active_layers
+    compressed = _PerLayer(layers, compress)
+    signatures = _PerLayer(layers, lambda layer: sign(layer, compressed[layer]))
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
 
 
@@ -351,14 +366,18 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress, append to the index, and insert into the filter. Every layer
+    """Compress, append to the index, and insert into the filter, each layer
+    read once by the kernels `gated_query` reads (`_kernels`): every layer
     is projected first, so a bad raw vector raises before any of the index's
-    checks. Each layer is signed once, when the index reads it, and the
-    filter reuses that."""
-    rec = compress_record(bundle, raw)
-    list(rec.compressed.values())
-    index.add(rec)  # first: a record the index rejects must not reach the filter
-    bundle.filter.insert(rec.signatures)
+    checks, then signed, and the index and the filter share those
+    signatures."""
+    compress, sign = _kernels(bundle, raw)
+    layers = bundle.config.active_layers
+    compressed = {layer: compress(layer) for layer in layers}
+    signatures = {layer: sign(layer, compressed[layer]) for layer in layers}
+    # the index first: a record it rejects must not reach the filter
+    index.add(FeatureRecord(raw.id, raw.label, compressed, signatures))
+    bundle.filter.insert(signatures)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ built on the index's columns (its sort key, its level cuts, the layer each
 level reads and its parent chain), the one scan both retrieval paths share
 (its span offset, its ranking by the finest stage, its batch cut with ties
 included, its stop at top_k hits and its AND of every coarse stage's mask),
-and the gate's early exit and per-layer cache must have a test that fails
-when they are broken.
+the filter's insert memo (its key's layer and the bit set on a hit), and
+the gate's early exit and per-layer cache must have a test that fails when
+they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -44,6 +45,7 @@ INDEX_STAGES = "for layer, qv in zip(index.stage_layers(), qn)\n    ]"
 INDEX_BOUND = "math.sqrt(max(2.0 * (self.thresholds.effective(layer) + table.eps), 0.0))"
 INDEX_LEVELS = "for layer in self._stages[:len(table.cuts)]"
 INDEX_COARSE = "passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t"
+BLOOM_MISS = "pos = positions[key] = self.position_for(layer, sig)\n"
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,7 @@ class Mutant:
 
 
 BINSEQ = ("tests/test_binseq.py",)
+BLOOM = ("tests/test_bloom.py", "tests/test_pipeline.py")
 INDEX = ("tests/test_index.py", "tests/test_lifecycle.py")
 PCA = ("tests/test_pca.py",)
 GATE = ("tests/test_pipeline.py", "tests/test_lifecycle.py")
@@ -144,6 +147,11 @@ MUTANTS = [
         "gate: probe passes at the first set bit", "bloom.py",
         "                return False\n        return True",
         "                return False\n            return True\n        return True", GATE,
+    ),
+    Mutant("bloom: insert memo keyed without the layer", "bloom.py", "key = layer, sig.data", "key = sig.data", BLOOM),
+    Mutant(
+        "bloom: memo hit skips setting the bit", "bloom.py", BLOOM_MISS,
+        BLOOM_MISS + "            else:\n                continue\n", BLOOM,
     ),
     Mutant(
         "gate: per-layer cache keyed without the layer", "pipeline.py",

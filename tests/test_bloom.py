@@ -5,6 +5,7 @@ import struct
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bloomretrieval import bloom
@@ -21,6 +22,10 @@ from bloomretrieval.errors import ConfigMismatchError, DataFormatError
 
 def rand_sig(rng) -> BinarySignature:
     return BinarySignature(width=64, data=rng.bytes(8))
+
+
+def sig_of(data: bytes) -> BinarySignature:
+    return BinarySignature(width=8 * len(data), data=data)
 
 
 def rand_sigs(rng, layers) -> dict:
@@ -126,6 +131,73 @@ class TestInsertQuery:
         expected = 1 - (1 - 1 / m) ** (n * k)
         observed = f.set_bit_count() / m
         assert observed == pytest.approx(expected, rel=0.05)
+
+
+class TestInsertMemo:
+    """`insert` hashes each distinct (layer, signature bytes) pair once per
+    filter object, and sets the same bits as hashing every key would."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.permutations(bloom.LAYERS).flatmap(
+            lambda order: st.sampled_from([tuple(order[:2]), tuple(order)])
+        ),
+        pool=st.lists(st.binary(min_size=1, max_size=3), min_size=1, max_size=4, unique=True),
+        picks=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), max_size=24),
+        m=st.integers(1, 300),
+        cut=st.integers(0, 25),
+    )
+    def test_memo_equals_hashing_every_key(self, layers, pool, picks, m, cut):
+        # the stream opens with one signature on every layer, so equal bytes
+        # sit on two or three layers; later records repeat pool entries
+        stream = [
+            {layer: sig_of(pool[i % len(pool)]) for layer, i in zip(layers, choice)}
+            for choice in [[0, 0, 0], *picks]
+        ]
+        ref = LayeredBloomFilter(m=m, layers=layers)
+        for sigs in stream:
+            for layer in layers:
+                pos = ref.position_for(layer, sigs[layer])
+                ref.bits[pos >> 3] |= 1 << (pos & 7)
+            ref.inserted_count += 1
+
+        hashed, hash_ = [], bloom.murmur3_x64_128
+
+        def counted_hash(data, seed):
+            hashed.append((seed, data))
+            return hash_(data, seed)
+
+        def distinct(sigs_list):
+            return sorted({(bloom.LAYER_SEEDS[l], s[l].data) for s in sigs_list for l in layers})
+
+        first, rest = stream[:cut], stream[cut:]
+        f = LayeredBloomFilter(m=m, layers=layers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bloom, "murmur3_x64_128", counted_hash)
+            for sigs in first:
+                f.insert(sigs)
+            assert sorted(hashed) == distinct(first)  # each pair once
+            back = LayeredBloomFilter.from_bytes(f.to_bytes())
+            assert back._positions == {}
+            before = len(hashed)
+            for sigs in rest:
+                back.insert(sigs)
+            assert sorted(hashed[before:]) == distinct(rest)
+        # the first record's one byte string was hashed under every layer's seed
+        assert {seed for seed, data in hashed if data == pool[0]} == {
+            bloom.LAYER_SEEDS[l] for l in layers
+        }
+        assert back == ref
+        assert (bytes(back.bits), back.inserted_count) == (bytes(ref.bits), len(stream))
+        assert back.to_bytes() == ref.to_bytes()
+
+    def test_memo_hit_still_sets_its_bit(self):
+        f = LayeredBloomFilter(m=64, layers=("L1", "L2"))
+        sigs = {layer: sig_of(b"\x05") for layer in f.layers}
+        f.insert(sigs)
+        f.bits[:] = bytes(len(f.bits))
+        f.insert(sigs)
+        assert f.query(sigs) and f.set_bit_count() >= 1
 
 
 class TestProbeOrder:

@@ -433,18 +433,41 @@ class TestCoarseToFineGate:
 
     def test_add_record_signs_each_layer_once(self, tmp_path, monkeypatch):
         # the index and the filter share one signature per layer, and it is
-        # the layer's own
+        # the layer's own; the filter hashes only the layers whose signature
+        # it has not inserted before
         bundle, index, _, queries = gate_system(tmp_path, LAYERS)
         raw = queries[0]  # held out, so not yet stored
+        fresh = []
+        for layer in LAYERS:
+            vec = pca.project(bundle.pca_models[layer], raw.features[layer]).astype(np.float32)
+            sig = binseq.encode_signature(bundle.dictionaries[layer], vec)
+            if (layer, sig.data) not in bundle.filter._positions:
+                fresh.append(bloom.LAYER_SEEDS[layer])
         calls = Calls(monkeypatch, bundle)
         pl.add_record(bundle, index, raw)
-        assert sorted(calls.signed) == list(LAYERS) and sorted(calls.hashed) == [1, 2, 3]
+        assert sorted(calls.signed) == list(LAYERS) and sorted(calls.hashed) == fresh
         monkeypatch.undo()
         rec = index.records[-1]
         for layer in LAYERS:
             expected = binseq.encode_signature(bundle.dictionaries[layer], rec.compressed[layer])
             assert rec.signatures[layer] == expected
         assert not eager_rejected(bundle, raw.features)
+
+    def test_add_record_hashes_a_repeated_signature_once(self, tmp_path, monkeypatch):
+        # two records of the same features on a fresh filter: the first
+        # hashes every layer, the second none, and both set the same bits
+        bundle, _, _, queries = gate_system(tmp_path, LAYERS)
+        bundle.filter = bloom.LayeredBloomFilter(bundle.filter.m, bundle.filter.layers)
+        index = bundle.new_index()
+        calls = Calls(monkeypatch, bundle)
+        pl.add_record(bundle, index, queries[0])
+        assert sorted(calls.hashed) == [1, 2, 3]
+        bits = bytes(bundle.filter.bits)
+        calls.hashed.clear()
+        pl.add_record(bundle, index, pl.RawRecord("again", "x", queries[0].features))
+        assert calls.hashed == []
+        assert (bytes(bundle.filter.bits), bundle.filter.inserted_count) == (bits, 2)
+        assert index.records[0].signatures == index.records[1].signatures
 
     def test_rejected_at_l3_projects_l3_alone(self, tmp_path, monkeypatch):
         bundle, index, records, _ = gate_system(tmp_path, LAYERS)

@@ -105,3 +105,22 @@ def test_unit_rows_names_non_finite_row(bad):
     # the last input is finite, but its squared norm overflows
     with pytest.raises(ValueError, match="row 1 is non-finite"):
         unit_rows([[1.0, 0.0], bad])
+
+
+def test_unit_cosine_distances_clamps_as_np_clip():
+    # unit rows whose own dot product rounds to 1 + 2 ulps or more: as a
+    # self-match each scores a few ulps below 0, and against its negation
+    # just above 2; the kernel's clamp must give np.clip's bits there and on
+    # every other row
+    rng = np.random.default_rng(4)
+    rows = unit_rows(rng.normal(size=(4000, 128)))
+    over = rows[np.einsum("ij,ij->i", rows, rows) > 1.0 + 2.0**-52][:5]
+    assert len(over) == 5
+    matrix = np.vstack([over, -over, rows[:200]])
+    for q in [*over, *-over, rows[0], l2_normalize(rng.normal(size=128))]:
+        raw = 1.0 - np.einsum("ij,j->i", matrix, q)
+        got = unit_cosine_distances(matrix, q)
+        assert got.view(np.uint64).tolist() == np.clip(raw, 0.0, 2.0).view(np.uint64).tolist()
+    # the inputs reach past both ends: over[0] against itself and its negation
+    raw = 1.0 - np.einsum("ij,j->i", matrix[[0, 5]], over[0])
+    assert raw[0] < 0.0 and raw[1] > 2.0
