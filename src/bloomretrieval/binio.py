@@ -72,16 +72,20 @@ class Reader:
     def _not_utf8(self, exc: UnicodeDecodeError) -> DataFormatError:
         return DataFormatError(f"{self.what}: text is not UTF-8 ({exc.reason})")
 
-    def floats(self, count: int, dtype=np.float64) -> np.ndarray:
-        """The next `count` float32 values, as a new array of `dtype`."""
-        return np.frombuffer(self.blob, "<f4", count, self._skip(4 * count)).astype(dtype)
+    def floats(self, count: int) -> np.ndarray:
+        """The next `count` float32 values, as a new float32 array whose every
+        NaN is quiet: widening a signalling NaN makes numpy warn."""
+        x = self.array("<f4", count).astype(np.float32)
+        x[np.isnan(x)] = np.nan
+        return x
 
     def finite(self, count: int) -> np.ndarray:
-        """`floats`, none of which may be a NaN or Inf."""
-        x = self.floats(count)
+        """The next `count` float32 values as a new float64 array, checked for
+        a NaN or Inf before widening: widening a signalling NaN makes numpy warn."""
+        x = self.array("<f4", count)
         if not np.isfinite(x).all():
             raise DataFormatError(f"{self.what} holds a NaN or Inf")
-        return x
+        return x.astype(np.float64)
 
     def end(self) -> None:
         if self.off != len(self.blob):

@@ -13,8 +13,9 @@ A query probes its layers coarse to fine, L3 → L2 → L1, whatever order the
 filter was built with, and stops at the first clear bit. Membership is the
 AND of the k bits, so the order changes no verdict and leaves Eq. 1 as it
 is. What it changes is the work: a query that misses at L3 hashes one
-signature, and the pipeline, which projects and signs a layer only when its
-signature is read, projects and signs one.
+signature. The pipeline's gate walks `probe_order` itself: it projects and
+signs a layer only when it reaches it and tests that layer's bit by
+`contains`, so a query that misses at L3 is projected and signed once too.
 
 `insert` hashes each distinct signature once per filter object. It keeps a
 memo from (layer, signature bytes) to bit position, one entry for each
@@ -150,15 +151,18 @@ class LayeredBloomFilter:
             self.bits[pos >> 3] |= 1 << (pos & 7)
         self.inserted_count += 1
 
+    def contains(self, layer: str, sig: BinarySignature) -> bool:
+        """Whether the bit at `position_for(layer, sig)` is set; False means
+        no record inserted has `sig` at `layer`."""
+        pos = self.position_for(layer, sig)
+        return bool((self.bits[pos >> 3] >> (pos & 7)) & 1)
+
     def query(self, sigs: Mapping[str, BinarySignature]) -> bool:
         """True = maybe-present; False = definitely absent. Probes L3 → L1
-        and returns at the first clear bit, reading no signature past it."""
+        by `contains` and returns at the first clear bit, reading no
+        signature past it."""
         self._check_layers(sigs)
-        for layer in self.probe_order:
-            pos = self.position_for(layer, sigs[layer])
-            if not (self.bits[pos >> 3] >> (pos & 7)) & 1:
-                return False
-        return True
+        return all(self.contains(layer, sigs[layer]) for layer in self.probe_order)
 
     def set_bit_count(self) -> int:
         return sum(b.bit_count() for b in self.bits)

@@ -169,8 +169,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"{args.queries} holds no query records")
     top_k = bundle.config.top_k if args.top_k is None else args.top_k
 
-    # dict: every layer projected here, so the timed calls time only the index
-    compressed = [dict(pipeline.compress_record(bundle, q).compressed) for q in queries]
+    compressed = [pipeline.compress_record(bundle, q).compressed for q in queries]
     for name, fn in (("hierarchical", query_hierarchical), ("brute-force", brute_force_scan)):
         times = []
         for vectors in compressed:

@@ -115,7 +115,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -208,7 +208,7 @@ class FeatureRecord:
     id: str
     label: str
     compressed: dict[str, np.ndarray]
-    signatures: Mapping[str, BinarySignature]
+    signatures: dict[str, BinarySignature]
 
 
 @dataclass
@@ -437,7 +437,8 @@ class HierarchicalIndex:
                 raise DuplicateIdError(f"duplicate record id {rid!r}")
             seen.add(rid)
         for layer, m in vectors.items():
-            usable = np.isfinite(m).all(axis=1) & (np.count_nonzero(m, axis=1) > 0)
+            # != 0, not count_nonzero: its cast to bool warns on a signalling NaN
+            usable = np.isfinite(m).all(axis=1) & (m != 0).any(axis=1)
             if not usable.all():
                 raise InvalidVectorError(
                     f"record {ids[int(np.argmin(usable))]!r} layer {layer} vector is "

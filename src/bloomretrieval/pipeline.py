@@ -3,9 +3,12 @@ evaluation, and synthetic data generation.
 
 Training fits one PCA model and one centroid dictionary per active layer,
 calibrates per-layer cosine thresholds from class labels, and sizes the
-bloom filter from the training-set size. A record's layers are projected
-and signed when first read. The filter's probe reads them L3 first, so a
-query it rules out at L3 is projected, signed and hashed once and does no
+bloom filter from the training-set size. Insert and query share one
+per-layer kernel, `_compress`, and sign its output by
+`binseq.encode_signature`. A record being added is projected and signed on
+every layer. The query gate walks the filter's probe order, L3 first, and
+projects and signs a layer only when the probe reaches it, so a query the
+filter rules out at L3 is projected, signed and hashed once and does no
 index work. Every layer of a query is still checked before the probe,
 either by a pre-test that proves its projection sound or by projecting it,
 so a bad vector is refused whatever the filter would say.
@@ -20,7 +23,6 @@ import os
 import struct
 import sys
 import time
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -201,8 +203,9 @@ def write_features(path, records: list[RawRecord]) -> None:
 
 def read_features(path) -> list[RawRecord]:
     """Parse an MLHC feature file into raw records. A record's features are
-    float32 as stored, one array per record with a view per layer; each
-    consumer widens what it computes with."""
+    float32 as stored, every NaN made quiet (`Reader.floats`), one array per
+    record with a view per layer; each consumer widens what it computes
+    with."""
     r = Reader(Path(path).read_bytes(), "feature file", _MLHC_MAGIC)
     version, count, layer_count = r.unpack("HQB")
     if version != _MLHC_VERSION:
@@ -221,7 +224,7 @@ def read_features(path) -> list[RawRecord]:
         if rid in seen:
             raise DuplicateIdError(f"duplicate record id {rid!r}")
         seen.add(rid)
-        row = r.floats(bounds[-1], np.float32)
+        row = r.floats(bounds[-1])
         features = {layer: row[a:b] for layer, a, b in zip(layers, bounds, bounds[1:])}
         records.append(RawRecord(rid, lab, features))
     r.end()
@@ -244,75 +247,35 @@ class TrainedBundle:
         return HierarchicalIndex(self.config.active_layers, self.thresholds)
 
 
-class _PerLayer(Mapping):
-    """Per-layer values, each made by `make(layer)` the first time it is read
-    and kept; iterating or testing membership makes none."""
-
-    __slots__ = ("_layers", "_make", "_made")
-
-    def __init__(self, layers: tuple[str, ...], make):
-        self._layers = layers
-        self._make = make
-        self._made: dict = {}
-
-    def __getitem__(self, layer: str):
-        value = self._made.get(layer)
-        if value is None:
-            if layer not in self._layers:
-                raise KeyError(layer)
-            value = self._made[layer] = self._make(layer)
-        return value
-
-    def __contains__(self, layer) -> bool:  # Mapping's would make the layer
-        return layer in self._layers
-
-    def keys(self):
-        """The layers, in order, as a dict's key view: it compares with a set
-        in C, where Mapping's view compares in Python."""
-        return dict.fromkeys(self._layers).keys()
-
-    def __iter__(self):
-        return iter(self._layers)
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-
-def _kernels(bundle: TrainedBundle, raw: RawRecord):
-    """(compress, sign), the per-layer kernels that insert and query share:
-    `compress(layer)` is the layer's compressed vector, by `pca.project` and
-    a float32 cast, so in-memory state matches what the record store
-    persists, and `sign(layer, vector)` its signature, by
-    `binseq.encode_signature`. A missing active layer raises
-    `ConfigMismatchError` here; every other error of a raw vector (a wrong
-    shape, a NaN or Inf, a projection beyond float32) is raised by
-    `compress`."""
+def _require_layers(bundle: TrainedBundle, features, who: str) -> None:
+    """`ConfigMismatchError`, naming `who`, for the first active layer
+    `features` lacks."""
     for layer in bundle.config.active_layers:
-        if layer not in raw.features:
-            # the record `gated_query` builds has no id
-            who = f"record {raw.id!r}" if raw.id else "query"
+        if layer not in features:
             raise ConfigMismatchError(f"{who} missing layer {layer}")
-    models, features, dictionaries = bundle.pca_models, raw.features, bundle.dictionaries
 
-    def compress(layer: str) -> np.ndarray:
-        return pca.project(models[layer], features[layer]).astype(np.float32)
 
-    def sign(layer: str, vector: np.ndarray):
-        return binseq.encode_signature(dictionaries[layer], vector)
-
-    return compress, sign
+def _compress(bundle: TrainedBundle, features, layer: str) -> np.ndarray:
+    """The one per-layer kernel insert and query share: the layer's
+    compressed vector, by `pca.project` and a float32 cast, so in-memory
+    state matches what the record store persists. Its signature is
+    `binseq.encode_signature` of this vector. Every error of a raw vector (a
+    wrong shape, a NaN or Inf, a projection beyond float32) is raised here."""
+    return pca.project(bundle.pca_models[layer], features[layer]).astype(np.float32)
 
 
 def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
-    """One raw record as the index and the filter read it, by `_kernels`.
-    Each active layer is computed the first time it is read, and kept, so a
-    reader does the work of only the layers it reads. A missing active layer
-    raises here; every other error of a raw vector when its layer is first
-    read."""
-    compress, sign = _kernels(bundle, raw)
+    """One raw record as the index and the filter read it: every active
+    layer projected by `_compress`, in layer order, and only then signed, so
+    a bad raw vector raises before any layer is signed. A missing active
+    layer raises `ConfigMismatchError` before any is projected."""
     layers = bundle.config.active_layers
-    compressed = _PerLayer(layers, compress)
-    signatures = _PerLayer(layers, lambda layer: sign(layer, compressed[layer]))
+    _require_layers(bundle, raw.features, f"record {raw.id!r}")
+    compressed = {layer: _compress(bundle, raw.features, layer) for layer in layers}
+    signatures = {
+        layer: binseq.encode_signature(bundle.dictionaries[layer], compressed[layer])
+        for layer in layers
+    }
     return FeatureRecord(raw.id, raw.label, compressed, signatures)
 
 
@@ -366,18 +329,15 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress, append to the index, and insert into the filter, each layer
-    read once by the kernels `gated_query` reads (`_kernels`): every layer
-    is projected first, so a bad raw vector raises before any of the index's
-    checks, then signed, and the index and the filter share those
-    signatures."""
-    compress, sign = _kernels(bundle, raw)
-    layers = bundle.config.active_layers
-    compressed = {layer: compress(layer) for layer in layers}
-    signatures = {layer: sign(layer, compressed[layer]) for layer in layers}
+    """Compress and sign the record (`compress_record`, by the kernel
+    `gated_query` reads), append it to the index, and insert it into the
+    filter: every layer is projected first, so a bad raw vector raises
+    before any of the index's checks, and the index and the filter share
+    one signature per layer."""
+    rec = compress_record(bundle, raw)
     # the index first: a record it rejects must not reach the filter
-    index.add(FeatureRecord(raw.id, raw.label, compressed, signatures))
-    bundle.filter.insert(signatures)
+    index.add(rec)
+    bundle.filter.insert(rec.signatures)
 
 
 # ---------------------------------------------------------------------------
@@ -407,25 +367,31 @@ def gated_query(
     layer is either settled by `pca.proven_storable`, which proves that its
     projection raises none of these, or projected and checked now, in layer
     order, so the first error is the one a query projected in full raises.
-    Only the layers the probe reaches are then projected and signed: a query
-    ruled out at L3 projects and signs L3 alone, and one that passes reads
-    every layer, with the same bits."""
+    The probe then walks `filter.probe_order`, projecting a layer not yet
+    projected, signing it and testing its one bit by `contains`, so only the
+    layers the probe reaches are projected and signed: a query ruled out at
+    L3 projects and signs L3 alone, and one that passes reads every layer,
+    with the bits `add_record` computes for it."""
     k = bundle.config.top_k if top_k is None else top_k
     check_top_k(k)
-    rec = compress_record(bundle, RawRecord("", "", features))
-    first = bundle.filter.probe_order[0]
-    checked = [
-        (layer, rec.compressed[layer])
+    _require_layers(bundle, features, "query")
+    probe = bundle.filter.probe_order
+    vectors = {
+        layer: _compress(bundle, features, layer)
         for layer in bundle.config.active_layers
-        if layer == first or not pca.proven_storable(bundle.pca_models[layer], features[layer])
-    ]
-    for layer, vec in checked:
+        if layer == probe[0] or not pca.proven_storable(bundle.pca_models[layer], features[layer])
+    }
+    for layer, vec in vectors.items():
         if not np.count_nonzero(vec):
             raise InvalidVectorError(f"query layer {layer} vector is non-finite or zero")
-    if not bundle.filter.query(rec.signatures):
-        return QueryResult(rejected=True, results=[])
-    ranked = query_hierarchical(index, rec.compressed, k)
-    return QueryResult(rejected=False, results=ranked)
+    for layer in probe:
+        vec = vectors.get(layer)
+        if vec is None:
+            vec = vectors[layer] = _compress(bundle, features, layer)
+        sig = binseq.encode_signature(bundle.dictionaries[layer], vec)
+        if not bundle.filter.contains(layer, sig):
+            return QueryResult(rejected=True, results=[])
+    return QueryResult(rejected=False, results=query_hierarchical(index, vectors, k))
 
 
 def average_precision(ranked_ids, relevant_ids) -> float:

@@ -4,9 +4,10 @@ built on the index's columns (its sort key, its level cuts, the layer each
 level reads and its parent chain), the one scan both retrieval paths share
 (its span offset, its ranking by the finest stage, its batch cut with ties
 included, its stop at top_k hits and its AND of every coarse stage's mask),
-the filter's insert memo (its key's layer and the bit set on a hit), and
-the gate's early exit and per-layer cache must have a test that fails when
-they are broken.
+the filter's insert memo (its key's layer and the bit set on a hit), its
+`query` as the AND of every layer's `contains`, and the gate's probe loop
+(its test of every layer's bit, and each layer signing its own vector) must
+have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
@@ -144,18 +145,21 @@ MUTANTS = [
         "block[...] = matrix[order[start:start + _BLOCK]]", "block[...] = matrix[order[:len(block)]]", INDEX,
     ),
     Mutant(
-        "gate: probe passes at the first set bit", "bloom.py",
-        "                return False\n        return True",
-        "                return False\n            return True\n        return True", GATE,
+        "gate: probe passes at the first set bit", "pipeline.py",
+        "if not bundle.filter.contains(", "if layer == probe[0] and not bundle.filter.contains(", GATE,
+    ),
+    Mutant(
+        "gate: a layer the probe reaches reuses the first layer's vector", "pipeline.py",
+        "vec = vectors.get(layer)", "vec = vectors.get(probe[0])", GATE,
+    ),
+    Mutant(
+        "bloom: query passes at any set bit", "bloom.py",
+        "return all(self.contains(", "return any(self.contains(", BLOOM,
     ),
     Mutant("bloom: insert memo keyed without the layer", "bloom.py", "key = layer, sig.data", "key = sig.data", BLOOM),
     Mutant(
         "bloom: memo hit skips setting the bit", "bloom.py", BLOOM_MISS,
         BLOOM_MISS + "            else:\n                continue\n", BLOOM,
-    ),
-    Mutant(
-        "gate: per-layer cache keyed without the layer", "pipeline.py",
-        "value = self._made.get(layer)", "value = next(iter(self._made.values()), None)", GATE,
     ),
     Mutant(
         "pca: pre-test margin 0", "pca.py",

@@ -233,6 +233,39 @@ class TestProbeOrder:
             assert f.query(sigs) is verdict
             assert seeds == read
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layers=st.sets(st.sampled_from(bloom.LAYERS), min_size=1).flatmap(
+            lambda chosen: st.permutations(sorted(chosen)).map(tuple)
+        ),
+        stored=st.lists(st.tuples(*[st.binary(min_size=1, max_size=2)] * 3), max_size=8),
+        probe=st.tuples(*[st.binary(min_size=1, max_size=2)] * 3),
+        m=st.integers(1, 64),
+        toggled=st.sampled_from(bloom.LAYERS),
+    )
+    def test_query_is_contains_over_the_probe_order(self, layers, stored, probe, m, toggled):
+        # a small m, so verdicts of both kinds and shared bits occur
+        f = LayeredBloomFilter(m=m, layers=layers)
+        for data in stored:
+            f.insert({layer: sig_of(d) for layer, d in zip(bloom.LAYERS, data) if layer in layers})
+        sigs = {layer: sig_of(d) for layer, d in zip(bloom.LAYERS, probe) if layer in layers}
+        assert f.query(sigs) is all(f.contains(layer, sigs[layer]) for layer in f.probe_order)
+        nbytes = len(f.bits)
+        for layer in layers:
+            # contains reads exactly the bit at position_for: it alone set,
+            # then it alone clear
+            pos = f.position_for(layer, sigs[layer])
+            f.bits[:] = bytes(nbytes)
+            f.bits[pos >> 3] = 1 << (pos & 7)
+            assert f.contains(layer, sigs[layer]) is True
+            f.bits[:] = b"\xff" * nbytes
+            f.bits[pos >> 3] ^= 1 << (pos & 7)
+            assert f.contains(layer, sigs[layer]) is False
+        # one layer too many or too few
+        wrong = {layer: sig_of(b"\x00") for layer in set(layers) ^ {toggled}}
+        with pytest.raises(ConfigMismatchError):
+            f.query(wrong)
+
 
 class TestFormulas:
     def test_fp_probability_simple(self):

@@ -479,6 +479,44 @@ def test_non_finite_model_float_exit_2(filled_copy, capsys, part, command):
     assert err.startswith("data error: ") and "NaN or Inf" in err
 
 
+def _first_float_at(part, idx, qrys):
+    """Offset of a float32 of `part` as written: the first basis entry of
+    pca-L2.bin, the first centroid value of dict-L2.bin, the first stored L1
+    vector of records.bin and the second query's L2 features."""
+    if part == "pca-L2.bin":
+        return 8 + 4 * struct.unpack_from("<I", (idx / part).read_bytes())[0]
+    if part == "dict-L2.bin":
+        return 20
+    if part == "records.bin":
+        vec = pipeline.load_index_dir(idx)[1].records[0].compressed["L1"]
+    else:
+        vec = pipeline.read_features(qrys)[1].features["L2"]
+    blob = (qrys if part == "queries" else idx / part).read_bytes()
+    at = blob.find(np.asarray(vec, "<f4").tobytes())
+    assert at > 0
+    return at
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("part", ["pca-L2.bin", "dict-L2.bin", "records.bin", "queries"])
+def test_signalling_nan_exits_as_a_quiet_one(filled_copy, capsys, part):
+    # widening a float32 signalling NaN makes numpy warn; under -W error
+    # that warning must not end `query` in a traceback
+    idx, qrys = filled_copy
+    target = qrys if part == "queries" else idx / part
+    at = _first_float_at(part, idx, qrys)
+    blob = bytearray(target.read_bytes())
+    outcomes = []
+    for nan in (struct.pack("<f", math.nan), bytes.fromhex("0100807f")):
+        blob[at:at + 4] = nan
+        target.write_bytes(bytes(blob))
+        outcomes.append(run(capsys, "query", "--index", idx, "--features", qrys))
+    quiet, signalling = outcomes
+    assert signalling == quiet
+    rc, err = signalling
+    assert rc == 2 and err.startswith("data error: ") and err.count("\n") == 1, err
+
+
 def test_query_at_pca_mean_exit_2(filled_copy, tmp_path, capsys):
     # raw features equal to each layer's PCA mean compress to zero vectors,
     # which have no direction to rank by

@@ -453,6 +453,28 @@ class TestCoarseToFineGate:
             assert rec.signatures[layer] == expected
         assert not eager_rejected(bundle, raw.features)
 
+    def test_insert_and_query_share_one_kernel(self, tmp_path, monkeypatch):
+        # the stored row is what compress_record gives, bit for bit, and the
+        # gate hashes the positions the eager oracle computes, coarse to fine
+        bundle, index, _, queries = gate_system(tmp_path, LAYERS)
+        raw = queries[0]  # held out, so not yet stored
+        pl.add_record(bundle, index, raw)
+        rec, stored = pl.compress_record(bundle, raw), index.records[-1]
+        for layer in LAYERS:
+            assert rec.compressed[layer].dtype == stored.compressed[layer].dtype == np.float32
+            assert rec.compressed[layer].tobytes() == stored.compressed[layer].tobytes()
+        assert rec.signatures == stored.signatures
+        hashed, position_for = [], bloom.LayeredBloomFilter.position_for
+
+        def recorded(self, layer, sig):
+            hashed.append((layer, position_for(self, layer, sig)))
+            return hashed[-1][1]
+
+        monkeypatch.setattr(bloom.LayeredBloomFilter, "position_for", recorded)
+        assert not pl.gated_query(bundle, index, raw.features).rejected
+        assert [layer for layer, _ in hashed] == ["L3", "L2", "L1"]
+        assert dict(hashed) == filter_positions(bundle, raw.features)
+
     def test_add_record_hashes_a_repeated_signature_once(self, tmp_path, monkeypatch):
         # two records of the same features on a fresh filter: the first
         # hashes every layer, the second none, and both set the same bits
