@@ -96,7 +96,7 @@ The record store, records.bin v2, holds the columns as raw arrays, so a
 load reads each with `np.frombuffer` and checks it in one pass. All
 integers are little-endian:
 
-    "MHIX", u64 2^64 - 1 (where v1 holds its record count), u16 version 2,
+    "MHIX", u64 2^64 - 1 (where v1 held its record count), u16 version 2,
     u16 layer count, u64 record count n;
     per layer: u32 vector width d, u32 signature byte width s;
     per layer: the n x d float32 vector matrix;
@@ -107,8 +107,8 @@ integers are little-endian:
 The arrays of 4-byte values come first, so they are aligned in memory. An
 empty store gives widths of 0. An id or label of more than 65,535 UTF-8
 bytes, the most a feature file can hold, raises `DataFormatError` before
-the file is opened. A v1 store, which lays out one record after another,
-still loads; v1 and v2 end in the same fill-and-check code.
+the file is opened. A store without the v2 mark, a v1 store as written
+before v2, raises `DataFormatError` naming version 1.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ from .errors import (
 )
 
 _MAGIC = b"MHIX"
-# where v1 holds its record count; no v1 file can count 2^64 - 1 records
+# where v1 held its record count, so any other value marks a v1 store
 _V2_MARK = 2**64 - 1
 _VERSION = 2
 # the rows freeze() gathers into float64 at a time
@@ -358,12 +358,15 @@ class HierarchicalIndex:
         """The records in insertion order, as they stand now."""
         return Records(self)
 
+    @np.errstate(invalid="ignore", over="ignore")
     def add(self, record: FeatureRecord) -> None:
         """Append a record, its vectors cast to float32 as the record store
         holds them; rejects one that would poison a layer matrix or the store,
         or whose layers differ in vector or signature width. Each layer's
         vector and signature are read once, in one loop that checks them and
-        collects the row, and nothing is stored until every layer passes."""
+        collects the row, and nothing is stored until every layer passes. A
+        cast that overflows float32 or widens a signalling NaN is refused as
+        any Inf or NaN is, not warned about."""
         if record.id in self._id_set:
             raise DuplicateIdError(f"duplicate record id {record.id!r}")
         layers = self._layer_set
@@ -651,74 +654,30 @@ def load_records(
     dim: int,
     sig_width: int,
 ) -> HierarchicalIndex:
-    """Read a record store, v2 or v1, into the empty `idx` and return it.
+    """Read a records.bin v2 into the empty `idx` and return it, its matrices
+    read-only views of the file's bytes. A store without the v2 mark (v1) or
+    of any version but 2 raises `DataFormatError` naming the version.
     Every vector must be `dim` wide and every signature `sig_width` bits,
-    else `ConfigMismatchError`; both versions then end in `idx._fill`, which
-    rejects a duplicate id and a poisoned vector."""
+    else `ConfigMismatchError`; `idx._fill` then rejects a duplicate id and a
+    poisoned vector."""
     r = Reader(Path(path).read_bytes(), "records file", _MAGIC)
-    (count,) = r.unpack("Q")
-    if count == _V2_MARK:
-        columns = _read_v2(r, idx.layers, dim, sig_width)
-    else:
-        columns = _read_v1(r, count, idx.layers, dim, sig_width)
-    r.end()
-    idx._fill(*columns, sig_width)
-    return idx
-
-
-def _read_v2(r: Reader, layers, dim: int, sig_width: int):
-    """(ids, labels, vectors, signatures) of a v2 store, the matrices as
-    read-only views of the file's bytes."""
-    version, layer_count, n = r.unpack("HHQ")
+    (mark,) = r.unpack("Q")
+    version = r.unpack("H")[0] if mark == _V2_MARK else 1
     if version != _VERSION:
         raise DataFormatError(f"unsupported records file version {version}")
-    if layer_count != len(layers):
-        raise ConfigMismatchError(
-            f"records file holds {layer_count} layers, the index {len(layers)}"
-        )
+    layers, (count, n) = idx.layers, r.unpack("HQ")
+    if count != len(layers):
+        raise ConfigMismatchError(f"records file holds {count} layers, the index {len(layers)}")
     widths = [r.unpack("II") for _ in layers]
-    for layer, (width, nbytes) in zip(layers, widths):
-        if n:  # an empty store gives no widths
-            _check_width("records file", layer, width, dim)
-            _check_signature_bytes(nbytes, sig_width)
+    for layer, (d, s) in zip(layers, widths if n else []):  # an empty store gives none
+        if d != dim:
+            raise ConfigMismatchError(f"records file layer {layer} vector is {d} wide, not {dim}")
+        if s != (sig_width + 7) // 8:
+            raise ConfigMismatchError(f"signature byte width {s} does not fit {sig_width} bits")
     vectors = {l: r.array("<f4", n * w).reshape(n, w) for l, (w, _) in zip(layers, widths)}
     id_ends, label_ends = r.array("<u4", n), r.array("<u4", n)
     signatures = {l: r.array(np.uint8, n * b).reshape(n, b) for l, (_, b) in zip(layers, widths)}
-    return r.texts(id_ends), r.texts(label_ends), vectors, signatures
-
-
-def _read_v1(r: Reader, count: int, layers, dim: int, sig_width: int):
-    """(ids, labels, vectors, signatures) of a v1 store, which lays each
-    record out in turn."""
-    ids, labels = [], []
-    vectors = {layer: [] for layer in layers}
-    signatures = {layer: [] for layer in layers}
-    for _ in range(count):
-        ids.append(r.text())
-        labels.append(r.text())
-        for layer in layers:
-            (width,) = r.unpack("I")
-            _check_width(f"record {ids[-1]!r}", layer, width, dim)
-            vectors[layer].append(r.take(4 * dim))
-            (nbytes,) = r.unpack("H")
-            _check_signature_bytes(nbytes, sig_width)
-            signatures[layer].append(r.take(nbytes))
-    return (
-        ids,
-        labels,
-        {l: np.frombuffer(b"".join(v), "<f4").reshape(count, dim) for l, v in vectors.items()},
-        {l: np.frombuffer(b"".join(s), np.uint8).reshape(count, (sig_width + 7) // 8)
-         for l, s in signatures.items()},
-    )
-
-
-def _check_width(what: str, layer: str, width: int, dim: int) -> None:
-    if width != dim:
-        raise ConfigMismatchError(f"{what} layer {layer} vector is {width} wide, not {dim}")
-
-
-def _check_signature_bytes(nbytes: int, sig_width: int) -> None:
-    if nbytes != (sig_width + 7) // 8:
-        raise ConfigMismatchError(
-            f"signature byte width {nbytes} does not fit {sig_width} bits"
-        )
+    ids, labels = r.texts(id_ends), r.texts(label_ends)
+    r.end()
+    idx._fill(ids, labels, vectors, signatures, sig_width)
+    return idx

@@ -134,27 +134,14 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         """Config from a dict; an unknown key is an error. The
-        `calibrated_thresholds` key that config.json carries is skipped, and
-        so are the retired keys older files carry, when they hold the one
-        behaviour left: `stage_order: "coarse_to_fine"`, and `filter_optimal`
-        equal to `filter_multiplier is None`. Another value of them is an error."""
+        `calibrated_thresholds` key that config.json carries is skipped."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         d = {k: v for k, v in d.items() if k != "calibrated_thresholds"}
-        stage_order = d.pop("stage_order", "coarse_to_fine")
-        if stage_order != "coarse_to_fine":
-            raise ValueError(f"retired stage_order {stage_order!r}: only coarse_to_fine")
-        optimal = d.pop("filter_optimal", None)
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**d)
-        if optimal not in (None, config.filter_multiplier is None):
-            raise ValueError(
-                f"retired filter_optimal {optimal!r}: filter_multiplier sizes the "
-                "filter, and null sizes it by Eq. 2"
-            )
-        return config
+        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ level reads and its parent chain), the one scan both retrieval paths share
 (its span offset, its ranking by the finest stage, its batch cut with ties
 included, its stop at top_k hits and its AND of every coarse stage's mask),
 the filter's insert memo (its key's layer and the bit set on a hit), its
-`query` as the AND of every layer's `contains`, and the gate's probe loop
-(its test of every layer's bit, and each layer signing its own vector) must
+`query` as the AND of every layer's `contains`, the gate's probe loop (its
+test of every layer's bit, and each layer signing its own vector) and the
+record store's version gate (a v1 store, or any version but 2, refused) must
 have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
@@ -143,6 +144,10 @@ MUTANTS = [
     Mutant(
         "index: every block gathers the first rows", "index.py",
         "block[...] = matrix[order[start:start + _BLOCK]]", "block[...] = matrix[order[:len(block)]]", INDEX,
+    ),
+    Mutant(
+        "index: version gate lets an older version through", "index.py",
+        "if version != _VERSION:", "if version > _VERSION:", INDEX,
     ),
     Mutant(
         "gate: probe passes at the first set bit", "pipeline.py",

@@ -9,12 +9,13 @@ threshold is a mean over explicitly enumerated pairs, a cosine distance is
 one dot product over two norms, a signature's bits are read byte by byte,
 a signature is the L2 distance to every centroid at once, as
 `np.linalg.norm` computes it, a reconstruction is the textbook
-mean + basisᵀy, a v1 record store is written record by record, as the
-store was before v2, a filter's verdict on a query signs every layer
-first and then ANDs its bits, as the gate did before it probed L3 first,
-a retrieval scores every row at every stage, with no bucket skipped
-and no batch, and sorts every hit, and the spans a staged retrieval scans
-come row by row from the rows' signature prefixes, with no bucket table.
+mean + basisᵀy, a v1 record store, which must be refused, is written
+record by record, as the store was before v2, a filter's verdict on a
+query signs every layer first and then ANDs its bits, as the gate did
+before it probed L3 first, a retrieval scores every row at every stage,
+with no bucket skipped and no batch, and sorts every hit, and the spans a
+staged retrieval scans come row by row from the rows' signature prefixes,
+with no bucket table.
 """
 
 import math

@@ -133,6 +133,8 @@ def test_bad_config_value_exit_1(workspace, capsys):
         {**good, "top_k": 2.5},
         {**good, "binseq_threshold": float("nan")},
         {**good, "stage_order": "fine_to_coarse"},
+        {**good, "stage_order": "coarse_to_fine"},  # retired keys are unknown keys
+        {**good, "filter_optimal": False},
         {**good, "filter_multiplier": 1e300},  # more bits than a u64 counts
         [],  # not a JSON object
     ):
@@ -207,7 +209,8 @@ def test_corrupt_part_exit_2(filled_copy, capsys, part, edit):
 
 
 @pytest.mark.parametrize(
-    "edit", ["cut", "append", "non-utf8", "pca-dim-0", "unknown-key", "list-wrapped"]
+    "edit",
+    ["cut", "append", "non-utf8", "pca-dim-0", "unknown-key", "list-wrapped", "stage-order", "filter-optimal"],
 )
 def test_corrupt_config_json_exit_2(filled_copy, capsys, edit):
     # an index's config.json is a part of it: a value that `train --config`
@@ -223,6 +226,9 @@ def test_corrupt_config_json_exit_2(filled_copy, capsys, edit):
             "pca-dim-0": json.dumps({**doc, "pca_dim": 0}).encode(),
             "unknown-key": json.dumps({**doc, "top_kk": 10}).encode(),
             "list-wrapped": json.dumps([doc]).encode(),
+            # keys older versions wrote, now unknown
+            "stage-order": json.dumps({**doc, "stage_order": "coarse_to_fine"}).encode(),
+            "filter-optimal": json.dumps({**doc, "filter_optimal": False}).encode(),
         }[edit]
     )
     for command, flag in (
@@ -259,27 +265,21 @@ def test_part_of_other_width_exit_3(filled_copy, tmp_path, capsys, part):
         assert err.startswith("config mismatch: ")
 
 
-def test_add_to_v1_index_leaves_v2(filled_copy, capsys):
-    # an index saved before records.bin v2 answers as before, and `add`
-    # rewrites its record store as v2
+def test_v1_index_exits_2(filled_copy, capsys):
+    # records.bin v1, as written before v2, no longer loads: every command
+    # that opens the index exits 2 naming the version, and `add` writes nothing
     idx, qrys = filled_copy
-    query = [str(a) for a in ("query", "--index", idx, "--features", qrys, "--json")]
-    assert cli.main(query) == 0
-    answers = capsys.readouterr().out
     _, index = pipeline.load_index_dir(idx)
-    old = [(r.id, [r.compressed[l].tobytes() for l in LAYERS]) for r in index.records]
     write_records_v1(idx / "records.bin", index.records, index.layers)
-    assert (idx / "records.bin").read_bytes()[4:12] == struct.pack("<Q", len(old))
-    assert cli.main(query) == 0
-    assert capsys.readouterr().out == answers
-
-    rc, err = run(capsys, "add", "--index", idx, "--features", qrys)
-    assert rc == 0, err
-    assert (idx / "records.bin").read_bytes()[:14] == b"MHIX" + b"\xff" * 8 + struct.pack("<H", 2)
-    _, index = pipeline.load_index_dir(idx)
-    records = index.records
-    assert [(r.id, [r.compressed[l].tobytes() for l in LAYERS]) for r in records[: len(old)]] == old
-    assert [r.id for r in records[len(old):]] == [q.id for q in pipeline.read_features(qrys)]
+    assert (idx / "records.bin").read_bytes()[4:12] == struct.pack("<Q", len(index))
+    before = {p.name: p.read_bytes() for p in idx.iterdir()}
+    for command, flag in (
+        ("query", "--features"), ("evaluate", "--queries"), ("bench", "--queries"), ("add", "--features"),
+    ):
+        rc, err = run(capsys, command, "--index", idx, flag, qrys)
+        assert rc == 2, (command, err)
+        assert err == "data error: unsupported records file version 1\n", (command, err)
+    assert {p.name: p.read_bytes() for p in idx.iterdir()} == before
 
 
 def test_repeated_filter_seed_exit_3(filled_copy, capsys):

@@ -31,7 +31,7 @@ from bloomretrieval.index import (
     unit_rows,
 )
 
-from oracles import cosine_distance, live_spans, mean_same_class_cosine_distance, naive_retrieval, write_records_v1
+from oracles import cosine_distance, live_spans, mean_same_class_cosine_distance, naive_retrieval
 
 LAYERS3 = ("L1", "L2", "L3")
 
@@ -250,24 +250,20 @@ class TestQueries:
         back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, idx.thresholds), 6, 8)
         assert back.ids == ("a",)
 
+    @pytest.mark.filterwarnings("error")  # a numpy cast warning is no refusal
     @pytest.mark.parametrize(
         "vector, error",
         [
             ([1.0, np.nan, 0.0, 1.0, 1.0, 1.0], InvalidVectorError),
             ([1.0, -np.inf, 0.0, 1.0, 1.0, 1.0], InvalidVectorError),
             ([0.0] * 6, InvalidVectorError),
-            pytest.param(  # its squared norm overflows
-                [1e200] * 6,
-                InvalidVectorError,
-                marks=pytest.mark.filterwarnings("ignore:overflow"),
-            ),
+            ([1e200] * 6, InvalidVectorError),  # beyond float32, as is its squared norm
             ([1.0] * 5, InconsistentDimsError),
             ([[1.0] * 6], InconsistentDimsError),
-            pytest.param(  # finite as a float64, inf as the float32 the store holds
-                [1e39] + [1.0] * 5,
-                InvalidVectorError,
-                marks=pytest.mark.filterwarnings("ignore:overflow"),
-            ),
+            # finite as a float64, inf as the float32 the store holds
+            ([1e39] + [1.0] * 5, InvalidVectorError),
+            # float32 signalling NaNs, which numpy warns of when widened
+            (np.frombuffer(bytes.fromhex("0100807f") * 6, "<f4"), InvalidVectorError),
         ],
     )
     def test_poisoned_vector_rejected(self, vector, error):
@@ -277,7 +273,7 @@ class TestQueries:
         idx = build_index([good], ts)
         bad = random_record(rng, "bad", "c")
         bad.compressed["L2"] = np.array(vector)
-        with pytest.raises(error):
+        with pytest.raises(error, match="record 'bad' layer L2"):
             idx.add(bad)
         assert len(idx) == 1 and [r.id for r in idx.records] == ["good"]
         assert query_hierarchical(idx, good.compressed, 5) == [("good", 0.0)]
@@ -1159,30 +1155,25 @@ def store_index(n=6, dim=4, seed=7):
     return build_index(recs, ThresholdSet(thresholds={"L1": 0.8, "L2": 0.6, "L3": 0.4}))
 
 
-WRITERS = {
-    "v1": lambda path, idx: write_records_v1(path, idx.records, idx.layers),
-    "v2": save_records,
-}
-
-
 def reload(path, idx, dim=4, sig_width=16, layers=LAYERS3):
     return load_records(path, HierarchicalIndex(layers, idx.thresholds), dim, sig_width)
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
+# v2 is the one version that loads; the parameter keeps each case's id
+@pytest.mark.parametrize("version", ["v2"])
 class TestRecordsFileVersions:
-    """Both versions of records.bin load through the same checks."""
+    """records.bin loads through these checks."""
 
     def written(self, tmp_path, version, idx):
         path = tmp_path / "records.bin"
-        WRITERS[version](path, idx)
+        save_records(path, idx)
         return path
 
     def test_loads_as_written(self, tmp_path, version):
         idx = store_index(n=40)
         back = reload(self.written(tmp_path, version, idx), idx)
         assert stored(back.records) == stored(idx.records)
-        again = reload(self.written(tmp_path, "v2", back), idx)
+        again = reload(self.written(tmp_path, version, back), idx)
         assert stored(again.records) == stored(idx.records)
         rng = np.random.default_rng(8)
         for _ in range(30):
@@ -1266,6 +1257,18 @@ class TestRecordsFileV2:
         path.write_bytes(blob[:12] + struct.pack("<H", 3) + blob[14:])
         with pytest.raises(DataFormatError, match="unsupported records file version 3"):
             reload(path, store_index())
+
+    @pytest.mark.parametrize("mark", [0, 6, 2**64 - 2], ids=["empty", "count", "one-less"])
+    def test_v1_store_is_refused(self, tmp_path, mark):
+        # v1 holds its record count where v2 holds its mark: any other value
+        # than the mark, as an empty v1 store's 0, is version 1
+        path = tmp_path / "records.bin"
+        save_records(path, store_index())
+        blob = path.read_bytes()
+        for stale in (blob[:4] + struct.pack("<Q", mark) + blob[12:], b"MHIX" + struct.pack("<Q", mark)):
+            path.write_bytes(stale)
+            with pytest.raises(DataFormatError, match="unsupported records file version 1$"):
+                reload(path, store_index())
 
     def test_other_layer_count(self, tmp_path):
         path = tmp_path / "records.bin"

@@ -98,18 +98,13 @@ class TestConfig:
         doc = {**cfg.to_dict(), "calibrated_thresholds": {"L1": 0.1}}
         assert pl.PipelineConfig.from_dict(doc) == cfg
 
-    @pytest.mark.parametrize("multiplier", [2.0, None])
-    def test_older_config_json_loads(self, multiplier):
-        # as written before stage_order and filter_optimal were retired
-        cfg = small_config(filter_multiplier=multiplier)
-        old = {
-            **cfg.to_dict(),
-            "stage_order": "coarse_to_fine",
-            "filter_optimal": multiplier is None,
-        }
-        assert pl.PipelineConfig.from_dict(old) == cfg
-        with pytest.raises(ValueError, match="retired filter_optimal"):
-            pl.PipelineConfig.from_dict({**old, "filter_optimal": multiplier is not None})
+    @pytest.mark.parametrize("value", ["coarse_to_fine", True, False, None])
+    @pytest.mark.parametrize("key", ["stage_order", "filter_optimal"])
+    def test_retired_keys_are_unknown(self, key, value):
+        # keys an older config.json carried, now refused whatever they hold
+        doc = {**small_config().to_dict(), key: value}
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{key}'\]"):
+            pl.PipelineConfig.from_dict(doc)
 
 
 class TestFeatureFiles:
