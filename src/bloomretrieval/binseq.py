@@ -9,7 +9,10 @@ normally downstream).
 Bit i is defined as `np.linalg.norm(C - x, axis=1)[i] < t`: the rounded
 square root of the rounded sum of the squared rounded differences, compared
 with t. `encode_signature` returns exactly those bits at about half the
-cost. Since |c - x|^2 = |c|^2 - 2 c.x + |x|^2, the bit is set iff
+cost, and `sign_rows` returns them for several vectors at once, each by its
+own dictionary, from the squared norm its caller already took (any
+summation order of it is within the margin below). Since
+|c - x|^2 = |c|^2 - 2 c.x + |x|^2, the bit is set iff
 
     g = c.x - |c|^2 / 2 - (|x|^2 - t^2) / 2 > 0,
 
@@ -157,20 +160,36 @@ def encode_signature(dictionary: CentroidDictionary, x) -> BinarySignature:
         raise DimensionMismatchError(
             f"expected dim {dictionary.dim}, got {x.shape}"
         )
-    C = dictionary.centroids
-    t = dictionary.threshold
-    xx = float(x.dot(x))
-    reach = dictionary._max_norm + math.sqrt(xx)
-    if reach * reach + t * t < _PRETEST_LIMIT:
-        g = C.dot(x)
-        g -= dictionary._half_sq_norms
-        g -= (xx - t * t) / 2
-        margin = (2 * x.size + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t
-        bits = g > 0
-        band = np.abs(g) <= margin
-    else:
-        bits = np.empty(C.shape[0], dtype=bool)
-        band = np.ones(C.shape[0], dtype=bool)
-    if np.count_nonzero(band):
-        bits[band] = np.sqrt(np.add.reduce((C[band] - x) ** 2, axis=1)) < t
-    return BinarySignature(bits.size, np.packbits(bits, bitorder="little").tobytes())
+    packed = sign_rows((dictionary,), x[None], [float(x.dot(x))])
+    return BinarySignature(dictionary.signature_width, packed[0].tobytes())
+
+
+def sign_rows(dictionaries, X: np.ndarray, xx: list[float]) -> np.ndarray:
+    """`encode_signature(dictionaries[i], X[i])`'s bytes as row i of one
+    packed uint8 matrix, for dictionaries of one width and dim, given each
+    row's squared norm xx[i] in any summation order (the margin covers it):
+    one pre-test product a row, then one sign and one pack over every row,
+    and the definition for each bit of a row within the row's margin."""
+    g = np.empty((len(X), len(dictionaries[0].centroids)))
+    d = X.shape[1]
+    band = []  # (row, margin) of each row with a bit the pre-test leaves open
+    for i, dictionary in enumerate(dictionaries):
+        t, s, gx = dictionary.threshold, xx[i], g[i]
+        reach = dictionary._max_norm + math.sqrt(s)
+        if reach * reach + t * t < _PRETEST_LIMIT:
+            dictionary.centroids.dot(X[i], out=gx)
+            gx -= dictionary._half_sq_norms
+            gx -= (s - t * t) / 2
+            margin = (2 * d + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t
+            if np.minimum.reduce(abs(gx), initial=math.inf) > margin:
+                continue
+        else:  # every bit of the row takes the definition
+            gx[:] = 0.0
+            margin = math.inf
+        band.append((i, margin))
+    bits = g > 0
+    for i, margin in band:
+        dictionary, near = dictionaries[i], np.abs(g[i]) <= margin
+        distance = np.sqrt(np.add.reduce((dictionary.centroids[near] - X[i]) ** 2, axis=1))
+        bits[i, near] = distance < dictionary.threshold
+    return np.packbits(bits, axis=1, bitorder="little")

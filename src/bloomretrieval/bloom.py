@@ -14,13 +14,16 @@ filter was built with, and stops at the first clear bit. Membership is the
 AND of the k bits, so the order changes no verdict and leaves Eq. 1 as it
 is. What it changes is the work: a query that misses at L3 hashes one
 signature. The pipeline's gate walks `probe_order` itself: it projects and
-signs a layer only when it reaches it and tests that layer's bit by
-`contains`, so a query that misses at L3 is projected and signed once too.
+signs a layer only when it reaches it and tests that layer's bit from the
+signature bytes (`_contains`, what `contains` runs), so a query that misses
+at L3 is projected and signed once too.
 
 `insert` hashes each distinct signature once per filter object. It keeps a
 memo from (layer, signature bytes) to bit position, one entry for each
 distinct pair this object has inserted, and calls Murmur3 only for a pair
-it has not seen; every insert still sets its bits. The memo is bounded by
+it has not seen; every insert still sets its bits. The pipeline's add sets
+them through the same memo straight from its packed signature bytes
+(`_insert`, what `insert` runs). The memo is bounded by
 the number of distinct pairs inserted, at most k per inserted record: 75
 for the 30,000 keys of the seed-42 benchmark index. It is a cache, not
 state: `to_bytes` does not write it, `from_bytes` starts it empty, and
@@ -123,11 +126,14 @@ class LayeredBloomFilter:
 
     def position_for(self, layer: str, sig: BinarySignature) -> int:
         """Murmur3 x64_128(signature bytes, layer seed), low word mod m."""
+        return self._position(layer, sig.data)
+
+    def _position(self, layer: str, data: bytes) -> int:
         try:
             seed = LAYER_SEEDS[layer]
         except KeyError:
             raise ValueError(f"unknown layer {layer!r}") from None
-        low, _ = murmur3_x64_128(sig.data, seed)
+        low, _ = murmur3_x64_128(data, seed)
         return low % self.m
 
     def _check_layers(self, sigs: Mapping) -> None:
@@ -141,20 +147,29 @@ class LayeredBloomFilter:
         A (layer, signature) pair this filter has inserted before is not
         hashed again."""
         self._check_layers(sigs)
+        self._insert(self.layers, [sigs[layer].data for layer in self.layers])
+
+    def _insert(self, layers: tuple[str, ...], signatures) -> None:
+        """`insert` of the signature bytes `signatures[i]` at `layers[i]`,
+        which must be this filter's layers in its order."""
+        if layers != self.layers:
+            raise ConfigMismatchError(f"expected layers {self.layers}, got {layers}")
         positions = self._positions
-        for layer in self.layers:
-            sig = sigs[layer]
-            key = layer, sig.data
+        for layer, data in zip(layers, signatures):
+            key = layer, data
             pos = positions.get(key)
             if pos is None:
-                pos = positions[key] = self.position_for(layer, sig)
+                pos = positions[key] = self._position(layer, data)
             self.bits[pos >> 3] |= 1 << (pos & 7)
         self.inserted_count += 1
 
     def contains(self, layer: str, sig: BinarySignature) -> bool:
         """Whether the bit at `position_for(layer, sig)` is set; False means
         no record inserted has `sig` at `layer`."""
-        pos = self.position_for(layer, sig)
+        return self._contains(layer, sig.data)
+
+    def _contains(self, layer: str, data: bytes) -> bool:
+        pos = self._position(layer, data)
         return bool((self.bits[pos >> 3] >> (pos & 7)) & 1)
 
     def query(self, sigs: Mapping[str, BinarySignature]) -> bool:

@@ -84,7 +84,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = pipeline.PipelineConfig.from_dict(json.load(fh))
+        config = pipeline.PipelineConfig.from_dict(pipeline.parse_json(fh.read()))
     records = pipeline.read_features(args.features)
     bundle = pipeline.train(config, records)
     index = bundle.new_index()

@@ -361,14 +361,13 @@ class HierarchicalIndex:
     @np.errstate(invalid="ignore", over="ignore")
     def add(self, record: FeatureRecord) -> None:
         """Append a record, its vectors cast to float32 as the record store
-        holds them; rejects one that would poison a layer matrix or the store,
-        or whose layers differ in vector or signature width. Each layer's
-        vector and signature are read once, in one loop that checks them and
-        collects the row, and nothing is stored until every layer passes. A
-        cast that overflows float32 or widens a signalling NaN is refused as
-        any Inf or NaN is, not warned about."""
-        if record.id in self._id_set:
-            raise DuplicateIdError(f"duplicate record id {record.id!r}")
+        holds them; rejects one that would poison a layer matrix or the store.
+        Checked in this order: the record's layer sets, then each layer's
+        vector shape and signature width against the index's (or the first
+        layer's of the first record), then `_append`'s duplicate id and
+        norms; nothing is stored until every check passes. A cast that
+        overflows float32 or widens a signalling NaN is refused as any Inf
+        or NaN is, not warned about."""
         layers = self._layer_set
         if record.compressed.keys() != layers or record.signatures.keys() != layers:
             raise ConfigMismatchError(
@@ -382,7 +381,7 @@ class HierarchicalIndex:
             shape, bits = self._vectors[first].shape[1:], self._sig_bits
         else:
             shape, bits = np.shape(record.compressed[first]), record.signatures[first].width
-        row = []
+        vectors, signatures = [], []
         for layer in self.layers:
             vec = np.asarray(record.compressed[layer], dtype=np.float32)
             if vec.ndim != 1 or vec.shape != shape:
@@ -395,27 +394,44 @@ class HierarchicalIndex:
                     f"record {record.id!r} layer {layer} signature is "
                     f"{sig.width} bits, not {bits}"
                 )
-            wide = vec.astype(np.float64)
-            if not 0.0 < float(wide @ wide) < math.inf:
+            vectors.append(vec)
+            signatures.append(sig.data)
+        vectors = np.array(vectors)
+        wide = vectors.astype(np.float64)
+        packed = np.frombuffer(b"".join(signatures), np.uint8)
+        packed = packed.reshape(len(vectors), (bits + 7) // 8)
+        sq = np.einsum("ij,ij->i", wide, wide).tolist()
+        self._append(record.id, record.label, vectors, sq, packed, bits)
+
+    def _append(self, rid: str, label: str, vectors: np.ndarray, sq: list[float],
+                signatures: np.ndarray, bits: int) -> None:
+        """Store a record whose layers are as wide as the index's: row i of
+        the float32 `vectors` and of the packed `signatures` (`bits` bits
+        each) is layer i's, and sq[i] that row's float64 squared norm.
+        Raises `DuplicateIdError` for a stored id, then `InvalidVectorError`
+        for the first layer whose norm is not finite and > 0; nothing is
+        stored until both pass."""
+        if rid in self._id_set:
+            raise DuplicateIdError(f"duplicate record id {rid!r}")
+        for layer, norm in zip(self.layers, sq):
+            if not 0.0 < norm < math.inf:
                 raise InvalidVectorError(
-                    f"record {record.id!r} layer {layer} vector is non-finite "
-                    "or has zero norm"
+                    f"record {rid!r} layer {layer} vector is non-finite or has zero norm"
                 )
-            row.append((layer, vec, sig.data))
         n = len(self)
         if not self._vectors:
             self._sig_bits = bits
-            for layer, vec, _ in row:
-                self._vectors[layer] = np.empty((0, len(vec)), np.float32)
-                self._signatures[layer] = np.empty((0, (bits + 7) // 8), np.uint8)
-        if n == len(self._vectors[first]):
+            for layer in self.layers:
+                self._vectors[layer] = np.empty((0, vectors.shape[1]), np.float32)
+                self._signatures[layer] = np.empty((0, signatures.shape[1]), np.uint8)
+        if n == len(self._vectors[self.layers[0]]):
             self._reserve(n + 1)
-        for layer, vec, data in row:
+        for layer, vec, sig in zip(self.layers, vectors, signatures):
             self._vectors[layer][n] = vec
-            self._signatures[layer][n] = np.frombuffer(data, np.uint8)
-        self._ids.append(record.id)
-        self._labels.append(record.label)
-        self._id_set.add(record.id)
+            self._signatures[layer][n] = sig
+        self._ids.append(rid)
+        self._labels.append(label)
+        self._id_set.add(rid)
         self._rows = None
 
     def _reserve(self, rows: int) -> None:

@@ -128,7 +128,7 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
 def _storable(y: np.ndarray) -> np.ndarray:
     """Projection y, unless it holds a NaN or Inf, as it does whenever the raw
     input did, or a value beyond float32, the precision records hold."""
-    if y.size and not abs(y).max() <= _F32_MAX:
+    if y.size and not np.maximum.reduce(abs(y), axis=None) <= _F32_MAX:
         raise InvalidVectorError("raw features hold a NaN or Inf, or project beyond float32")
     return y
 
@@ -170,12 +170,25 @@ def fit_pca(samples, target_dim: int) -> PcaModel:
 def project(model: PcaModel, x) -> np.ndarray:
     """Map a raw vector into the compressed space: basis @ (x - mean).
     Raises `InvalidVectorError` unless the result fits float32."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise DimensionMismatchError(
-            f"PCA model takes {model.input_dim} values, got shape {x.shape}"
-        )
-    return _storable(model.basis @ (x - model.mean))
+    return project_rows((model,), (x,))[0]
+
+
+def project_rows(models, xs) -> np.ndarray:
+    """`project(models[i], xs[i])` as row i of one float64 matrix, for models
+    of one target dim: one GEMV a row, on x - mean widened to float64, and
+    one check of every row. The first error in row order is raised: a row
+    of the wrong shape raises `DimensionMismatchError` only once the rows
+    before it have passed the check."""
+    y = np.empty((len(models), len(models[0].basis)))
+    for i, model in enumerate(models):
+        x = np.asarray(xs[i])
+        if x.shape != model.mean.shape:
+            _storable(y[:i])
+            raise DimensionMismatchError(
+                f"PCA model takes {model.input_dim} values, got shape {x.shape}"
+            )
+        model.basis.dot(x - model.mean, out=y[i])
+    return _storable(y)
 
 
 def project_many(model: PcaModel, X) -> np.ndarray:

@@ -4,14 +4,20 @@ evaluation, and synthetic data generation.
 Training fits one PCA model and one centroid dictionary per active layer,
 calibrates per-layer cosine thresholds from class labels, and sizes the
 bloom filter from the training-set size. Insert and query share one
-per-layer kernel, `_compress`, and sign its output by
-`binseq.encode_signature`. A record being added is projected and signed on
-every layer. The query gate walks the filter's probe order, L3 first, and
-projects and signs a layer only when the probe reaches it, so a query the
-filter rules out at L3 is projected, signed and hashed once and does no
-index work. Every layer of a query is still checked before the probe,
-either by a pre-test that proves its projection sound or by projecting it,
-so a bad vector is refused whatever the filter would say.
+compress-and-sign kernel, which does each step once for all the layers a
+call needs: `_compress` (one GEMV a layer, one check of every row, one
+float32 cast and one widening back, every row's squared norm in one
+product) and `binseq.sign_rows` (one pre-test product a layer, one sign and
+one pack over every row). The norms serve both the zero-norm checks and the
+signing pre-test; `pca.project` and `binseq.encode_signature` run the same
+code on one row. An add runs the kernel once on every layer and hands its
+rows and packed signatures to the index and the filter as they are. The
+query gate walks the filter's probe order, L3 first, and runs the kernel on
+a layer only when the probe reaches it, so a query the filter rules out at
+L3 is projected, signed and hashed once and does no index work. Every layer
+of a query is still checked before the probe, either by a pre-test that
+proves its projection sound or by projecting it, so a bad vector is
+refused whatever the filter would say.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binseq, pca
-from .binseq import CentroidDictionary
+from .binseq import BinarySignature, CentroidDictionary
 from .binio import Reader, pack_id_label
 from .bloom import LAYERS, MAX_BITS, LayeredBloomFilter, optimal_bits
 from .errors import (
@@ -76,6 +82,21 @@ def _as_f32(value: float) -> float:
         return struct.unpack("<f", struct.pack("<f", value))[0]
     except OverflowError:
         return math.inf
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
+def parse_json(text: str):
+    """The JSON value `text` holds; `ValueError` for an object that names a
+    key twice, which `json` alone would resolve to the last value."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 @dataclass(frozen=True)
@@ -157,35 +178,47 @@ class RawRecord:
 
 def write_features(path, records: list[RawRecord]) -> None:
     """Write an MLHC feature file. Every record is checked first (its layer
-    set and 1-D shapes against the first record's, its id and label lengths),
-    so a bad record raises before the file is opened."""
+    set and 1-D shapes against the first record's, a finite value beyond
+    float32, which would be written as an Inf, and its id and label
+    lengths), so a bad record raises before the file is opened. A NaN or an
+    Inf is written as it is."""
     layers = LAYERS[: len(records[0].features)] if records else ()
     if records and not layers:
         raise InconsistentDimsError(f"record {records[0].id!r} has no layers")
     shapes = [np.shape(records[0].features.get(layer)) for layer in layers]
     layer_set = set(layers)
-    for rec in records:
-        if rec.features.keys() != layer_set:
-            raise InconsistentDimsError(
-                f"record {rec.id!r} layer set differs from header"
-            )
-        for layer, shape in zip(layers, shapes):
-            # not np.shape: its per-call dispatch triples this loop's cost
-            got = np.asarray(rec.features[layer]).shape
-            if got != shape or len(got) != 1:
+    rows = []
+    # a cast overflows only from a finite value beyond float32
+    with np.errstate(over="raise"):
+        for rec in records:
+            if rec.features.keys() != layer_set:
                 raise InconsistentDimsError(
-                    f"record {rec.id!r} layer {layer} shape {got} != {shape}"
+                    f"record {rec.id!r} layer set differs from header"
                 )
+            row = []
+            for layer, shape in zip(layers, shapes):
+                # not np.shape: its per-call dispatch triples this loop's cost
+                vec = np.asarray(rec.features[layer])
+                if vec.shape != shape or len(vec.shape) != 1:
+                    raise InconsistentDimsError(
+                        f"record {rec.id!r} layer {layer} shape {vec.shape} != {shape}"
+                    )
+                try:
+                    row.append(np.asarray(vec, dtype="<f4").tobytes())
+                except FloatingPointError:
+                    raise InvalidVectorError(
+                        f"record {rec.id!r} layer {layer} holds a value beyond float32"
+                    ) from None
+            rows.append(b"".join(row))
     heads = [pack_id_label(rec) for rec in records]
     with open(path, "wb") as fh:
         fh.write(_MLHC_MAGIC)
         fh.write(struct.pack("<HQB", _MLHC_VERSION, len(records), len(layers)))
         for (d,) in shapes:
             fh.write(struct.pack("<I", d))
-        for rec, head in zip(records, heads):
+        for head, row in zip(heads, rows):
             fh.write(head)
-            for layer in layers:
-                fh.write(np.asarray(rec.features[layer], dtype="<f4").tobytes())
+            fh.write(row)
 
 
 def read_features(path) -> list[RawRecord]:
@@ -242,13 +275,18 @@ def _require_layers(bundle: TrainedBundle, features, who: str) -> None:
             raise ConfigMismatchError(f"{who} missing layer {layer}")
 
 
-def _compress(bundle: TrainedBundle, features, layer: str) -> np.ndarray:
-    """The one per-layer kernel insert and query share: the layer's
-    compressed vector, by `pca.project` and a float32 cast, so in-memory
-    state matches what the record store persists. Its signature is
-    `binseq.encode_signature` of this vector. Every error of a raw vector (a
-    wrong shape, a NaN or Inf, a projection beyond float32) is raised here."""
-    return pca.project(bundle.pca_models[layer], features[layer]).astype(np.float32)
+def _compress(models, xs) -> tuple[np.ndarray, np.ndarray, list]:
+    """The kernel's compression of the layers whose PCA models and raw
+    vectors are `models` and `xs`, row i the i-th's: (float32 vectors, as
+    the record store persists them; their float64 widening; their squared
+    norms). Every error of a raw vector is raised here, the first in layer
+    order (`pca.project_rows`). `binseq.sign_rows` signs the rows from the
+    last two."""
+    wide = pca.project_rows(models, xs)
+    vectors = wide.astype(np.float32)
+    wide[...] = vectors
+    # the diagonal of one product: one BLAS call for every row's norm
+    return vectors, wide, wide.dot(wide.T).diagonal().tolist()
 
 
 def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
@@ -258,12 +296,14 @@ def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
     layer raises `ConfigMismatchError` before any is projected."""
     layers = bundle.config.active_layers
     _require_layers(bundle, raw.features, f"record {raw.id!r}")
-    compressed = {layer: _compress(bundle, raw.features, layer) for layer in layers}
+    models = [bundle.pca_models[layer] for layer in layers]
+    vectors, wide, sq = _compress(models, [raw.features[layer] for layer in layers])
+    dictionaries = [bundle.dictionaries[layer] for layer in layers]
     signatures = {
-        layer: binseq.encode_signature(bundle.dictionaries[layer], compressed[layer])
-        for layer in layers
+        layer: BinarySignature(d.signature_width, row.tobytes())
+        for layer, d, row in zip(layers, dictionaries, binseq.sign_rows(dictionaries, wide, sq))
     }
-    return FeatureRecord(raw.id, raw.label, compressed, signatures)
+    return FeatureRecord(raw.id, raw.label, dict(zip(layers, vectors)), signatures)
 
 
 def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
@@ -316,15 +356,21 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress and sign the record (`compress_record`, by the kernel
-    `gated_query` reads), append it to the index, and insert it into the
-    filter: every layer is projected first, so a bad raw vector raises
-    before any of the index's checks, and the index and the filter share
-    one signature per layer."""
-    rec = compress_record(bundle, raw)
+    """Compress and sign every active layer of the record at once (`_compress`,
+    then `binseq.sign_rows`), append the rows to the index and set the
+    filter's bits from the same packed signatures. The errors, and their
+    order, are those of `compress_record`, `HierarchicalIndex.add` and
+    `insert` in turn: a missing layer, then a bad raw vector in layer
+    order, then a stored id, then the first layer that compresses to zero;
+    nothing is stored or inserted on any of them."""
+    layers = bundle.config.active_layers
+    _require_layers(bundle, raw.features, f"record {raw.id!r}")
+    models = [bundle.pca_models[layer] for layer in layers]
+    vectors, wide, sq = _compress(models, [raw.features[layer] for layer in layers])
+    signatures = binseq.sign_rows([bundle.dictionaries[layer] for layer in layers], wide, sq)
     # the index first: a record it rejects must not reach the filter
-    index.add(rec)
-    bundle.filter.insert(rec.signatures)
+    index._append(raw.id, raw.label, vectors, sq, signatures, bundle.config.centroid_count)
+    bundle.filter._insert(layers, [row.tobytes() for row in signatures])
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +401,31 @@ def gated_query(
     projection raises none of these, or projected and checked now, in layer
     order, so the first error is the one a query projected in full raises.
     The probe then walks `filter.probe_order`, projecting a layer not yet
-    projected, signing it and testing its one bit by `contains`, so only the
-    layers the probe reaches are projected and signed: a query ruled out at
-    L3 projects and signs L3 alone, and one that passes reads every layer,
-    with the bits `add_record` computes for it."""
+    projected, signing it and testing its one bit, so only the layers the
+    probe reaches are projected and signed: a query ruled out at L3
+    projects and signs L3 alone, and one that passes reads every layer,
+    with the bits `add_record` computes for it. Each layer is one kernel
+    call of one row."""
     k = bundle.config.top_k if top_k is None else top_k
     check_top_k(k)
     _require_layers(bundle, features, "query")
     probe = bundle.filter.probe_order
-    vectors = {
-        layer: _compress(bundle, features, layer)
+    projected = {
+        layer: _compress((bundle.pca_models[layer],), (features[layer],))
         for layer in bundle.config.active_layers
         if layer == probe[0] or not pca.proven_storable(bundle.pca_models[layer], features[layer])
     }
-    for layer, vec in vectors.items():
-        if not np.count_nonzero(vec):
+    for layer, (_, _, sq) in projected.items():
+        if sq[0] == 0.0:
             raise InvalidVectorError(f"query layer {layer} vector is non-finite or zero")
     for layer in probe:
-        vec = vectors.get(layer)
-        if vec is None:
-            vec = vectors[layer] = _compress(bundle, features, layer)
-        sig = binseq.encode_signature(bundle.dictionaries[layer], vec)
-        if not bundle.filter.contains(layer, sig):
+        kernel = projected.get(layer)
+        if kernel is None:
+            kernel = projected[layer] = _compress((bundle.pca_models[layer],), (features[layer],))
+        data = binseq.sign_rows((bundle.dictionaries[layer],), kernel[1], kernel[2]).tobytes()
+        if not bundle.filter._contains(layer, data):
             return QueryResult(rejected=True, results=[])
+    vectors = {layer: kernel[0][0] for layer, kernel in projected.items()}
     return QueryResult(rejected=False, results=query_hierarchical(index, vectors, k))
 
 
@@ -555,7 +603,7 @@ def save_index_dir(path, bundle: TrainedBundle, index: HierarchicalIndex) -> Non
 def load_index_dir(path) -> tuple[TrainedBundle, HierarchicalIndex]:
     # not UTF-8, not one JSON value, or not a valid config: all ValueErrors
     try:
-        doc = json.loads(Path(path, "config.json").read_bytes().decode("utf-8"))
+        doc = parse_json(Path(path, "config.json").read_bytes().decode("utf-8"))
         config = PipelineConfig.from_dict(doc)
     except ValueError as exc:
         raise DataFormatError(f"config.json: {exc}") from None

@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # under -W error it would end pytest in INTERNALERROR and lose the example
 TYPEDDICT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
 
-BINSEQ_MARGIN = "margin = (2 * x.size + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
+BINSEQ_MARGIN = "margin = (2 * d + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
 PCA_PRETEST = "def proven_storable(model: PcaModel, x) -> bool:\n"
 PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
 INDEX_EPS = "eps = 8 * (rows[0].shape[1] + 8) * 2.0**-53"
@@ -47,7 +47,7 @@ INDEX_STAGES = "for layer, qv in zip(index.stage_layers(), qn)\n    ]"
 INDEX_BOUND = "math.sqrt(max(2.0 * (self.thresholds.effective(layer) + table.eps), 0.0))"
 INDEX_LEVELS = "for layer in self._stages[:len(table.cuts)]"
 INDEX_COARSE = "passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t"
-BLOOM_MISS = "pos = positions[key] = self.position_for(layer, sig)\n"
+BLOOM_MISS = "pos = positions[key] = self._position(layer, data)\n"
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,13 @@ MUTANTS = [
     ),
     Mutant(
         "binseq: fallback summed by einsum", "binseq.py",
-        "np.sqrt(np.add.reduce((C[band] - x) ** 2, axis=1))",
-        'np.sqrt(np.einsum("ij,ij->i", C[band] - x, C[band] - x))', BINSEQ,
+        "np.sqrt(np.add.reduce((dictionary.centroids[near] - X[i]) ** 2, axis=1))",
+        'np.sqrt(np.einsum("ij,ij->i", dictionary.centroids[near] - X[i], dictionary.centroids[near] - X[i]))',
+        BINSEQ,
+    ),
+    Mutant(
+        "binseq: a row pre-tested with another layer's dictionary", "binseq.py",
+        "dictionary.centroids.dot(X[i], out=gx)", "dictionaries[0].centroids.dot(X[i], out=gx)", GATE,
     ),
     Mutant("index: eps 0", "index.py", INDEX_EPS, "eps = 0.0", INDEX),
     Mutant(
@@ -151,17 +156,21 @@ MUTANTS = [
     ),
     Mutant(
         "gate: probe passes at the first set bit", "pipeline.py",
-        "if not bundle.filter.contains(", "if layer == probe[0] and not bundle.filter.contains(", GATE,
+        "if not bundle.filter._contains(", "if layer == probe[0] and not bundle.filter._contains(", GATE,
     ),
     Mutant(
         "gate: a layer the probe reaches reuses the first layer's vector", "pipeline.py",
-        "vec = vectors.get(layer)", "vec = vectors.get(probe[0])", GATE,
+        "kernel = projected.get(layer)", "kernel = projected.get(probe[0])", GATE,
+    ),
+    Mutant(
+        "index: add path without its zero-norm check", "index.py",
+        "if not 0.0 < norm < math.inf:", "if not norm < math.inf:", GATE,
     ),
     Mutant(
         "bloom: query passes at any set bit", "bloom.py",
         "return all(self.contains(", "return any(self.contains(", BLOOM,
     ),
-    Mutant("bloom: insert memo keyed without the layer", "bloom.py", "key = layer, sig.data", "key = sig.data", BLOOM),
+    Mutant("bloom: insert memo keyed without the layer", "bloom.py", "key = layer, data", "key = data", BLOOM),
     Mutant(
         "bloom: memo hit skips setting the bit", "bloom.py", BLOOM_MISS,
         BLOOM_MISS + "            else:\n                continue\n", BLOOM,

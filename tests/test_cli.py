@@ -137,8 +137,11 @@ def test_bad_config_value_exit_1(workspace, capsys):
         {**good, "filter_optimal": False},
         {**good, "filter_multiplier": 1e300},  # more bits than a u64 counts
         [],  # not a JSON object
+        # a key given twice, each value valid, as text: json alone keeps the last
+        '{"pca_dim": 4, ' + json.dumps(good)[1:],
+        json.dumps({**good, "threshold_scales": {"L1": 2.0}}).replace('{"L1": 2.0}', '{"L1": 2.0, "L1": 3.0}'),
     ):
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         out = tmp_path / "bad-idx"
         rc = cli.main(["train", "--config", str(cfg_path), "--features", str(feats), "--out", str(out)])
         err = capsys.readouterr().err
@@ -210,7 +213,10 @@ def test_corrupt_part_exit_2(filled_copy, capsys, part, edit):
 
 @pytest.mark.parametrize(
     "edit",
-    ["cut", "append", "non-utf8", "pca-dim-0", "unknown-key", "list-wrapped", "stage-order", "filter-optimal"],
+    [
+        "cut", "append", "non-utf8", "pca-dim-0", "unknown-key", "list-wrapped", "stage-order",
+        "filter-optimal", "repeated-key",
+    ],
 )
 def test_corrupt_config_json_exit_2(filled_copy, capsys, edit):
     # an index's config.json is a part of it: a value that `train --config`
@@ -229,6 +235,8 @@ def test_corrupt_config_json_exit_2(filled_copy, capsys, edit):
             # keys older versions wrote, now unknown
             "stage-order": json.dumps({**doc, "stage_order": "coarse_to_fine"}).encode(),
             "filter-optimal": json.dumps({**doc, "filter_optimal": False}).encode(),
+            # json alone would keep the last top_k
+            "repeated-key": b'{"top_k": 3, ' + blob.lstrip()[1:],
         }[edit]
     )
     for command, flag in (
@@ -297,11 +305,11 @@ def test_bench_projects_every_query_before_its_timed_calls(filled, capsys, monke
     # all up front, or its index times would include the projections
     idx, _, qrys = filled
     projected, timed = [], []
-    project = pca.project
+    project = pca.project_rows
 
-    def counted_project(model, x):
-        projected.append(model)
-        return project(model, x)
+    def counted_project(models, xs):
+        projected.extend(models)
+        return project(models, xs)
 
     def timing(fn):
         def call(index, vectors, top_k):
@@ -311,7 +319,7 @@ def test_bench_projects_every_query_before_its_timed_calls(filled, capsys, monke
             return result
         return call
 
-    monkeypatch.setattr(pca, "project", counted_project)
+    monkeypatch.setattr(pca, "project_rows", counted_project)
     for name in ("query_hierarchical", "brute_force_scan"):
         monkeypatch.setattr(cli, name, timing(getattr(cli, name)))
     rc, err = run(capsys, "bench", "--index", idx, "--queries", qrys)
@@ -548,6 +556,16 @@ def test_synth_refuses_before_writing(tmp_path, capsys, flag, value):
     args[flag] = value
     rc, err = run(capsys, "synth", *(x for pair in args.items() for x in pair))
     assert rc == 1 and err.startswith("error: "), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")  # the cast's overflow warning is no refusal
+def test_synth_beyond_float32_exit_2(tmp_path, capsys):
+    # noise so large that a float32 feature would be an Inf: nothing is written
+    out = tmp_path / "feats.mlhc"
+    rc, err = run(capsys, "synth", "--classes", 2, "--per-class", 3, "--dims", "4", "--noise", "1e40", "--out", out)
+    assert rc == 2, err
+    assert err == "data error: record 'img-000-00000' layer L1 holds a value beyond float32\n"
     assert list(tmp_path.iterdir()) == []
 
 

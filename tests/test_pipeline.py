@@ -191,6 +191,22 @@ class TestFeatureFiles:
             pl.write_features(p, records)
         assert p.read_bytes() == before
 
+    @pytest.mark.filterwarnings("error")  # the cast's overflow warning is no refusal
+    def test_value_beyond_float32_rejected_before_writing(self, tmp_path):
+        # a finite float64 beyond float32 would be written as an Inf; a NaN
+        # or an Inf is written as it is
+        p = tmp_path / "feats.mlhc"
+        kept = {"L1": np.array([np.nan, 1.0]), "L2": np.array([-np.inf, np.inf])}
+        pl.write_features(p, [pl.RawRecord("a", "c", kept)])
+        back = pl.read_features(p)[0].features
+        assert np.isnan(back["L1"][0]) and list(back["L2"]) == [-np.inf, np.inf]
+        p.unlink()
+        beyond = {"L1": np.ones(2), "L2": np.array([1.0, -1e40])}
+        records = [pl.RawRecord("a", "c", kept), pl.RawRecord("b", "c", beyond)]
+        with pytest.raises(InvalidVectorError, match="^record 'b' layer L2 holds a value beyond float32$"):
+            pl.write_features(p, records)
+        assert not p.exists()
+
     def test_record_with_no_layers_rejected_before_writing(self, tmp_path):
         # its file would declare layer count 0, which read_features refuses
         p = tmp_path / "none.mlhc"
@@ -358,30 +374,35 @@ def clear_bit(bundle, pos):
 
 
 class Calls:
-    """From construction on, the layer each `pca.project` call projects, the
-    layer each `encode_signature` call signs and the seed of each Murmur3
-    call, in call order."""
+    """From construction on, the layer of each row the kernel projects
+    (`pca.project_rows`, which `pca.project` also runs) and signs
+    (`binseq.sign_rows`, which `encode_signature` also runs), the layers of
+    each kernel call as one tuple, and the seed of each Murmur3 call, in
+    call order."""
 
     def __init__(self, monkeypatch, bundle):
         layer_of = {id(d): layer for layer, d in bundle.dictionaries.items()}
         layer_of.update({id(m): layer for layer, m in bundle.pca_models.items()})
-        project, encode, hash_ = pca.project, binseq.encode_signature, bloom.murmur3_x64_128
+        project, sign, hash_ = pca.project_rows, binseq.sign_rows, bloom.murmur3_x64_128
         self.projected, self.signed, self.hashed = [], [], []
+        self.project_calls, self.sign_calls = [], []
 
-        def counted_project(model, x):
-            self.projected.append(layer_of[id(model)])
-            return project(model, x)
+        def counted_project(models, xs):
+            self.project_calls.append(tuple(layer_of[id(m)] for m in models))
+            self.projected += self.project_calls[-1]
+            return project(models, xs)
 
-        def counted_encode(dictionary, x):
-            self.signed.append(layer_of[id(dictionary)])
-            return encode(dictionary, x)
+        def counted_sign(dictionaries, X, xx):
+            self.sign_calls.append(tuple(layer_of[id(d)] for d in dictionaries))
+            self.signed += self.sign_calls[-1]
+            return sign(dictionaries, X, xx)
 
         def counted_hash(data, seed):
             self.hashed.append(seed)
             return hash_(data, seed)
 
-        monkeypatch.setattr(pca, "project", counted_project)
-        monkeypatch.setattr(binseq, "encode_signature", counted_encode)
+        monkeypatch.setattr(pca, "project_rows", counted_project)
+        monkeypatch.setattr(binseq, "sign_rows", counted_sign)
         monkeypatch.setattr(bloom, "murmur3_x64_128", counted_hash)
 
 
@@ -440,7 +461,7 @@ class TestCoarseToFineGate:
                 fresh.append(bloom.LAYER_SEEDS[layer])
         calls = Calls(monkeypatch, bundle)
         pl.add_record(bundle, index, raw)
-        assert sorted(calls.signed) == list(LAYERS) and sorted(calls.hashed) == fresh
+        assert calls.sign_calls == [LAYERS] and sorted(calls.hashed) == fresh
         monkeypatch.undo()
         rec = index.records[-1]
         for layer in LAYERS:
@@ -459,13 +480,15 @@ class TestCoarseToFineGate:
             assert rec.compressed[layer].dtype == stored.compressed[layer].dtype == np.float32
             assert rec.compressed[layer].tobytes() == stored.compressed[layer].tobytes()
         assert rec.signatures == stored.signatures
-        hashed, position_for = [], bloom.LayeredBloomFilter.position_for
+        # the gate probes by signature bytes, through the method that
+        # `position_for` and `insert` also hash by
+        hashed, position = [], bloom.LayeredBloomFilter._position
 
-        def recorded(self, layer, sig):
-            hashed.append((layer, position_for(self, layer, sig)))
+        def recorded(self, layer, data):
+            hashed.append((layer, position(self, layer, data)))
             return hashed[-1][1]
 
-        monkeypatch.setattr(bloom.LayeredBloomFilter, "position_for", recorded)
+        monkeypatch.setattr(bloom.LayeredBloomFilter, "_position", recorded)
         assert not pl.gated_query(bundle, index, raw.features).rejected
         assert [layer for layer, _ in hashed] == ["L3", "L2", "L1"]
         assert dict(hashed) == filter_positions(bundle, raw.features)
@@ -505,7 +528,7 @@ class TestCoarseToFineGate:
         bundle, index, _, queries = gate_system(tmp_path, LAYERS)
         calls = Calls(monkeypatch, bundle)
         pl.add_record(bundle, index, queries[0])
-        assert calls.projected == list(LAYERS)
+        assert calls.project_calls == [LAYERS]
 
     def test_add_record_projects_before_the_index_checks(self, tmp_path):
         # a stored id, which the index refuses, with a NaN in L2: the NaN is
@@ -560,6 +583,131 @@ class TestCoarseToFineGate:
         at_mean = {**good, "L1": bundle.pca_models["L1"].mean}
         with pytest.raises(InvalidVectorError, match="query layer L1 vector is non-finite or zero"):
             pl.gated_query(bundle, index, at_mean)
+
+
+def reference_add(bundle, index, raw):
+    """What `add_record` must do, through the public steps: the record
+    compressed and signed, appended by `HierarchicalIndex.add`, inserted by
+    `LayeredBloomFilter.insert`."""
+    rec = pl.compress_record(bundle, raw)
+    index.add(rec)
+    bundle.filter.insert(rec.signatures)
+
+
+def add_state(bundle, index):
+    """Everything an add can change: each stored record's id, label, vectors
+    (float32 bytes) and signatures, the filter's bits and its count."""
+    records = [
+        (r.id, r.label, {l: v.tobytes() for l, v in r.compressed.items()}, r.signatures)
+        for r in index.records
+    ]
+    return records, bytes(bundle.filter.bits), bundle.filter.inserted_count
+
+
+def band_dictionaries(bundle, rng):
+    """Per layer, 16 centroids of small nonzero integers, so a compressed
+    vector c + (3, 4, 0, ...) lies at distance exactly 5 from centroid c; at
+    threshold 5 its bit is clear, and one ulp above 5 it is set, and either
+    way the pre-test's g is 0 or within one ulp of t^2 of it, inside the
+    band the definition decides."""
+    thresholds = {"L1": 5.0, "L2": np.nextafter(5.0, 6.0), "L3": 5.0}
+    return {
+        layer: binseq.CentroidDictionary(
+            rng.integers(1, 4, size=(16, bundle.config.pca_dim)).astype(float), thresholds[layer], 0
+        )
+        for layer in bundle.config.active_layers
+    }
+
+
+def band_record(bundle, rid, k):
+    """Raw features whose float32 compression is c_k + (3, 4, 0, ...), the
+    (3, 4) on coordinates k and k + 1 (wrapping): the raw vector is solved
+    for from the basis as stored, so it projects to within rounding of the
+    target, which the float32 cast removes."""
+    features = {}
+    for layer in bundle.config.active_layers:
+        model, centroids = bundle.pca_models[layer], bundle.dictionaries[layer].centroids
+        step = np.zeros(model.target_dim)
+        step[k % len(step)], step[(k + 1) % len(step)] = 3.0, 4.0
+        target = centroids[k % len(centroids)] + step
+        features[layer] = model.mean + np.linalg.pinv(model.basis) @ target
+    return pl.RawRecord(rid, "band", features)
+
+
+class TestAddRecordOracle:
+    """`add_record` against `reference_add`, each on its own filter and index
+    over one bundle: the same bytes stored and inserted, the same errors."""
+
+    @staticmethod
+    def systems(bundle):
+        return [
+            (bloom.LayeredBloomFilter(bundle.filter.m, bundle.filter.layers), bundle.new_index())
+            for _ in range(2)
+        ]
+
+    def test_corpus_and_band_records_store_the_same_bytes(self, tmp_path):
+        records, _ = synth_records(tmp_path)
+        bundle = pl.train(small_config(), records)
+        bundle.dictionaries = band_dictionaries(bundle, np.random.default_rng(3))
+        band = [band_record(bundle, f"band-{k}", k) for k in range(48)]
+        corpus = [r for pair in itertools.zip_longest(records, band) for r in pair if r]
+        states = []
+        for add, (filt, index) in zip((reference_add, pl.add_record), self.systems(bundle)):
+            bundle.filter = filt
+            for raw in corpus:
+                add(bundle, index, raw)
+            states.append(add_state(bundle, index))
+        assert states[0] == states[1]
+        stored, _, count = states[1]
+        assert count == len(stored) == len(corpus)
+        # every band record lies at distance 5 from a centroid on every
+        # layer, and its bits are the definition's
+        on_band = 0
+        for rec in index.records:
+            for layer, vec in rec.compressed.items():
+                d = bundle.dictionaries[layer]
+                dist = np.linalg.norm(d.centroids - vec.astype(np.float64), axis=1)
+                bits = np.packbits(dist < d.threshold, bitorder="little").tobytes()
+                assert rec.signatures[layer].data == bits
+                on_band += rec.label == "band" and bool(np.any(dist == 5.0))
+        assert on_band == len(band) * len(LAYERS)
+
+    def test_errors_and_their_order_equal_the_reference(self, tmp_path):
+        # every mix of a good, NaN, beyond-float32, at-mean or short vector on
+        # each layer, with a new id and with a stored one: the reference's
+        # error, type and message, and nothing stored or inserted
+        records, _ = synth_records(tmp_path)
+        bundle = pl.train(small_config(binseq_threshold=5.0), records)
+        systems = self.systems(bundle)
+        for add, (filt, index) in zip((reference_add, pl.add_record), systems):
+            bundle.filter = filt
+            for raw in records:
+                add(bundle, index, raw)
+        f32_max = float(np.finfo(np.float32).max)
+
+        def variants(layer):
+            model, x = bundle.pca_models[layer], records[0].features[layer]
+            nan = x.astype(np.float64)
+            nan[3] = np.nan
+            return [x, nan, np.sign(model.basis[0]) * f32_max, model.mean, x[:-1]]
+
+        seen = set()
+        for i, vectors in enumerate(itertools.product(*map(variants, LAYERS))):
+            for rid in (f"new-{i}", records[0].id):
+                raw = pl.RawRecord(rid, "x", dict(zip(LAYERS, vectors)))
+                outcomes = []
+                for add, (filt, index) in zip((reference_add, pl.add_record), systems):
+                    bundle.filter = filt
+                    try:
+                        add(bundle, index, raw)
+                        outcomes.append(None)
+                    except (ValueError, DataFormatError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                    outcomes.append((len(index), bytes(filt.bits), filt.inserted_count))
+                assert outcomes[:2] == outcomes[2:], (rid, i)
+                seen.add(outcomes[0] and outcomes[0][0])
+        assert seen == {None, pca.DimensionMismatchError, InvalidVectorError, DuplicateIdError}
+        assert add_state(bundle, systems[0][1]) == add_state(bundle, systems[1][1])
 
 
 class TestAveragePrecision:
