@@ -7,11 +7,12 @@ signatures, grown by doubling as records are added. Every layer has one
 vector width and one signature width, the widths the record store reads
 back. `records` builds `FeatureRecord`s from these columns only when it is
 read. Freezing the index gathers, in blocks of rows, one contiguous float64
-matrix of unit rows per layer from the float32 one. Retrieval filters
-candidates layer by layer, coarse to fine as the paper orders the hierarchy
-(L3 first, L1 last), against calibrated cosine thresholds: a row is a hit
-when it passes every stage, and the hits are ranked by the finest (L1)
-distance.
+matrix of unit rows for the finest stage (L1), the only stage that scans
+spans, and keeps only each row's float64 norm for each coarser stage
+(below). Retrieval filters candidates layer by layer, coarse to fine as the
+paper orders the hierarchy (L3 first, L1 last), against calibrated cosine
+thresholds: a row is a hit when it passes every stage, and the hits are
+ranked by the finest (L1) distance.
 
 Both retrieval paths are one scan over spans of rows. It ranks on the
 finest stage first: the L1 stage scores each span as a view of its
@@ -37,6 +38,13 @@ vector normalised alone or inside a matrix gets the same bits; a query's
 stages are normalised as one matrix. Both compute in float64 although the
 record store holds float32: the extra precision keeps the distance
 accumulation stable, and the bound below is for it.
+
+A coarser stage's unit rows are made only when a batch, or at `freeze()` a
+bucket, needs them: its float32 rows, gathered by insertion position,
+widened and divided by the norms `freeze()` cached from the same per-row
+einsum. Widening is exact and `_normalise` divides by those very norms, so
+a rebuilt row has `_normalise`'s bits, and the index holds one n x d
+float64 matrix instead of one per stage.
 
 Buckets. Each layer's signature is the paper's neural hash of that layer,
 and coarse to fine the hashes nest: `freeze()` groups the rows by their
@@ -68,9 +76,9 @@ with more than sqrt(n) distinct L3 signatures therefore keeps one level of
 one bucket, cut at [0, n], over the same sorted rows, and runs the same
 code. When no bucket is skipped the staged path scans the one span of
 every row, as the brute-force path does. The columns and the record store
-keep insertion order; only the unit-row matrices and the row-to-id list
-are in bucket order, and ranking ties break by id, so the order changes no
-answer.
+keep insertion order; only the finest stage's unit rows, the coarser
+stages' norms and the row-to-id list are in bucket order, and ranking ties
+break by id, so the order changes no answer.
 
 eps bounds the rounding of the kernel and of c and r on a level's layer;
 nothing in it depends on the layer but the width d of its rows, and every
@@ -115,8 +123,9 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +146,7 @@ _MAGIC = b"MHIX"
 # where v1 held its record count, so any other value marks a v1 store
 _V2_MARK = 2**64 - 1
 _VERSION = 2
-# the rows freeze() gathers into float64 at a time
+# the rows freeze() makes float64 at a time
 _BLOCK = 256
 
 # floor applied to degenerate (identical-image) calibrated thresholds so
@@ -157,11 +166,16 @@ def unit_rows(rows) -> np.ndarray:
     return _normalise(m)
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """The L2 norm of each row of a float64 matrix, each its own row's
+    einsum, so a row gets the same bits in any block of rows."""
+    return np.sqrt(np.einsum("ij,ij->i", m, m))
+
+
 def _normalise(m: np.ndarray, name=lambda i: f"row {i}") -> np.ndarray:
-    """`unit_rows` in place on a float64 matrix; each norm is its own row's
-    einsum, so a row gets the same bits in any block of rows. The error
-    names the first bad row by `name(i)`."""
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    """`unit_rows` in place on a float64 matrix, each row divided by its
+    `_row_norms`. The error names the first bad row by `name(i)`."""
+    norms = _row_norms(m)
     usable = (norms > 0.0) & (norms < np.inf)  # False for NaN
     if not usable.all():
         bad = int(np.argmin(usable))
@@ -179,6 +193,17 @@ def _unit_gather(matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
         block[...] = matrix[order[start:start + _BLOCK]]
         _normalise(block)
     return out
+
+
+def _gathered_norms(matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """`_row_norms` of the rows matrix[order] widened to float64, taken
+    _BLOCK rows at a time in the matrix's own order, so no whole-matrix
+    temporary is made."""
+    norms = [
+        _row_norms(matrix[start:start + _BLOCK].astype(np.float64))
+        for start in range(0, len(matrix), _BLOCK)
+    ]
+    return np.concatenate(norms)[order]
 
 
 def l2_normalize(a) -> np.ndarray:
@@ -250,8 +275,8 @@ def calibrate_thresholds(labels, vectors) -> ThresholdSet:
 @dataclass(frozen=True)
 class Buckets:
     """Every level's buckets in one table, level after level, so one pass
-    tests every bound: each level's `cuts` (its bucket b is row cuts[b] up
-    to cuts[b + 1] of each layer matrix), every bucket's `centres` and
+    tests every bound: each level's `cuts` (its bucket b is rows cuts[b] up
+    to cuts[b + 1] in bucket order), every bucket's `centres` and
     `radii` on its stage's layer and its `stage` (its level's index), per
     level after the first its (start, stop) in the table and its buckets'
     parents as table rows (`chain`), and the skip test's rounding bound
@@ -265,20 +290,31 @@ class Buckets:
     eps: float
 
     @classmethod
-    def build(cls, rows: Sequence[np.ndarray], cuts: Sequence[np.ndarray]) -> "Buckets":
-        """Level i's buckets of the unit rows `rows[i]` split at `cuts[i]`,
-        each level nested in the one above; each radius comes from one dot
-        product per row, with no n x d temporary."""
+    def build(cls, units: Sequence[Callable[[slice], np.ndarray]], cuts: Sequence[np.ndarray],
+              width: int) -> "Buckets":
+        """Level i's buckets of the unit rows, `width` wide, that `units[i]`
+        makes for a slice of row positions, split at `cuts[i]`, each level
+        nested in the one above. A bucket's rows are made _BLOCK at a time,
+        so no n x d temporary is: its centre sums the blocks, and each
+        radius comes from one dot product per row."""
         centres, nearest = [], []
-        for layer_rows, bounds in zip(rows, cuts):
+        for unit, bounds in zip(units, cuts):
             for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                # two BLAS products while the block is in cache; r bounds any
+                # two BLAS products a block while it is in cache; r bounds any
                 # c, and their summation order is within eps (module docstring)
-                block = layer_rows[start:stop]
-                centres.append(np.full(stop - start, 1.0 / (stop - start)) @ block)
-                nearest.append((block @ centres[-1]).min())
+                pieces = [slice(a, min(a + _BLOCK, stop)) for a in range(start, stop, _BLOCK)]
+                weight = np.full(min(stop - start, _BLOCK), 1.0 / (stop - start))
+                first = unit(pieces[0])
+                centre = weight[:len(first)] @ first
+                for piece in pieces[1:]:
+                    block = unit(piece)
+                    centre = centre + weight[:len(block)] @ block
+                # a bucket of one block is made once, a larger one again
+                blocks = [first] if len(pieces) == 1 else map(unit, pieces)
+                centres.append(centre)
+                nearest.append(min((block @ centre).min() for block in blocks))
         centres = np.array(centres)
-        eps = 8 * (rows[0].shape[1] + 8) * 2.0**-53
+        eps = 8 * (width + 8) * 2.0**-53
         reach = 1.0 + np.einsum("ij,ij->i", centres, centres) - 2.0 * np.array(nearest)
         sizes = [len(bounds) - 1 for bounds in cuts]
         starts = np.cumsum([0] + sizes).tolist()
@@ -338,7 +374,12 @@ class HierarchicalIndex:
         self._sig_bits = 0
         self._vectors: dict[str, np.ndarray] = {}
         self._signatures: dict[str, np.ndarray] = {}
-        self._rows: dict[str, np.ndarray] | None = None
+        # built by freeze(), all in bucket order: the finest stage's unit
+        # rows, each coarser stage's row norms, each row's insertion
+        # position and id; None buckets until then
+        self._rows: np.ndarray | None = None
+        self._norms: dict[str, np.ndarray] = {}
+        self._order = np.empty(0, dtype=np.intp)
         self._row_ids: list[str] = []
         self._buckets: Buckets | None = None
 
@@ -432,7 +473,7 @@ class HierarchicalIndex:
         self._ids.append(rid)
         self._labels.append(label)
         self._id_set.add(rid)
-        self._rows = None
+        self._rows = self._buckets = None
 
     def _reserve(self, rows: int) -> None:
         """Grow every matrix to at least `rows` rows, at least doubling it."""
@@ -467,13 +508,14 @@ class HierarchicalIndex:
             self._sig_bits = sig_width
             self._vectors, self._signatures = dict(vectors), dict(signatures)
         self._ids, self._labels, self._id_set = list(ids), list(labels), seen
-        self._rows = None
+        self._rows = self._buckets = None
 
     def freeze(self) -> None:
-        """Build each layer's unit-row matrix in bucket order, the row-to-id
-        list and the bucket table, once until the next add; queries
-        afterwards are read-only."""
-        if self._rows is not None or not len(self):
+        """Build, in bucket order, the finest stage's unit-row matrix, each
+        coarser stage's row norms, the row-to-insertion-position and
+        row-to-id lists and the bucket table, once until the next add;
+        queries afterwards are read-only."""
+        if self._buckets is not None or not len(self):
             return
         stages, n = self._stages, len(self)
         # each row's signature bytes coarse to fine, one column a byte: one
@@ -481,8 +523,9 @@ class HierarchicalIndex:
         # in the runs of the level above, ties in insertion order
         keys = np.concatenate([self._signatures[layer][:n] for layer in stages], axis=1)
         perm = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n)
-        rows = {layer: _unit_gather(self._vectors[layer], perm) for layer in self.layers}
-        self._row_ids = [self._ids[i] for i in perm.tolist()]
+        self._rows = _unit_gather(self._vectors[stages[-1]], perm)
+        self._norms = {layer: _gathered_norms(self._vectors[layer][:n], perm) for layer in stages[:-1]}
+        self._order, self._row_ids = perm, [self._ids[i] for i in perm.tolist()]
         # a level splits where its prefix changes; one of more than sqrt(n)
         # buckets ends the levels, and if the first does, one bucket is left
         keys = keys[perm]
@@ -494,8 +537,20 @@ class HierarchicalIndex:
             if (len(bounds) - 1) ** 2 > n:
                 break
             cuts.append(bounds)
-        self._buckets = Buckets.build([rows[layer] for layer in stages], cuts or [np.array([0, n])])
-        self._rows = rows  # last: a query that sees it sees the ids and buckets
+        self._buckets = Buckets.build(  # last: a query that sees it sees the rest
+            [partial(self._units, layer) for layer in stages], cuts or [np.array([0, n])], self._rows.shape[1]
+        )
+
+    def _units(self, layer: str, rows) -> np.ndarray:
+        """The unit rows of `layer` at the row positions `rows` (an index
+        array or a slice) of the frozen index. The finest stage's are read
+        from its matrix. A coarser stage's are made from its float32 rows,
+        gathered by insertion position, widened and divided by their cached
+        norms: `_normalise`'s bits (module docstring)."""
+        if layer == self._stages[-1]:
+            return self._rows[rows]
+        vectors = self._vectors[layer].take(self._order[rows], axis=0)
+        return np.divide(vectors, self._norms[layer][rows][:, None])
 
     def _spans(self, qn: np.ndarray):
         """(starts, stops) of the row ranges the staged scan must score for
@@ -548,7 +603,7 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k) -> np.ndarray:
         )
     # freeze() checks this too; calling it only to build keeps each of its
     # spans in the benchmark's trace a real build, not a per-query no-op
-    if index._rows is None:
+    if index._buckets is None:
         index.freeze()
     stages = index.stage_layers()
     shapes = [np.shape(q[layer]) for layer in stages]
@@ -556,7 +611,7 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k) -> np.ndarray:
         if len(shape) != 1:
             raise ValueError(f"query layer {layer}: expected a 1-D vector, got shape {shape}")
     # None: no record to be as wide as
-    width = shapes[0][0] if index._rows is None else index._rows[stages[0]].shape[1]
+    width = shapes[0][0] if index._rows is None else index._rows.shape[1]
     for layer, (wide,) in zip(stages, shapes):
         if wide != width:
             raise DimensionMismatchError(f"query layer {layer} vector is {wide} wide, not {width}")
@@ -567,13 +622,15 @@ def _prepare(index: HierarchicalIndex, q: dict, top_k) -> np.ndarray:
 def _scan(index: HierarchicalIndex, qn: np.ndarray, spans, top_k: int):
     """(id, distance) of the rows of the (start, stop) `spans` that pass
     every stage, nearest by the finest stage first, ties by id; at most
-    top_k. The finest stage scores each span as a view; its candidates are
-    then taken in batches nearest first, and a batch's rows are scored at
-    each coarser stage and their masks ANDed (module docstring)."""
-    *coarse, (fine, qf, tf) = [
-        (index._rows[layer], qv, index.thresholds.effective(layer))
+    top_k. The finest stage scores each span as a view of its unit rows;
+    its candidates are then taken in batches nearest first, and a batch's
+    rows are made at each coarser stage from their float32 rows and cached
+    norms, scored, and their masks ANDed (module docstring)."""
+    *coarse, (_, qf, tf) = [
+        (layer, qv, index.thresholds.effective(layer))
         for layer, qv in zip(index.stage_layers(), qn)
     ]
+    fine = index._rows
     rows, dists = [], []
     for start, stop in spans:
         d = unit_cosine_distances(fine[start:stop], qf)
@@ -590,8 +647,8 @@ def _scan(index: HierarchicalIndex, qn: np.ndarray, spans, top_k: int):
         cut = np.partition(dists, depth - 1)[depth - 1] if depth < len(dists) else np.inf
         batch = np.flatnonzero((dists > below) & (dists <= cut))
         passed, batch_rows = np.ones(len(batch), dtype=bool), rows[batch]
-        for layer_rows, qv, t in coarse:
-            passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t
+        for layer, qv, t in coarse:
+            passed &= unit_cosine_distances(index._units(layer, batch_rows), qv) <= t
         hits.append(batch[passed])
         found += int(np.count_nonzero(passed))
         depth, below = 2 * depth, cut

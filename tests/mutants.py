@@ -1,13 +1,16 @@
 """Mutation check: every derived rounding margin (pca's pre-test among them:
 its margin, its float32 bound and its float32 zero floor), the bucket table
 built on the index's columns (its sort key, its level cuts, the layer each
-level reads and its parent chain), the one scan both retrieval paths share
-(its span offset, its ranking by the finest stage, its batch cut with ties
-included, its stop at top_k hits and its AND of every coarse stage's mask),
-the filter's insert memo (its key's layer and the bit set on a hit), its
-`query` as the AND of every layer's `contains`, the gate's probe loop (its
-test of every layer's bit, and each layer signing its own vector) and the
-record store's version gate (a v1 store, or any version but 2, refused) must
+level reads, its parent chain, and each bucket's centre and radius over
+every block of its rows), the coarser stages' unit rows made from float32
+rows and cached norms (the norms' row order and layer), the one scan both
+retrieval paths share (its span offset, its ranking by the finest stage,
+its batch cut with ties included, its stop at top_k hits and its AND of
+every coarse stage's mask), the filter's insert memo (its key's layer and
+the bit set on a hit), its `query` as the AND of every layer's `contains`,
+the gate's probe loop (its test of every layer's bit, and each layer
+signing its own vector) and the record store's version gate (a v1 store,
+or any version but 2, refused) must
 have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
@@ -41,12 +44,13 @@ TYPEDDICT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationW
 BINSEQ_MARGIN = "margin = (2 * d + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t"
 PCA_PRETEST = "def proven_storable(model: PcaModel, x) -> bool:\n"
 PCA_FLOOR = "null = eig <= 4 * _U * max(n, dim) * trace + 4 * (n + 2) ** 2 * scaled_max.dot(scaled_max)"
-INDEX_EPS = "eps = 8 * (rows[0].shape[1] + 8) * 2.0**-53"
+INDEX_EPS = "eps = 8 * (width + 8) * 2.0**-53"
 INDEX_RADIUS = "np.sqrt(np.maximum(reach, 0.0) + eps)"
-INDEX_STAGES = "for layer, qv in zip(index.stage_layers(), qn)\n    ]"
+INDEX_FINE = "self._rows = _unit_gather(self._vectors[stages[-1]], perm)"
 INDEX_BOUND = "math.sqrt(max(2.0 * (self.thresholds.effective(layer) + table.eps), 0.0))"
 INDEX_LEVELS = "for layer in self._stages[:len(table.cuts)]"
-INDEX_COARSE = "passed &= unit_cosine_distances(layer_rows[batch_rows], qv) <= t"
+INDEX_COARSE = "passed &= unit_cosine_distances(index._units(layer, batch_rows), qv) <= t"
+INDEX_NORMS = "self._norms[layer][rows][:, None]"
 BLOOM_MISS = "pos = positions[key] = self._position(layer, data)\n"
 
 
@@ -105,8 +109,8 @@ MUTANTS = [
     Mutant("index: missing slice offset", "index.py", "rows.append(near + start)", "rows.append(near)", INDEX),
     Mutant("index: stage masks ORed", "index.py", INDEX_COARSE, INDEX_COARSE.replace("&=", "|="), INDEX),
     Mutant(
-        "index: ranked by the first stage's distance", "index.py", INDEX_STAGES,
-        INDEX_STAGES.replace("stage_layers(), qn)", "stage_layers()[::-1], qn[::-1])"), INDEX,
+        "index: ranked by the first stage's distance", "index.py", INDEX_FINE,
+        INDEX_FINE.replace("stages[-1]", "stages[0]"), INDEX,
     ),
     Mutant(
         "index: batch cut with < (drops ties)", "index.py",
@@ -118,12 +122,32 @@ MUTANTS = [
     ),
     Mutant(
         "index: a coarse stage skipped", "index.py",
-        "for layer_rows, qv, t in coarse:", "for layer_rows, qv, t in coarse[1:]:", INDEX,
+        "for layer, qv, t in coarse:", "for layer, qv, t in coarse[1:]:", INDEX,
     ),
     Mutant(
         "index: every level on the first stage's layer", "index.py",
-        "Buckets.build([rows[layer] for layer in stages],", "Buckets.build([rows[stages[0]] for layer in stages],",
+        "[partial(self._units, layer) for layer in stages]", "[partial(self._units, stages[0]) for layer in stages]",
         INDEX,
+    ),
+    Mutant(
+        "index: coarse norms indexed by insertion position", "index.py", INDEX_NORMS,
+        INDEX_NORMS.replace("[rows][", "[self._order[rows]]["), INDEX,
+    ),
+    Mutant(
+        "index: a batch's coarse rows divided by another layer's norms", "index.py", INDEX_NORMS,
+        INDEX_NORMS.replace("[layer]", "[self._stages[0]]"), INDEX,
+    ),
+    Mutant(
+        "index: a bucket's centre from its first block only", "index.py",
+        "for piece in pieces[1:]:", "for piece in pieces[1:1]:", INDEX,
+    ),
+    Mutant(
+        "index: a bucket's radius from its first block only", "index.py",
+        "blocks = [first] if len(pieces) == 1 else map(unit, pieces)", "blocks = [first]", INDEX,
+    ),
+    Mutant(
+        "index: coarse norms left in insertion order", "index.py",
+        "return np.concatenate(norms)[order]", "return np.concatenate(norms)", INDEX,
     ),
     Mutant(
         "index: each level at the threshold of the stage above", "index.py", INDEX_LEVELS,

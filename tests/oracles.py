@@ -26,7 +26,7 @@ import numpy as np
 from bloomretrieval import binseq, pca
 from bloomretrieval.bloom import LAYER_SEEDS
 from bloomretrieval.errors import InvalidVectorError
-from bloomretrieval.index import l2_normalize, unit_cosine_distances
+from bloomretrieval.index import l2_normalize, unit_cosine_distances, unit_rows
 from bloomretrieval.murmur3 import murmur3_x64_128
 
 
@@ -233,18 +233,20 @@ def eager_error(bundle, features):
 
 
 def naive_retrieval(index, q, top_k):
-    """(id, distance) pairs from the definition of retrieval: every row of
-    the frozen index scored at every stage by the one distance kernel over
-    the whole layer matrix, the stage masks ANDed, and every hit sorted by
-    (finest-stage distance, id); the first top_k."""
-    index.freeze()
-    if not len(index):
+    """(id, distance) pairs from the definition of retrieval: every stored
+    record's float32 vectors made unit rows by `unit_rows`, in insertion
+    order, scored at every stage by the one distance kernel, the stage masks
+    ANDed, and every hit sorted by (finest-stage distance, id); the first
+    top_k. It reads the record columns only, none of what `freeze()` builds."""
+    records = list(index.records)
+    if not records:
         return []
-    passed = np.ones(len(index), dtype=bool)
+    passed = np.ones(len(records), dtype=bool)
     for layer in index.stage_layers():  # coarse to fine: d ends on the finest
-        d = unit_cosine_distances(index._rows[layer], l2_normalize(q[layer]))
+        rows = unit_rows([r.compressed[layer] for r in records])
+        d = unit_cosine_distances(rows, l2_normalize(q[layer]))
         passed &= d <= index.thresholds.effective(layer)
-    hits = sorted((float(d[i]), index._row_ids[i]) for i in range(len(index)) if passed[i])
+    hits = sorted((float(d[i]), records[i].id) for i in range(len(records)) if passed[i])
     return [(rid, dist) for dist, rid in hits[:top_k]]
 
 

@@ -311,9 +311,13 @@ class TestQueries:
         assert first_seen != sorted(first_seen, key=lambda sig: sig.data)
         in_buckets = tuple_sorted(recs)
         assert idx._row_ids == [r.id for r in in_buckets]
+        # the finest stage's matrix, and each coarser stage's rows as a
+        # batch makes them, from the float32 rows and the cached norms
+        everything = np.arange(len(recs))
         for l in LAYERS3:
             want = unit_rows([r.compressed[l].astype(np.float32) for r in in_buckets])
-            assert np.array_equal(idx._rows[l], want)
+            got = idx._rows if l == "L1" else idx._units(l, everything)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEquivalence:
@@ -552,10 +556,17 @@ def levels(idx):
     return out
 
 
+def bucket_unit_rows(idx, layer):
+    """`unit_rows` of the stored float32 vectors on `layer`, in the frozen
+    index's row order: the definition of what its scan reads."""
+    idx.freeze()
+    by_id = {r.id: r for r in idx.records}
+    return unit_rows([by_id[rid].compressed[layer] for rid in idx._row_ids])
+
+
 def distances(idx, q, layer="L3"):
     """The kernel's distance on `layer` of every row, in row order."""
-    idx.freeze()
-    return unit_cosine_distances(idx._rows[layer], l2_normalize(q[layer]))
+    return unit_cosine_distances(bucket_unit_rows(idx, layer), l2_normalize(q[layer]))
 
 
 def ulps_around(x, count=3):
@@ -1049,6 +1060,101 @@ class TestLiveSpans:
         ts.scales = {}
         assert self.spans(idx, q) == before
         assert len(seen) > 2
+
+
+def float64_bytes(value, seen):
+    """The bytes of the float64 arrays `value` holds: itself, or reached
+    through dicts, lists, tuples and object attributes, each counted once."""
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return value.nbytes if value.dtype == np.float64 else 0
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(value, "__dict__"):
+        value = list(vars(value).values())
+    if not isinstance(value, (list, tuple)):
+        return 0
+    return sum(float64_bytes(v, seen) for v in value)
+
+
+def signed_records(rng, n, layers, dim=7, kinds=(2, 2, 3)):
+    """n records whose L3, L2 and L1 signatures each take one of `kinds`
+    values at random, so buckets at each level hold hundreds of rows."""
+    records = []
+    for i in range(n):
+        sigs = {
+            l: BinarySignature(width=8, data=bytes([int(rng.integers(k))]))
+            for l, k in zip(("L3", "L2", "L1"), kinds) if l in layers
+        }
+        records.append(FeatureRecord(f"r{i:04d}", "c", {l: rng.normal(size=dim) for l in layers}, sigs))
+    return records
+
+
+class TestRebuiltUnitRows:
+    """A coarser stage keeps no float64 matrix: every unit row a batch or the
+    bucket build makes from the float32 rows and the cached norms has the
+    bits `unit_rows` gives the float32 rows in bucket order, and the bucket
+    table equals one built from the whole unit matrices."""
+
+    @staticmethod
+    def check(idx):
+        idx.freeze()
+        n, stages = len(idx), idx.stage_layers()
+        full = {l: bucket_unit_rows(idx, l) for l in stages}
+        assert idx._rows.tobytes() == full[stages[-1]].tobytes()
+        shuffled = np.random.default_rng(0).permutation(n)
+        for l in stages:
+            for rows in (np.arange(n), shuffled, slice(0, n), slice(n // 3, n - 1)):
+                assert idx._units(l, rows).tobytes() == full[l][rows].tobytes()
+        table = idx._buckets
+        want = index_module.Buckets.build(
+            [full[l].__getitem__ for l in stages], table.cuts, full[stages[0]].shape[1]
+        )
+        assert table.centres.tobytes() == want.centres.tobytes()
+        assert table.radii.tobytes() == want.radii.tobytes()
+        # and by the definition: each centre the mean of its bucket's unit
+        # rows, each radius at least as far as its farthest row
+        for layer, level in zip(stages, levels(idx)):
+            for b, (start, stop) in enumerate(zip(level.bounds[:-1], level.bounds[1:])):
+                members = full[layer][start:stop]
+                assert np.allclose(level.centres[b], members.mean(axis=0), rtol=0, atol=1e-12)
+                assert level.radii[b] >= np.sqrt(np.max(np.sum((members - level.centres[b]) ** 2, axis=1)))
+        return table
+
+    @pytest.mark.parametrize("layers", [LAYERS3, ("L1", "L3"), ("L2",)])
+    def test_as_built(self, layers):
+        # a level at every stage, the first of buckets of more rows than
+        # freeze() makes at a time
+        idx = build_index(signed_records(np.random.default_rng(60), 700, layers), open_but("L3", 2.0), layers)
+        table = self.check(idx)
+        assert len(table.cuts) == len(layers)
+        assert max(np.diff(table.cuts[0])) > index_module._BLOCK
+
+    def test_loaded_from_disk(self, tmp_path):
+        idx = build_index(signed_records(np.random.default_rng(61), 600, LAYERS3), open_but("L3", 2.0))
+        save_records(tmp_path / "records.bin", idx)
+        back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, idx.thresholds), 7, 8)
+        assert not back._vectors["L3"].flags.writeable
+        self.check(back)
+
+    def test_frozen_again_after_an_add(self):
+        recs = signed_records(np.random.default_rng(62), 650, LAYERS3)
+        idx = build_index(recs[:400], open_but("L3", 2.0))
+        self.check(idx)
+        for r in recs[400:]:
+            idx.add(r)
+        assert len(self.check(idx).cuts[-1]) > 1 and len(idx._rows) == 650
+
+    def test_one_float64_matrix(self):
+        # what a frozen index holds in float64: the finest stage's n x d unit
+        # rows, n norms per coarser stage, and per bucket a centre and radius
+        n, d = 1500, 64
+        idx = build_index(signed_records(np.random.default_rng(63), n, LAYERS3, dim=d), open_but("L3", 2.0))
+        idx.freeze()
+        buckets = len(idx._buckets.radii)
+        assert float64_bytes(idx, set()) <= 8 * (n * d + 2 * n + buckets * (d + 1))
 
 
 class TestRecordsFile:
