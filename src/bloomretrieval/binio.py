@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagicError, DataFormatError, TruncatedFileError
+from .errors import BadMagicError, DataFormatError, DuplicateIdError, TruncatedFileError
 
 # the most UTF-8 bytes an id or label may hold: what a u16 length prefix counts
 MAX_TEXT = 0xFFFF
@@ -27,7 +27,7 @@ class Reader:
         self.off = 0
         self.what = what
         if self.take(len(magic)) != magic:
-            raise BadMagicError(f"bad {what} magic {blob[:len(magic)]!r}")
+            raise BadMagicError(f"bad {what} magic {bytes(blob[:len(magic)])!r}")
 
     def _skip(self, n: int) -> int:
         """Claim the next n bytes; returns their offset."""
@@ -51,9 +51,10 @@ class Reader:
 
     def text(self) -> str:
         """A u16 byte count, then that many bytes of UTF-8."""
-        n = int.from_bytes(self.take(2), "little")
+        head = self._skip(2)
+        start = self._skip(self.blob[head] | self.blob[head + 1] << 8)
         try:
-            return self.take(n).decode("utf-8")
+            return self.blob[start:self.off].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self._not_utf8(exc) from None
 
@@ -69,15 +70,25 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise self._not_utf8(exc) from None
 
+    def entries(self, count: int, size: int) -> tuple[list[str], list[str], list[int]]:
+        """`count` entries, each an id and a label (`text`) and then `size`
+        bytes: (their ids, their labels, the offsets of those bytes), read
+        front to back. An id met twice raises `DuplicateIdError` before
+        anything after it is read, so it wins over a later truncation."""
+        ids, labels, starts = [], [], []
+        seen = set()
+        for _ in range(count):
+            rid = self.text()
+            labels.append(self.text())
+            if rid in seen:
+                raise DuplicateIdError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+            ids.append(rid)
+            starts.append(self._skip(size))
+        return ids, labels, starts
+
     def _not_utf8(self, exc: UnicodeDecodeError) -> DataFormatError:
         return DataFormatError(f"{self.what}: text is not UTF-8 ({exc.reason})")
-
-    def floats(self, count: int) -> np.ndarray:
-        """The next `count` float32 values, as a new float32 array whose every
-        NaN is quiet: widening a signalling NaN makes numpy warn."""
-        x = self.array("<f4", count).astype(np.float32)
-        x[np.isnan(x)] = np.nan
-        return x
 
     def finite(self, count: int) -> np.ndarray:
         """The next `count` float32 values as a new float64 array, checked for
@@ -101,14 +112,18 @@ def too_long(rid: str, name: str, nbytes: int) -> DataFormatError:
     )
 
 
-def pack_id_label(record) -> bytes:
-    """A record's id and label, each as u16-length-prefixed UTF-8 (the layout
-    `Reader.text` reads), as the feature file holds them. Raises
-    `too_long` when either is too long for its prefix."""
-    packed = b""
-    for name, text in (("id", record.id), ("label", record.label)):
-        data = text.encode("utf-8")
-        if len(data) > MAX_TEXT:
-            raise too_long(record.id, name, len(data))
-        packed += struct.pack("<H", len(data)) + data
-    return packed
+def id_label_heads(records) -> list[bytes]:
+    """Each record's id and then its label, as u16-length-prefixed UTF-8
+    (the layout `Reader.text` reads), one bytes object a record. Raises
+    `too_long` for the first record whose id, or else whose label, is too
+    long for its prefix."""
+    heads = []
+    for rec in records:
+        rid = rec.id.encode("utf-8")
+        if len(rid) > MAX_TEXT:
+            raise too_long(rec.id, "id", len(rid))
+        lab = rec.label.encode("utf-8")
+        if len(lab) > MAX_TEXT:
+            raise too_long(rec.id, "label", len(lab))
+        heads.append(len(rid).to_bytes(2, "little") + rid + len(lab).to_bytes(2, "little") + lab)
+    return heads

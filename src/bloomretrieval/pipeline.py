@@ -30,18 +30,18 @@ import struct
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import binseq, pca
 from .binseq import BinarySignature, CentroidDictionary
-from .binio import Reader, pack_id_label
+from .binio import Reader, id_label_heads
 from .bloom import LAYERS, MAX_BITS, LayeredBloomFilter, optimal_bits
 from .errors import (
     ConfigMismatchError,
     DataFormatError,
-    DuplicateIdError,
     InconsistentDimsError,
     InvalidVectorError,
 )
@@ -58,6 +58,8 @@ from .index import (
 
 _MLHC_MAGIC = b"MLHC"
 _MLHC_VERSION = 1
+# bytes of rows `write_features` hands to one write, heads aside
+_WRITE_BYTES = 1 << 18
 
 
 def _is_int(value, low: int) -> bool:
@@ -176,57 +178,91 @@ class RawRecord:
 # MLHC feature files
 
 
+def _first_bad_record(records: list[RawRecord], layers: tuple, shapes: list) -> None:
+    """Raise the error of the first record, in record order, whose layer set
+    differs from the header's or, layer by layer, whose vector is not of the
+    first record's 1-D shape or holds a finite value beyond float32, which a
+    cast would write as an Inf. Run under `write_features`'s errstate."""
+    layer_set = set(layers)
+    for rec in records:
+        if rec.features.keys() != layer_set:
+            raise InconsistentDimsError(f"record {rec.id!r} layer set differs from header")
+        for layer, shape in zip(layers, shapes):
+            vec = np.asarray(rec.features[layer])
+            if vec.shape != shape or len(vec.shape) != 1:
+                raise InconsistentDimsError(
+                    f"record {rec.id!r} layer {layer} shape {vec.shape} != {shape}"
+                )
+            try:
+                vec.astype("<f4")
+            except FloatingPointError:
+                raise InvalidVectorError(
+                    f"record {rec.id!r} layer {layer} holds a value beyond float32"
+                ) from None
+
+
 def write_features(path, records: list[RawRecord]) -> None:
-    """Write an MLHC feature file. Every record is checked first (its layer
-    set and 1-D shapes against the first record's, a finite value beyond
-    float32, which would be written as an Inf, and its id and label
-    lengths), so a bad record raises before the file is opened. A NaN or an
-    Inf is written as it is."""
+    """Write an MLHC feature file. Every record is checked before the file
+    is opened, so a bad one raises and writes nothing. The first error in
+    record order is raised: a layer set other than the first record's, then
+    layer by layer a shape other than the first record's 1-D one, then a
+    finite value beyond float32, which would be written as an Inf; only
+    when every record passes those, an id and then a label of more than
+    `MAX_TEXT` UTF-8 bytes. A NaN or an Inf is written as it is; a float64
+    signalling NaN becomes the quiet NaN its float32 cast gives.
+
+    The features go into one (n, Σd) float32 matrix, each layer's column
+    block cast from every record's vector in one assignment; only when that
+    fails are the records scanned one by one to name the first bad one.
+    Records and their id/label heads are then written in chunks of about
+    `_WRITE_BYTES`."""
     layers = LAYERS[: len(records[0].features)] if records else ()
     if records and not layers:
         raise InconsistentDimsError(f"record {records[0].id!r} has no layers")
     shapes = [np.shape(records[0].features.get(layer)) for layer in layers]
     layer_set = set(layers)
-    rows = []
-    # a cast overflows only from a finite value beyond float32
-    with np.errstate(over="raise"):
-        for rec in records:
-            if rec.features.keys() != layer_set:
-                raise InconsistentDimsError(
-                    f"record {rec.id!r} layer set differs from header"
-                )
-            row = []
-            for layer, shape in zip(layers, shapes):
-                # not np.shape: its per-call dispatch triples this loop's cost
-                vec = np.asarray(rec.features[layer])
-                if vec.shape != shape or len(vec.shape) != 1:
-                    raise InconsistentDimsError(
-                        f"record {rec.id!r} layer {layer} shape {vec.shape} != {shape}"
-                    )
-                try:
-                    row.append(np.asarray(vec, dtype="<f4").tobytes())
-                except FloatingPointError:
-                    raise InvalidVectorError(
-                        f"record {rec.id!r} layer {layer} holds a value beyond float32"
-                    ) from None
-            rows.append(b"".join(row))
-    heads = [pack_id_label(rec) for rec in records]
+    # a cast overflows only from a finite value beyond float32; a float64
+    # signalling NaN cast to float32 is made quiet, which is no error
+    with np.errstate(over="raise", invalid="ignore"):
+        try:
+            if any(len(shape) != 1 for shape in shapes) or any(
+                rec.features.keys() != layer_set for rec in records
+            ):
+                raise InconsistentDimsError("a layer set or shape differs")  # named below
+            dims = [d for (d,) in shapes]
+            bounds = np.cumsum([0, *dims]).tolist()
+            matrix = np.empty((len(records), bounds[-1]), "<f4")
+            for layer, a, b in zip(layers, bounds, bounds[1:]):
+                matrix[:, a:b] = [rec.features[layer] for rec in records]
+        except (InconsistentDimsError, ValueError, FloatingPointError):
+            _first_bad_record(records, layers, shapes)
+            raise
+    heads = id_label_heads(records)
+    step = max(1, _WRITE_BYTES // max(1, 4 * bounds[-1]))  # records a write
     with open(path, "wb") as fh:
         fh.write(_MLHC_MAGIC)
-        fh.write(struct.pack("<HQB", _MLHC_VERSION, len(records), len(layers)))
-        for (d,) in shapes:
-            fh.write(struct.pack("<I", d))
-        for head, row in zip(heads, rows):
-            fh.write(head)
-            fh.write(row)
+        fh.write(struct.pack(f"<HQB{len(dims)}I", _MLHC_VERSION, len(records), len(dims), *dims))
+        for i in range(0, len(records), step):
+            fh.write(b"".join(chain.from_iterable(zip(heads[i:i + step], matrix[i:i + step]))))
 
 
 def read_features(path) -> list[RawRecord]:
-    """Parse an MLHC feature file into raw records. A record's features are
-    float32 as stored, every NaN made quiet (`Reader.floats`), one array per
-    record with a view per layer; each consumer widens what it computes
-    with."""
-    r = Reader(Path(path).read_bytes(), "feature file", _MLHC_MAGIC)
+    """Parse an MLHC feature file into raw records. The errors a file can
+    raise come in file order: a bad header, then record by record a
+    truncated or non-UTF-8 id or label, an id met before, a truncated
+    vector; then trailing bytes.
+
+    The file is read into one writable buffer, and every record's floats
+    are moved to its front, where they make one float32 matrix: as stored,
+    but with every NaN made quiet (widening a signalling NaN makes numpy
+    warn). A record's features are views of its own row, one a layer, so
+    keeping any record keeps the whole file's matrix alive. Each consumer
+    widens what it computes with."""
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+        blob += fh.read()  # what the size missed, as a pipe's would be
+    r = Reader(blob, "feature file", _MLHC_MAGIC)
     version, count, layer_count = r.unpack("HQB")
     if version != _MLHC_VERSION:
         raise DataFormatError(f"unsupported feature file version {version}")
@@ -235,20 +271,26 @@ def read_features(path) -> list[RawRecord]:
         raise DataFormatError(f"feature file layer count {layer_count} is not 1..3")
     layers = LAYERS[:layer_count]
     bounds = np.cumsum([0, *(r.unpack("I")[0] for _ in layers)]).tolist()
-
-    records = []
-    seen = set()
-    for _ in range(count):
-        rid = r.text()
-        lab = r.text()
-        if rid in seen:
-            raise DuplicateIdError(f"duplicate record id {rid!r}")
-        seen.add(rid)
-        row = r.floats(bounds[-1])
-        features = {layer: row[a:b] for layer, a, b in zip(layers, bounds, bounds[1:])}
-        records.append(RawRecord(rid, lab, features))
+    size = 4 * bounds[-1]
+    ids, labels, starts = r.entries(count, size)
     r.end()
-    return records
+    # the rows move to the front of the file's own buffer, each to an
+    # offset at or before its own, so the matrix takes no second buffer
+    with memoryview(blob) as view:
+        for k, start in enumerate(starts):
+            view[k * size:(k + 1) * size] = view[start:start + size]
+    del blob[count * size:]
+    matrix = np.frombuffer(blob, "<f4").reshape(count, bounds[-1])
+    # min propagates a NaN, so one reduction, with no mask the size of the
+    # matrix, finds whether there is any; a signalling one sets the flag
+    with np.errstate(invalid="ignore"):
+        if np.isnan(matrix.min(initial=0.0)):
+            matrix[np.isnan(matrix)] = np.nan
+    columns = [list(matrix[:, a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [
+        RawRecord(rid, lab, dict(zip(layers, views)))
+        for rid, lab, *views in zip(ids, labels, *columns)
+    ]
 
 
 # ---------------------------------------------------------------------------

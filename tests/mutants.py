@@ -9,19 +9,22 @@ its batch cut with ties included, its stop at top_k hits and its AND of
 every coarse stage's mask), the filter's insert memo (its key's layer and
 the bit set on a hit), its `query` as the AND of every layer's `contains`,
 the gate's probe loop (its test of every layer's bit, and each layer
-signing its own vector) and the record store's version gate (a v1 store,
-or any version but 2, refused) must
-have a test that fails when they are broken.
+signing its own vector), the record store's version gate (a v1 store,
+or any version but 2, refused) and the feature-file codec (the reader's
+NaN-quieting pass and the NaN test that gates it, its row offsets past
+each label, its duplicate-id check before a later truncation; the
+writer's column block offsets and its scan that names the first bad
+record) must have a test that fails when they are broken.
 
     python tests/mutants.py           # every mutant
     python tests/mutants.py index     # the mutants whose name starts so
 
 Each mutant is one exact source substitution in one file under
-src/bloomretrieval/, paired with the test files that must catch it. For
-each, src/ is copied to a temporary directory, the substitution applied,
-and the paired tests run with that copy first on the import path, under
-CI's tier-1 flags and with -x. The unmutated copy must pass every paired
-test file first. The check fails when that baseline fails, when a substitution's
+src/bloomretrieval/, paired with the test files, or the one named test,
+that must catch it. For each, src/ is copied to a temporary directory, the
+substitution applied, and the paired tests run with that copy first on the
+import path, under CI's tier-1 flags and with -x. The unmutated copy must
+pass every paired test first. The check fails when that baseline fails, when a substitution's
 target text is missing or not unique, or when a mutant's tests all pass.
 pytest does not collect this file: its name does not start with "test".
 """
@@ -52,6 +55,12 @@ INDEX_LEVELS = "for layer in self._stages[:len(table.cuts)]"
 INDEX_COARSE = "passed &= unit_cosine_distances(index._units(layer, batch_rows), qv) <= t"
 INDEX_NORMS = "self._norms[layer][rows][:, None]"
 BLOOM_MISS = "pos = positions[key] = self._position(layer, data)\n"
+CODEC_ENTRY = """            if rid in seen:
+                raise DuplicateIdError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+            ids.append(rid)
+            starts.append(self._skip(size))
+"""
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,7 @@ INDEX = ("tests/test_index.py", "tests/test_lifecycle.py")
 PCA = ("tests/test_pca.py",)
 GATE = ("tests/test_pipeline.py", "tests/test_lifecycle.py")
 PRETEST = ("tests/test_pca.py", "tests/test_pipeline.py")
+CODEC = "tests/test_codec.py"  # each codec mutant runs the one test that must catch it
 
 MUTANTS = [
     Mutant("binseq: margin 0", "binseq.py", BINSEQ_MARGIN, "margin = 0.0", BINSEQ),
@@ -212,6 +222,36 @@ MUTANTS = [
         "> margin + _F32_TINY", "> margin", PRETEST,
     ),
     Mutant("pca: pre-test always passes", "pca.py", PCA_PRETEST, PCA_PRETEST + "    return True\n", PRETEST),
+    Mutant(
+        "codec: reader's NaN-quieting pass dropped", "pipeline.py",
+        "matrix[np.isnan(matrix)] = np.nan\n", "pass\n", (f"{CODEC}::test_read_quiets_every_nan",),
+    ),
+    Mutant(
+        "codec: reader's NaN test by fmin, which skips a NaN", "pipeline.py",
+        "np.isnan(matrix.min(initial=0.0))", "np.isnan(np.fmin.reduce(matrix, axis=None, initial=0.0))",
+        (f"{CODEC}::test_read_quiets_every_nan",),
+    ),
+    Mutant(
+        "codec: writer's culprit scan names the last bad record", "pipeline.py",
+        "    for rec in records:\n        if rec.features.keys() != layer_set:",
+        "    for rec in records[::-1]:\n        if rec.features.keys() != layer_set:",
+        (f"{CODEC}::test_writer_names_first_bad_record",),
+    ),
+    Mutant(
+        "codec: a row read from the label's offset, not past it", "binio.py",
+        "starts.append(self._skip(size))", "starts.append(self._skip(size) - 2 - len(labels[-1].encode()))",
+        ("tests/test_pipeline.py::TestFeatureFiles::test_hand_crafted_fixture",),
+    ),
+    Mutant(
+        "codec: a layer's column block written at the wrong offset", "pipeline.py",
+        "matrix[:, a:b] = [", "matrix[:, bounds[-1] - b:bounds[-1] - a] = [",
+        (f"{CODEC}::test_layer_blocks_at_their_offsets",),
+    ),
+    Mutant(
+        "codec: duplicate-id check after the truncation check", "binio.py", CODEC_ENTRY,
+        "            starts.append(self._skip(size))\n" + CODEC_ENTRY.replace("            starts.append(self._skip(size))\n", ""),
+        (f"{CODEC}::test_duplicate_id_before_truncation",),
+    ),
     Mutant("pca: floor 0", "pca.py", PCA_FLOOR, "null = eig <= 0.0", PCA),
     Mutant("pca: floor x 1e6", "pca.py", PCA_FLOOR, f"null = eig <= 1e6 * ({PCA_FLOOR.split('<= ', 1)[1]})", PCA),
     Mutant(

@@ -10,7 +10,9 @@ one dot product over two norms, a signature's bits are read byte by byte,
 a signature is the L2 distance to every centroid at once, as
 `np.linalg.norm` computes it, a reconstruction is the textbook
 mean + basisᵀy, a v1 record store, which must be refused, is written
-record by record, as the store was before v2, a filter's verdict on a
+record by record, as the store was before v2, an MLHC feature file is
+written and read record by record, as the codec was before it moved whole
+files as one float32 matrix, a filter's verdict on a
 query signs every layer first and then ANDs its bits, as the gate did
 before it probed L3 first, a retrieval scores every row at every stage,
 with no bucket skipped and no batch, and sorts every hit, and the spans a
@@ -20,12 +22,20 @@ with no bucket table.
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from bloomretrieval import binseq, pca
-from bloomretrieval.bloom import LAYER_SEEDS
-from bloomretrieval.errors import InvalidVectorError
+from bloomretrieval.binio import MAX_TEXT, Reader, too_long
+from bloomretrieval.bloom import LAYER_SEEDS, LAYERS
+from bloomretrieval.errors import (
+    DataFormatError,
+    DuplicateIdError,
+    InconsistentDimsError,
+    InvalidVectorError,
+)
+from bloomretrieval.pipeline import RawRecord
 from bloomretrieval.index import l2_normalize, unit_cosine_distances, unit_rows
 from bloomretrieval.murmur3 import murmur3_x64_128
 
@@ -191,6 +201,81 @@ def write_records_v1(path, records, layers):
                 sig = rec.signatures[layer].data
                 fh.write(struct.pack("<I", len(vec)) + vec.tobytes())
                 fh.write(struct.pack("<H", len(sig)) + sig)
+
+
+def write_features_per_record(path, records):
+    """An MLHC feature file written record by record, as `write_features`
+    was before it cast each layer's column block at once: every record's
+    layer set, each layer's shape and its float32 cast checked in record
+    order, then every id and label packed, then the file written. Raises
+    what `write_features` must raise, for the same record."""
+    layers = LAYERS[: len(records[0].features)] if records else ()
+    if records and not layers:
+        raise InconsistentDimsError(f"record {records[0].id!r} has no layers")
+    shapes = [np.shape(records[0].features.get(layer)) for layer in layers]
+    rows = []
+    with np.errstate(over="raise"):
+        for rec in records:
+            if rec.features.keys() != set(layers):
+                raise InconsistentDimsError(f"record {rec.id!r} layer set differs from header")
+            row = []
+            for layer, shape in zip(layers, shapes):
+                vec = np.asarray(rec.features[layer])
+                if vec.shape != shape or len(vec.shape) != 1:
+                    raise InconsistentDimsError(
+                        f"record {rec.id!r} layer {layer} shape {vec.shape} != {shape}"
+                    )
+                try:
+                    row.append(np.asarray(vec, dtype="<f4").tobytes())
+                except FloatingPointError:
+                    raise InvalidVectorError(
+                        f"record {rec.id!r} layer {layer} holds a value beyond float32"
+                    ) from None
+            rows.append(b"".join(row))
+    heads = []
+    for rec in records:
+        head = b""
+        for name, text in (("id", rec.id), ("label", rec.label)):
+            data = text.encode("utf-8")
+            if len(data) > MAX_TEXT:
+                raise too_long(rec.id, name, len(data))
+            head += struct.pack("<H", len(data)) + data
+        heads.append(head)
+    with open(path, "wb") as fh:
+        fh.write(b"MLHC" + struct.pack("<HQB", 1, len(records), len(layers)))
+        for (d,) in shapes:
+            fh.write(struct.pack("<I", d))
+        for head, row in zip(heads, rows):
+            fh.write(head + row)
+
+
+def read_features_per_record(path):
+    """An MLHC feature file read record by record, as `read_features` was
+    before it gathered one matrix: each record's id and label, its duplicate
+    check, then its own float32 array with every NaN made quiet and a view
+    of it per layer."""
+    r = Reader(Path(path).read_bytes(), "feature file", b"MLHC")
+    version, count, layer_count = r.unpack("HQB")
+    if version != 1:
+        raise DataFormatError(f"unsupported feature file version {version}")
+    if layer_count > len(LAYERS) or (count and not layer_count):
+        raise DataFormatError(f"feature file layer count {layer_count} is not 1..3")
+    layers = LAYERS[:layer_count]
+    bounds = np.cumsum([0, *(r.unpack("I")[0] for _ in layers)]).tolist()
+    records = []
+    seen = set()
+    for _ in range(count):
+        rid = r.text()
+        lab = r.text()
+        if rid in seen:
+            raise DuplicateIdError(f"duplicate record id {rid!r}")
+        seen.add(rid)
+        row = r.array("<f4", bounds[-1]).astype(np.float32)
+        row[np.isnan(row)] = np.nan
+        features = {layer: row[a:b] for layer, a, b in zip(layers, bounds, bounds[1:])}
+        records.append(RawRecord(rid, lab, features))
+    r.end()
+    return records
 
 
 def filter_positions(bundle, features):
