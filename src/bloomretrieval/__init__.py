@@ -20,8 +20,8 @@ from .index import (
     ThresholdSet,
     brute_force_scan,
     calibrate_thresholds,
-    l2_normalize,
     query_hierarchical,
+    unit_rows,
 )
 from .murmur3 import murmur3_x64_128
 from .pca import PcaModel, fit_pca, project
@@ -69,7 +69,6 @@ __all__ = [
     "fp_probability",
     "gated_query",
     "init_dictionary",
-    "l2_normalize",
     "murmur3_x64_128",
     "optimal_bits",
     "project",
@@ -77,5 +76,6 @@ __all__ = [
     "read_features",
     "synth_generate",
     "train",
+    "unit_rows",
     "write_features",
 ]

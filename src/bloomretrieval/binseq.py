@@ -169,10 +169,12 @@ def sign_rows(dictionaries, X: np.ndarray, xx: list[float]) -> np.ndarray:
     packed uint8 matrix, for dictionaries of one width and dim, given each
     row's squared norm xx[i] in any summation order (the margin covers it):
     one pre-test product a row, then one sign and one pack over every row,
-    and the definition for each bit of a row within the row's margin."""
+    and the definition for each bit of a row within the row's margin. One
+    reduction tests the smallest |g| of every row against the widest
+    margin; only when that fails is each row tested against its own."""
     g = np.empty((len(X), len(dictionaries[0].centroids)))
     d = X.shape[1]
-    band = []  # (row, margin) of each row with a bit the pre-test leaves open
+    margins = []
     for i, dictionary in enumerate(dictionaries):
         t, s, gx = dictionary.threshold, xx[i], g[i]
         reach = dictionary._max_norm + math.sqrt(s)
@@ -180,15 +182,17 @@ def sign_rows(dictionaries, X: np.ndarray, xx: list[float]) -> np.ndarray:
             dictionary.centroids.dot(X[i], out=gx)
             gx -= dictionary._half_sq_norms
             gx -= (s - t * t) / 2
-            margin = (2 * d + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t
-            if np.minimum.reduce(abs(gx), initial=math.inf) > margin:
-                continue
+            margins.append((2 * d + 16) * (_U * reach * reach + _ETA) + 4 * _U * t * t)
         else:  # every bit of the row takes the definition
             gx[:] = 0.0
-            margin = math.inf
-        band.append((i, margin))
+            margins.append(math.inf)
     bits = g > 0
-    for i, margin in band:
+    if np.minimum.reduce(abs(g), axis=None, initial=math.inf) > max(margins):
+        return np.packbits(bits, axis=1, bitorder="little")
+    for i, margin in enumerate(margins):
+        # one row: the reduction above was its own test
+        if len(margins) > 1 and np.minimum.reduce(abs(g[i]), initial=math.inf) > margin:
+            continue
         dictionary, near = dictionaries[i], np.abs(g[i]) <= margin
         distance = np.sqrt(np.add.reduce((dictionary.centroids[near] - X[i]) ** 2, axis=1))
         bits[i, near] = distance < dictionary.threshold

@@ -23,9 +23,9 @@ filter was built with, and stops at the first clear bit. Membership is the
 AND of the k bits, so the order changes no verdict and leaves Eq. 1 as it
 is. What it changes is the work: a query that misses at L3 hashes one
 signature. The pipeline's gate walks `probe_order` itself: it projects and
-signs a layer only when it reaches it and tests that layer's bit from the
-signature bytes (`_contains`, what `contains` runs), so a query that misses
-at L3 is projected and signed once too.
+signs a layer only when it reaches it and tests that layer's bit with
+`contains`, the probe `query` runs, so a query that misses at L3 is
+projected and signed once too.
 
 `insert` hashes each distinct signature once per filter object. It keeps a
 memo from (layer, signature bytes) to bit position, one entry for each
@@ -133,11 +133,9 @@ class LayeredBloomFilter:
     def k(self) -> int:
         return len(self.layers)
 
-    def position_for(self, layer: str, sig: BinarySignature) -> int:
-        """Murmur3 x64_128(signature bytes, layer seed), low word mod m."""
-        return self._position(layer, sig.data)
-
-    def _position(self, layer: str, data: bytes) -> int:
+    def position(self, layer: str, data: bytes) -> int:
+        """Murmur3 x64_128(signature bytes, layer seed), low word mod m;
+        `ValueError` for an unknown layer."""
         try:
             seed = LAYER_SEEDS[layer]
         except KeyError:
@@ -168,17 +166,14 @@ class LayeredBloomFilter:
             key = layer, data
             pos = positions.get(key)
             if pos is None:
-                pos = positions[key] = self._position(layer, data)
+                pos = positions[key] = self.position(layer, data)
             self.bits[pos >> 3] |= 1 << (pos & 7)
         self.inserted_count += 1
 
-    def contains(self, layer: str, sig: BinarySignature) -> bool:
-        """Whether the bit at `position_for(layer, sig)` is set; False means
-        no record inserted has `sig` at `layer`."""
-        return self._contains(layer, sig.data)
-
-    def _contains(self, layer: str, data: bytes) -> bool:
-        pos = self._position(layer, data)
+    def contains(self, layer: str, data: bytes) -> bool:
+        """Whether the bit at `position(layer, data)` is set; False means no
+        record inserted has the signature bytes `data` at `layer`."""
+        pos = self.position(layer, data)
         return bool((self.bits[pos >> 3] >> (pos & 7)) & 1)
 
     def query(self, sigs: Mapping[str, BinarySignature]) -> bool:
@@ -186,7 +181,7 @@ class LayeredBloomFilter:
         by `contains` and returns at the first clear bit, reading no
         signature past it."""
         self._check_layers(sigs)
-        return all(self.contains(layer, sigs[layer]) for layer in self.probe_order)
+        return all(self.contains(layer, sigs[layer].data) for layer in self.probe_order)
 
     def set_bit_count(self) -> int:
         return sum(b.bit_count() for b in self.bits)

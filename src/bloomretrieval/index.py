@@ -77,8 +77,8 @@ one bucket, cut at [0, n], over the same sorted rows, and runs the same
 code. When no bucket is skipped the staged path scans the one span of
 every row, as the brute-force path does. The columns and the record store
 keep insertion order; only the finest stage's unit rows, the coarser
-stages' norms and the row-to-id list are in bucket order, and ranking ties
-break by id, so the order changes no answer.
+stages' norms and the row-to-insertion-position map are in bucket order,
+and ranking ties break by id, so the order changes no answer.
 
 eps bounds the rounding of the kernel and of c and r on a level's layer;
 nothing in it depends on the layer but the width d of its rows, and every
@@ -204,15 +204,6 @@ def _gathered_norms(matrix: np.ndarray, order: np.ndarray) -> np.ndarray:
         for start in range(0, len(matrix), _BLOCK)
     ]
     return np.concatenate(norms)[order]
-
-
-def l2_normalize(a) -> np.ndarray:
-    """A 1-D vector scaled to unit L2 norm, with the bits `unit_rows` gives
-    it as a row; the same errors, and `ValueError` for input that is not 1-D."""
-    v = np.asarray(a, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return unit_rows(v[None, :])[0]
 
 
 def unit_cosine_distances(rows: np.ndarray, qn: np.ndarray) -> np.ndarray:
@@ -375,12 +366,11 @@ class HierarchicalIndex:
         self._vectors: dict[str, np.ndarray] = {}
         self._signatures: dict[str, np.ndarray] = {}
         # built by freeze(), all in bucket order: the finest stage's unit
-        # rows, each coarser stage's row norms, each row's insertion
-        # position and id; None buckets until then
+        # rows, each coarser stage's row norms and each row's insertion
+        # position; None buckets until then
         self._rows: np.ndarray | None = None
         self._norms: dict[str, np.ndarray] = {}
         self._order = np.empty(0, dtype=np.intp)
-        self._row_ids: list[str] = []
         self._buckets: Buckets | None = None
 
     def __len__(self) -> int:
@@ -512,9 +502,9 @@ class HierarchicalIndex:
 
     def freeze(self) -> None:
         """Build, in bucket order, the finest stage's unit-row matrix, each
-        coarser stage's row norms, the row-to-insertion-position and
-        row-to-id lists and the bucket table, once until the next add;
-        queries afterwards are read-only."""
+        coarser stage's row norms, each row's insertion position and the
+        bucket table, once until the next add; queries afterwards are
+        read-only."""
         if self._buckets is not None or not len(self):
             return
         stages, n = self._stages, len(self)
@@ -525,7 +515,7 @@ class HierarchicalIndex:
         perm = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(n)
         self._rows = _unit_gather(self._vectors[stages[-1]], perm)
         self._norms = {layer: _gathered_norms(self._vectors[layer][:n], perm) for layer in stages[:-1]}
-        self._order, self._row_ids = perm, [self._ids[i] for i in perm.tolist()]
+        self._order = perm
         # a level splits where its prefix changes; one of more than sqrt(n)
         # buckets ends the levels, and if the first does, one bucket is left
         keys = keys[perm]
@@ -658,7 +648,7 @@ def _scan(index: HierarchicalIndex, qn: np.ndarray, spans, top_k: int):
         # only hits as near as the top_k-th nearest can rank, ties included
         near = dists <= np.partition(dists, top_k - 1)[top_k - 1]
         rows, dists = rows[near], dists[near]
-    ranked = sorted(zip(dists.tolist(), (index._row_ids[i] for i in rows.tolist())))
+    ranked = sorted(zip(dists.tolist(), (index._ids[i] for i in index._order[rows].tolist())))
     return [(rid, d) for d, rid in ranked[:top_k]]
 
 

@@ -309,11 +309,12 @@ class TrainedBundle:
         return HierarchicalIndex(self.config.active_layers, self.thresholds)
 
 
-def _require_layers(bundle: TrainedBundle, features, who: str) -> None:
-    """`ConfigMismatchError`, naming `who`, for the first active layer
-    `features` lacks."""
+def _require_layers(bundle: TrainedBundle, features, rid: str | None = None) -> None:
+    """`ConfigMismatchError` for the first active layer `features` lacks,
+    naming the record `rid`, or the query when it is None."""
     for layer in bundle.config.active_layers:
         if layer not in features:
+            who = "query" if rid is None else f"record {rid!r}"
             raise ConfigMismatchError(f"{who} missing layer {layer}")
 
 
@@ -331,20 +332,26 @@ def _compress(models, xs) -> tuple[np.ndarray, np.ndarray, list]:
     return vectors, wide, wide.dot(wide.T).diagonal().tolist()
 
 
-def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
-    """One raw record as the index and the filter read it: every active
-    layer projected by `_compress`, in layer order, and only then signed, so
-    a bad raw vector raises before any layer is signed. A missing active
-    layer raises `ConfigMismatchError` before any is projected."""
+def _compress_and_sign(bundle: TrainedBundle, raw: RawRecord) -> tuple[np.ndarray, list, np.ndarray]:
+    """A raw record's active layers, in layer order, through the kernel:
+    (float32 vectors, their squared norms, packed signatures), one row a
+    layer. Every layer is projected by `_compress` and only then signed by
+    `binseq.sign_rows`, so a bad raw vector raises before any layer is
+    signed. A missing active layer raises `ConfigMismatchError` before any
+    is projected."""
     layers = bundle.config.active_layers
-    _require_layers(bundle, raw.features, f"record {raw.id!r}")
+    _require_layers(bundle, raw.features, raw.id)
     models = [bundle.pca_models[layer] for layer in layers]
     vectors, wide, sq = _compress(models, [raw.features[layer] for layer in layers])
-    dictionaries = [bundle.dictionaries[layer] for layer in layers]
-    signatures = {
-        layer: BinarySignature(d.signature_width, row.tobytes())
-        for layer, d, row in zip(layers, dictionaries, binseq.sign_rows(dictionaries, wide, sq))
-    }
+    return vectors, sq, binseq.sign_rows([bundle.dictionaries[layer] for layer in layers], wide, sq)
+
+
+def compress_record(bundle: TrainedBundle, raw: RawRecord) -> FeatureRecord:
+    """One raw record as the index and the filter read it, with the errors
+    of `_compress_and_sign`."""
+    vectors, _, packed = _compress_and_sign(bundle, raw)
+    layers, width = bundle.config.active_layers, bundle.config.centroid_count
+    signatures = {layer: BinarySignature(width, row.tobytes()) for layer, row in zip(layers, packed)}
     return FeatureRecord(raw.id, raw.label, dict(zip(layers, vectors)), signatures)
 
 
@@ -398,21 +405,19 @@ def train(config: PipelineConfig, records: list[RawRecord]) -> TrainedBundle:
 
 
 def add_record(bundle: TrainedBundle, index: HierarchicalIndex, raw: RawRecord) -> None:
-    """Compress and sign every active layer of the record at once (`_compress`,
-    then `binseq.sign_rows`), append the rows to the index and set the
-    filter's bits from the same packed signatures. The errors, and their
-    order, are those of `compress_record`, `HierarchicalIndex.add` and
-    `insert` in turn: a missing layer, then a bad raw vector in layer
-    order, then a stored id, then the first layer that compresses to zero;
-    nothing is stored or inserted on any of them."""
-    layers = bundle.config.active_layers
-    _require_layers(bundle, raw.features, f"record {raw.id!r}")
-    models = [bundle.pca_models[layer] for layer in layers]
-    vectors, wide, sq = _compress(models, [raw.features[layer] for layer in layers])
-    signatures = binseq.sign_rows([bundle.dictionaries[layer] for layer in layers], wide, sq)
+    """Compress and sign every active layer of the record at once
+    (`_compress_and_sign`), append the rows to the index and set the
+    filter's bits from the same packed signatures, one `tobytes()` sliced a
+    layer. The errors, and their order, are those of `compress_record`,
+    `HierarchicalIndex.add` and `insert` in turn: a missing layer, then a
+    bad raw vector in layer order, then a stored id, then the first layer
+    that compresses to zero; nothing is stored or inserted on any of them."""
+    vectors, sq, signatures = _compress_and_sign(bundle, raw)
     # the index first: a record it rejects must not reach the filter
     index._append(raw.id, raw.label, vectors, sq, signatures, bundle.config.centroid_count)
-    bundle.filter._insert(layers, [row.tobytes() for row in signatures])
+    data, width = signatures.tobytes(), signatures.shape[1]
+    rows = [data[i:i + width] for i in range(0, len(data), width)]
+    bundle.filter._insert(bundle.config.active_layers, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +455,7 @@ def gated_query(
     call of one row."""
     k = bundle.config.top_k if top_k is None else top_k
     check_top_k(k)
-    _require_layers(bundle, features, "query")
+    _require_layers(bundle, features)
     probe = bundle.filter.probe_order
     projected = {
         layer: _compress((bundle.pca_models[layer],), (features[layer],))
@@ -465,7 +470,7 @@ def gated_query(
         if kernel is None:
             kernel = projected[layer] = _compress((bundle.pca_models[layer],), (features[layer],))
         data = binseq.sign_rows((bundle.dictionaries[layer],), kernel[1], kernel[2]).tobytes()
-        if not bundle.filter._contains(layer, data):
+        if not bundle.filter.contains(layer, data):
             return QueryResult(rejected=True, results=[])
     vectors = {layer: kernel[0][0] for layer, kernel in projected.items()}
     return QueryResult(rejected=False, results=query_hierarchical(index, vectors, k))

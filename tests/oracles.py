@@ -36,7 +36,7 @@ from bloomretrieval.errors import (
     InvalidVectorError,
 )
 from bloomretrieval.pipeline import RawRecord
-from bloomretrieval.index import l2_normalize, unit_cosine_distances, unit_rows
+from bloomretrieval.index import unit_cosine_distances, unit_rows
 from bloomretrieval.murmur3 import murmur3_x64_128
 
 
@@ -329,7 +329,7 @@ def naive_retrieval(index, q, top_k):
     passed = np.ones(len(records), dtype=bool)
     for layer in index.stage_layers():  # coarse to fine: d ends on the finest
         rows = unit_rows([r.compressed[layer] for r in records])
-        d = unit_cosine_distances(rows, l2_normalize(q[layer]))
+        d = unit_cosine_distances(rows, unit_rows([q[layer]])[0])
         passed &= d <= index.thresholds.effective(layer)
     hits = sorted((float(d[i]), records[i].id) for i in range(len(records)) if passed[i])
     return [(rid, dist) for dist, rid in hits[:top_k]]
@@ -352,8 +352,8 @@ def live_spans(index, qn, geometry):
     einsum, as the index computes it."""
     index.freeze()
     n, stages = len(index), index.stage_layers()
-    by_id = {r.id: r for r in index.records}
-    keys = [tuple(by_id[rid].signatures[l].data for l in stages) for rid in index._row_ids]
+    records = index.records
+    keys = [tuple(records[i].signatures[l].data for l in stages) for i in index._order]
     assert keys == sorted(keys), "rows not sorted by their signature prefixes"
     depth = 0
     while depth < len(stages) and len({k[:depth + 1] for k in keys}) ** 2 <= n:

@@ -9,6 +9,7 @@ from bloomretrieval.binseq import (
     CentroidDictionary,
     encode_signature,
     init_dictionary,
+    sign_rows,
 )
 from bloomretrieval.errors import DataFormatError, DimensionMismatchError
 
@@ -273,3 +274,23 @@ def test_band_row_alone_matches_full_matrix(dim):
             full = encode_signature(CentroidDictionary(centroids, t, 0), x)
             alone = encode_signature(CentroidDictionary(centroids[i:i + 1], t, 0), x)
             assert signature_bits(alone) == [signature_bits(full)[i]] == [dists[i] < t]
+
+
+def test_each_row_takes_the_definition_within_its_own_margin():
+    # one call signs a row of scale 1e3 at its threshold and a row of scale
+    # 1e-3 far from it: the large row's open bits lie inside its own margin
+    # but outside the small row's far narrower one, so a test of every row
+    # against the smallest margin would leave them to the pre-test's sign
+    rng = np.random.default_rng(14)
+    small = rng.normal(size=(64, 8)) * 1e-3
+    x_small = rng.normal(size=8) * 1e-3
+    for _ in range(20):
+        large = rng.normal(size=(64, 8)) * 1e3
+        x_large = large[rng.integers(64)] + rng.normal(size=8)
+        X = np.array([x_large, x_small])
+        dists = np.linalg.norm(large - x_large, axis=1)
+        for t in _ulps_around(float(dists.min()), 2):
+            dictionaries = [CentroidDictionary(large, t, 0), CentroidDictionary(small, 2e-3, 0)]
+            packed = sign_rows(dictionaries, X, [float(x.dot(x)) for x in X])
+            for d, x, row in zip(dictionaries, X, packed):
+                assert row.tobytes() == reference_signature(d.centroids, d.threshold, x)

@@ -35,20 +35,19 @@ def rand_sigs(rng, layers) -> dict:
 class TestPositionFor:
     def test_deterministic(self):
         f = LayeredBloomFilter(m=1000, layers=("L1", "L2"))
-        sig = BinarySignature(width=64, data=b"\x01\x02\x03\x04\x05\x06\x07\x08")
-        assert f.position_for("L1", sig) == f.position_for("L1", sig)
-        assert 0 <= f.position_for("L1", sig) < 1000
+        data = b"\x01\x02\x03\x04\x05\x06\x07\x08"
+        assert f.position("L1", data) == f.position("L1", data)
+        assert 0 <= f.position("L1", data) < 1000
 
     def test_layers_give_different_positions(self):
         f = LayeredBloomFilter(m=1 << 32, layers=("L1", "L2", "L3"))
-        sig = BinarySignature(width=64, data=b"\xaa" * 8)
-        positions = {f.position_for(l, sig) for l in ("L1", "L2", "L3")}
+        positions = {f.position(l, b"\xaa" * 8) for l in ("L1", "L2", "L3")}
         assert len(positions) == 3
 
     def test_unknown_layer(self):
         f = LayeredBloomFilter(m=100, layers=("L1",))
         with pytest.raises(ValueError):
-            f.position_for("L9", BinarySignature(width=8, data=b"\x00"))
+            f.position("L9", b"\x00")
 
     def test_uniformity_chi_squared(self):
         m = 1024
@@ -56,7 +55,7 @@ class TestPositionFor:
         rng = np.random.default_rng(2024)
         counts = np.zeros(m)
         for _ in range(10_000):
-            counts[f.position_for("L1", rand_sig(rng))] += 1
+            counts[f.position("L1", rng.bytes(8))] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.001
 
@@ -157,7 +156,7 @@ class TestInsertMemo:
         ref = LayeredBloomFilter(m=m, layers=layers)
         for sigs in stream:
             for layer in layers:
-                pos = ref.position_for(layer, sigs[layer])
+                pos = ref.position(layer, sigs[layer].data)
                 ref.bits[pos >> 3] |= 1 << (pos & 7)
             ref.inserted_count += 1
 
@@ -191,6 +190,13 @@ class TestInsertMemo:
         assert (bytes(back.bits), back.inserted_count) == (bytes(ref.bits), len(stream))
         assert back.to_bytes() == ref.to_bytes()
 
+    def test_equal_bytes_on_every_layer_set_each_layer_s_bit(self):
+        f = LayeredBloomFilter(m=1 << 16, layers=bloom.LAYERS)
+        sigs = {layer: sig_of(b"\x2a") for layer in f.layers}
+        f.insert(sigs)
+        assert f.query(sigs)
+        assert f.set_bit_count() == len({f.position(layer, b"\x2a") for layer in f.layers}) == 3
+
     def test_memo_hit_still_sets_its_bit(self):
         f = LayeredBloomFilter(m=64, layers=("L1", "L2"))
         sigs = {layer: sig_of(b"\x05") for layer in f.layers}
@@ -213,7 +219,7 @@ class TestProbeOrder:
         swapped = {}
         for layer in ("L3", "L2", "L1"):
             sig = rand_sig(rng)
-            while f.position_for(layer, sig) == f.position_for(layer, stored[layer]):
+            while f.position(layer, sig.data) == f.position(layer, stored[layer].data):
                 sig = rand_sig(rng)
             swapped[layer] = {**stored, layer: sig}
         seeds, hash_ = [], bloom.murmur3_x64_128
@@ -249,18 +255,18 @@ class TestProbeOrder:
         for data in stored:
             f.insert({layer: sig_of(d) for layer, d in zip(bloom.LAYERS, data) if layer in layers})
         sigs = {layer: sig_of(d) for layer, d in zip(bloom.LAYERS, probe) if layer in layers}
-        assert f.query(sigs) is all(f.contains(layer, sigs[layer]) for layer in f.probe_order)
+        assert f.query(sigs) is all(f.contains(layer, sigs[layer].data) for layer in f.probe_order)
         nbytes = len(f.bits)
         for layer in layers:
-            # contains reads exactly the bit at position_for: it alone set,
+            # contains reads exactly the bit at position: it alone set,
             # then it alone clear
-            pos = f.position_for(layer, sigs[layer])
+            pos = f.position(layer, sigs[layer].data)
             f.bits[:] = bytes(nbytes)
             f.bits[pos >> 3] = 1 << (pos & 7)
-            assert f.contains(layer, sigs[layer]) is True
+            assert f.contains(layer, sigs[layer].data) is True
             f.bits[:] = b"\xff" * nbytes
             f.bits[pos >> 3] ^= 1 << (pos & 7)
-            assert f.contains(layer, sigs[layer]) is False
+            assert f.contains(layer, sigs[layer].data) is False
         # one layer too many or too few
         wrong = {layer: sig_of(b"\x00") for layer in set(layers) ^ {toggled}}
         with pytest.raises(ConfigMismatchError):

@@ -23,7 +23,6 @@ from bloomretrieval.index import (
     ThresholdSet,
     brute_force_scan,
     calibrate_thresholds,
-    l2_normalize,
     load_records,
     query_hierarchical,
     save_records,
@@ -310,7 +309,7 @@ class TestQueries:
         first_seen = list(dict.fromkeys(r.signatures["L3"] for r in recs))
         assert first_seen != sorted(first_seen, key=lambda sig: sig.data)
         in_buckets = tuple_sorted(recs)
-        assert idx._row_ids == [r.id for r in in_buckets]
+        assert [idx._ids[i] for i in idx._order] == [r.id for r in in_buckets]
         # the finest stage's matrix, and each coarser stage's rows as a
         # batch makes them, from the float32 rows and the cached norms
         everything = np.arange(len(recs))
@@ -409,7 +408,7 @@ def counted_search(monkeypatch, search, idx, q, top_k):
     """(answer, rows the index's distance kernel scored per stage) of one
     search: a kernel call counts for the layer whose unit query vector it
     is given."""
-    units = {l: l2_normalize(q[l]) for l in idx.stage_layers()}
+    units = {l: unit_rows([q[l]])[0] for l in idx.stage_layers()}
     rows = dict.fromkeys(units, 0)
     kernel = index_module.unit_cosine_distances
 
@@ -560,13 +559,13 @@ def bucket_unit_rows(idx, layer):
     """`unit_rows` of the stored float32 vectors on `layer`, in the frozen
     index's row order: the definition of what its scan reads."""
     idx.freeze()
-    by_id = {r.id: r for r in idx.records}
-    return unit_rows([by_id[rid].compressed[layer] for rid in idx._row_ids])
+    records = idx.records
+    return unit_rows([records[i].compressed[layer] for i in idx._order])
 
 
 def distances(idx, q, layer="L3"):
     """The kernel's distance on `layer` of every row, in row order."""
-    return unit_cosine_distances(bucket_unit_rows(idx, layer), l2_normalize(q[layer]))
+    return unit_cosine_distances(bucket_unit_rows(idx, layer), unit_rows([q[layer]])[0])
 
 
 def ulps_around(x, count=3):
@@ -597,7 +596,7 @@ class TestBucketPruning:
         skipped = 0
         for c in range(6):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
-            qn = l2_normalize(q["L3"])
+            qn = unit_rows([q["L3"]])[0]
             b = levels(idx)[0]
             diff = b.centres - qn
             gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
@@ -619,7 +618,7 @@ class TestBucketPruning:
         idx.freeze()
         q = {l: centres[0] for l in LAYERS3}
         b = levels(idx)[0]
-        diff = b.centres - l2_normalize(q["L3"])
+        diff = b.centres - unit_rows([q["L3"]])[0]
         gap = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - b.radii
         far = int(np.argmax(gap))
         size = int(b.bounds[far + 1] - b.bounds[far])
@@ -659,7 +658,7 @@ class TestBucketPruning:
         assert len(levels(idx)[0].radii) == 2
         q = {l: at(rho + alpha) for l in LAYERS3}
         b = levels(idx)[0]
-        qn = l2_normalize(q["L3"])
+        qn = unit_rows([q["L3"]])[0]
         gap = np.linalg.norm(b.centres[0] - qn) - b.radii[0]
         own = float(distances(idx, q)[0])
         assert 0 < np.sqrt(2 * own) - gap < 1e-8
@@ -760,7 +759,7 @@ class TestBucketPruning:
         # every layer shares the cluster's signature, so every stage adds a
         # level or none does
         assert len(levels(idx)) == (3 if buckets > 1 else 1)
-        assert idx._row_ids == [r.id for r in tuple_sorted(recs)]
+        assert [idx._ids[i] for i in idx._order] == [r.id for r in tuple_sorted(recs)]
         skipped = 0
         for c in range(signatures):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
@@ -782,7 +781,7 @@ class TestBucketPruning:
         idx = build_index(recs, ts)
         idx.freeze()
         assert [len(level.radii) for level in levels(idx)] == [2]
-        assert idx._row_ids == [r.id for r in tuple_sorted(recs)]
+        assert [idx._ids[i] for i in idx._order] == [r.id for r in tuple_sorted(recs)]
         for c in range(2):
             q = {l: centres[c] + 0.05 * rng.normal(size=6) for l in LAYERS3}
             for t2 in (0.01, 2.0):
@@ -804,7 +803,7 @@ class TestBucketPruning:
         idx = build_index(recs, ts)
         idx.freeze()
         assert [len(level.radii) for level in levels(idx)] == [1, 1, 1]
-        assert idx._row_ids == [r.id for r in recs]
+        assert [idx._ids[i] for i in idx._order] == [r.id for r in recs]
         for _ in range(10):
             q = {l: rng.normal(size=6) for l in LAYERS3}
             assert query_hierarchical(idx, q, 20) == brute_force_scan(idx, q, 20)
@@ -816,7 +815,7 @@ class TestBucketPruning:
         idx = build_index(recs, self.open_later_stages())
         idx.freeze()
         assert [r.id for r in idx.records] == [r.id for r in recs]
-        assert idx._row_ids != [r.id for r in recs]
+        assert [idx._ids[i] for i in idx._order] != [r.id for r in recs]
         save_records(tmp_path / "records.bin", idx)
         back = load_records(tmp_path / "records.bin", HierarchicalIndex(LAYERS3, idx.thresholds), 6, 8)
         assert [r.id for r in back.records] == [r.id for r in recs]
@@ -874,8 +873,7 @@ class TestNestedPruning:
         idx = build_index(recs, open_but("L3", 2.0))
         idx.freeze()
         assert [len(level.radii) for level in levels(idx)] == [2, 4, 8]
-        by_id = {r.id: r for r in recs}
-        rows = [by_id[rid] for rid in idx._row_ids]
+        rows = [recs[i] for i in idx._order]
         above = np.array([0, len(recs)])
         for depth, (level, layer) in enumerate(zip(levels(idx), ("L3", "L2", "L1"))):
             assert set(above.tolist()) <= set(level.bounds.tolist())
@@ -905,7 +903,7 @@ class TestNestedPruning:
         skipped = 0
         for key in np.ndindex(2, 2, 2):
             q = near(rng, directions, key)
-            g = gaps(level, l2_normalize(q[layer]))
+            g = gaps(level, unit_rows([q[layer]])[0])
             flips = [x * x / 2 - level.eps for x in g if x * x / 2 > level.eps]
             closest = np.sort(distances(idx, q, layer))[[0, 3, 7, 8, 20]]
             for t in [v for x in [*flips, *closest] for v in ulps_around(float(x))]:
@@ -936,7 +934,7 @@ class TestNestedPruning:
         assert len(level.radii) == 2
         q = {l: (at(1e-5 + 1e-4) if l == layer else other) for l in LAYERS3}
         own = float(distances(idx, q, layer)[0])
-        assert 0 < np.sqrt(2 * own) - gaps(level, l2_normalize(q[layer]))[0] < 1e-8
+        assert 0 < np.sqrt(2 * own) - gaps(level, unit_rows([q[layer]])[0])[0] < 1e-8
         for t in ulps_around(own):
             ts.thresholds[layer] = t
             staged = query_hierarchical(idx, q, 4)
@@ -1431,10 +1429,8 @@ class TestRecordsFileV2:
     [
         (lambda: unit_rows(np.ones(3)), "2-D array"),
         (lambda: unit_rows(np.ones((2, 2, 2))), "2-D array"),
-        (lambda: l2_normalize(np.ones((1, 3))), "1-D vector"),
-        (lambda: l2_normalize(1.0), "1-D vector"),
     ],
-    ids=["rows-1d", "rows-3d", "vector-2d", "vector-scalar"],
+    ids=["rows-1d", "rows-3d"],
 )
 def test_shape_checks(call, message):
     with pytest.raises(ValueError, match=message):

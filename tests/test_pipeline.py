@@ -481,14 +481,14 @@ class TestCoarseToFineGate:
             assert rec.compressed[layer].tobytes() == stored.compressed[layer].tobytes()
         assert rec.signatures == stored.signatures
         # the gate probes by signature bytes, through the method that
-        # `position_for` and `insert` also hash by
-        hashed, position = [], bloom.LayeredBloomFilter._position
+        # `query` and `insert` also hash by
+        hashed, position = [], bloom.LayeredBloomFilter.position
 
         def recorded(self, layer, data):
             hashed.append((layer, position(self, layer, data)))
             return hashed[-1][1]
 
-        monkeypatch.setattr(bloom.LayeredBloomFilter, "_position", recorded)
+        monkeypatch.setattr(bloom.LayeredBloomFilter, "position", recorded)
         assert not pl.gated_query(bundle, index, raw.features).rejected
         assert [layer for layer, _ in hashed] == ["L3", "L2", "L1"]
         assert dict(hashed) == filter_positions(bundle, raw.features)

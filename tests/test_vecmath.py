@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bloomretrieval.errors import InvalidVectorError
-from bloomretrieval.index import l2_normalize, unit_cosine_distances, unit_rows
+from bloomretrieval.index import unit_cosine_distances, unit_rows
 
 from oracles import cosine_distance
 
@@ -13,7 +13,7 @@ from oracles import cosine_distance
 def kernel_distance(a, b):
     """Cosine distance of two raw vectors as retrieval scores it: b as a
     unit row, a as a unit query, through the one kernel."""
-    return float(unit_cosine_distances(unit_rows([b]), l2_normalize(a))[0])
+    return float(unit_cosine_distances(unit_rows([b]), unit_rows([a])[0])[0])
 
 
 def test_cosine_identical_direction():
@@ -29,26 +29,26 @@ def test_cosine_45_degrees():
 
 
 def test_normalize_345():
-    np.testing.assert_allclose(l2_normalize([3, 4]), [0.6, 0.8])
+    np.testing.assert_allclose(unit_rows([[3, 4]])[0], [0.6, 0.8])
 
 
 def test_normalize_already_unit():
-    np.testing.assert_allclose(l2_normalize([1, 0, 0]), [1, 0, 0])
+    np.testing.assert_allclose(unit_rows([[1, 0, 0]])[0], [1, 0, 0])
 
 
 def test_normalize_diagonal():
     s = 1 / math.sqrt(2)
-    np.testing.assert_allclose(l2_normalize([2, 2]), [s, s])
+    np.testing.assert_allclose(unit_rows([[2, 2]])[0], [s, s])
 
 
 def test_normalize_zero_rejected():
     with pytest.raises(InvalidVectorError):
-        l2_normalize([0.0, 0.0, 0.0])
+        unit_rows([[0.0, 0.0, 0.0]])
 
 
 def test_rejects_nan():
     with pytest.raises(ValueError):
-        l2_normalize([float("nan"), 0])
+        unit_rows([[float("nan"), 0]])
 
 
 @given(
@@ -69,8 +69,8 @@ def test_cosine_invariant_under_normalization():
         a, b = rng.normal(size=(2, 5))
         d = cosine_distance(a, b)
         assert abs(kernel_distance(a, b) - d) < 1e-9
-        assert abs(kernel_distance(l2_normalize(a), b) - d) < 1e-9
-        assert abs(kernel_distance(a, l2_normalize(b)) - d) < 1e-9
+        assert abs(kernel_distance(unit_rows([a])[0], b) - d) < 1e-9
+        assert abs(kernel_distance(a, unit_rows([b])[0]) - d) < 1e-9
 
 
 def test_unit_cosine_distances_block_independent():
@@ -79,7 +79,7 @@ def test_unit_cosine_distances_block_independent():
     rng = np.random.default_rng(2)
     for n, dim in ((3001, 128), (1001, 37), (77, 128), (1003, 6), (5, 3)):
         rows = unit_rows(rng.normal(size=(n, dim)))
-        q = l2_normalize(rng.normal(size=dim))
+        q = unit_rows([rng.normal(size=dim)])[0]
         full = unit_cosine_distances(rows, q)
         assert np.all((full >= 0.0) & (full <= 2.0))
         sizes = [1, 2, 3, 5, 7, 9, n // 3, n - 1, n]
@@ -90,12 +90,12 @@ def test_unit_cosine_distances_block_independent():
         np.testing.assert_array_equal(unit_cosine_distances(rows[1:], q), full[1:])
 
 
-def test_unit_rows_matches_l2_normalize():
+def test_unit_rows_one_row_keeps_its_matrix_bits():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(50, 7))
     units = unit_rows(m)
     for row, unit in zip(m, units):
-        np.testing.assert_array_equal(l2_normalize(row), unit)
+        np.testing.assert_array_equal(unit_rows([row])[0], unit)
     with pytest.raises(InvalidVectorError):
         unit_rows([[1.0, 0.0], [0.0, 0.0]])
 
@@ -117,7 +117,7 @@ def test_unit_cosine_distances_clamps_as_np_clip():
     over = rows[np.einsum("ij,ij->i", rows, rows) > 1.0 + 2.0**-52][:5]
     assert len(over) == 5
     matrix = np.vstack([over, -over, rows[:200]])
-    for q in [*over, *-over, rows[0], l2_normalize(rng.normal(size=128))]:
+    for q in [*over, *-over, rows[0], unit_rows([rng.normal(size=128)])[0]]:
         raw = 1.0 - np.einsum("ij,j->i", matrix, q)
         got = unit_cosine_distances(matrix, q)
         assert got.view(np.uint64).tolist() == np.clip(raw, 0.0, 2.0).view(np.uint64).tolist()
